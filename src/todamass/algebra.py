@@ -114,14 +114,8 @@ class LinForm:
         """The form coeff * s_i."""
         return LinForm.make(s={i: coeff})
 
-    def mu_dict(self) -> dict[int, Fraction]:
-        return dict(self.mu)
-
     def s_dict(self) -> dict[int, Fraction]:
         return dict(self.s)
-
-    def mu_coeff(self, i: int) -> Fraction:
-        return dict(self.mu).get(i, Fraction(0))
 
     def s_coeff(self, i: int) -> Fraction:
         return dict(self.s).get(i, Fraction(0))
@@ -211,7 +205,7 @@ def _linform_to_json(f: LinForm) -> dict:
             "s": {str(i): _frac_to_str(c) for i, c in f.s}}
 
 
-def _linform_from_json(obj) -> LinForm:
+def _linform_from_json(obj, size: int) -> LinForm:
     if not isinstance(obj, dict):
         raise FormatError("entry must be an object, got %r" % (obj,))
     const = _frac_from_str(obj.get("const", "0"))
@@ -226,8 +220,8 @@ def _linform_from_json(obj) -> LinForm:
                 idx = int(k)
             except (TypeError, ValueError) as exc:
                 raise FormatError("bad index %r" % (k,)) from exc
-            if idx < 1:
-                raise FormatError("index %d must be positive" % idx)
+            if not 1 <= idx <= size:
+                raise FormatError("index %d outside 1..%d" % (idx, size))
             out[idx] = _frac_from_str(v)
         return out
 
@@ -289,8 +283,13 @@ class MassVector:
 
     def canonical_key(self) -> str:
         """Deterministic string key; equal vectors get equal keys."""
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        # vectors are immutable, so the key is computed once per instance
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = json.dumps(self.to_json_dict(), sort_keys=True,
+                             separators=(",", ":"))
+            object.__setattr__(self, "_canonical_key", key)
+        return key
 
     def to_json_dict(self) -> dict:
         return {"family": self.spec.family,
@@ -318,7 +317,8 @@ class MassVector:
         if len(raw) != spec.size:
             raise FormatError("expected %d entries, got %d"
                               % (spec.size, len(raw)))
-        return MassVector(spec, tuple(_linform_from_json(e) for e in raw))
+        return MassVector(spec, tuple(_linform_from_json(e, spec.size)
+                                      for e in raw))
 
     @staticmethod
     def from_json(text: str) -> "MassVector":

@@ -37,12 +37,30 @@ def _spec(args) -> AlgebraSpec:
     return AlgebraSpec(FAMILY_FLAGS[args.family], args.rank)
 
 
-def _parse_set(text: str) -> ConsecutiveSet:
+def _parse_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     try:
-        j, l = (int(x) for x in text.split(":"))
+        a, b = (int(x) for x in text.split(sep))
     except ValueError:
-        raise UsageError("expected --set j:l, got %r" % text)
-    return ConsecutiveSet(j, l)
+        raise UsageError("expected %s, got %r" % (form, text))
+    return a, b
+
+
+def _wrap_set(spec: AlgebraSpec, r2: int, r1: int) -> ConsecutiveSet:
+    """The wrapping set {r2, .., n+1} u {1, .., r1}."""
+    return ConsecutiveSet(r2, (spec.n + 1) - r2 + r1, wrap=True)
+
+
+def _parse_block(token: str, spec: AlgebraSpec) -> ConsecutiveSet:
+    """One --blocks token: j:l, or w:r2:r1 for a wrapping block."""
+    if token.startswith("w:"):
+        return _wrap_set(spec, *_parse_pair(token[2:], ":", "r2:r1 after w:"))
+    return ConsecutiveSet(*_parse_pair(token, ":", "block j:l or w:r2:r1"))
+
+
+def _require(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError("%s must be at least %d, got %d"
+                         % (flag, least, value))
 
 
 def _parse_mu(text: str, size: int) -> list[Fraction]:
@@ -76,15 +94,11 @@ def _cmd_relations(args, out) -> int:
 def _cmd_chain(args, out) -> int:
     spec = _spec(args)
     if args.wrap:
-        try:
-            r2, r1 = (int(x) for x in args.wrap.split(","))
-        except ValueError:
-            raise UsageError("expected --wrap r2,r1")
-        J = ConsecutiveSet(r2, (spec.n + 1) - r2 + r1, wrap=True)
+        J = _wrap_set(spec, *_parse_pair(args.wrap, ",", "--wrap r2,r1"))
     else:
         if not args.set:
             raise UsageError("either --set or --wrap is required")
-        J = _parse_set(args.set)
+        J = ConsecutiveSet(*_parse_pair(args.set, ":", "--set j:l"))
     builder = chain_word_a if spec.family == AFFINE_A else chain_word_ct
     plan = builder(J, spec)
     out.write("word %s\n" % plan.word)
@@ -105,6 +119,8 @@ def _cmd_chain(args, out) -> int:
 
 
 def _cmd_orbit(args, out) -> int:
+    _require("--depth", args.depth, 0)
+    _require("--workers", args.workers, 1)
     spec = _spec(args)
     nodes = enumerate_orbit(spec, args.depth, workers=args.workers)
     mu = _parse_mu(args.mu, spec.size) if args.mu else None
@@ -118,6 +134,7 @@ def _cmd_orbit(args, out) -> int:
 
 def _cmd_member(args, out) -> int:
     from .errors import NotMassForm
+    _require("--max-steps", args.max_steps, 0)
     v = _load_vector(args.input)
     try:
         report = descend_to_zero(v, max_steps=args.max_steps)
@@ -170,14 +187,7 @@ def _cmd_sperm(args, out) -> int:
 
 def _cmd_blowup_step(args, out) -> int:
     spec = _spec(args)
-    blocks = []
-    for tok in args.blocks.split(","):
-        parts = tok.split(":")
-        if parts[0] == "w":
-            r2, r1 = int(parts[1]), int(parts[2])
-            blocks.append(ConsecutiveSet(r2, (spec.n + 1) - r2 + r1, wrap=True))
-        else:
-            blocks.append(ConsecutiveSet(int(parts[0]), int(parts[1])))
+    blocks = [_parse_block(tok, spec) for tok in args.blocks.split(",")]
     covered = set()
     for b in blocks:
         covered |= set(b.indices(spec.n))

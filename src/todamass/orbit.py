@@ -1,9 +1,10 @@
 """Breadth-first orbit enumeration, membership tests, descent certificates.
 
 The orbit of the zero vector under the generator action is infinite, so
-enumeration is always depth-bounded.  Vectors are deduplicated by their
-canonical serialized key, which makes the output independent of worker
-count and traversal order.
+enumeration is always depth-bounded.  Every orbit vector has entries
+2 sum_j n_ij mu_j with integers n_ij, so enumeration and descent run on
+tuples of integer mu-coefficient rows and build symbolic vectors only
+for the nodes they return.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec, LinForm, MassVector
-from .action import Word, apply_generator, apply_word, pohozaev_residual
+from .action import Word, family_matrix, pohozaev_residual
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -51,53 +51,73 @@ class MembershipReport:
     steps: int = 0
 
 
-def _expand(node: OrbitNode, skip_repeat: bool) -> list[tuple[str, OrbitNode]]:
-    out = []
-    first = node.witness.letters[0] if node.witness.letters else None
-    for i in node.vector.spec.indices:
-        if skip_repeat and i == first:
-            continue  # R_i^2 = e, this child is the node's own parent
-        child = apply_generator(i, node.vector)
-        witness = Word((i,) + node.witness.letters)
-        out.append((child.canonical_key(),
-                    OrbitNode(child, witness, node.level + 1)))
-    return out
+# entry i of a vector is sum_j rows[i][j] * mu_{j+1}, everything 0-based
+_Rows = tuple[tuple[int, ...], ...]
+# per generator i, the (t, k_it) with t != i and k_it != 0
+_Neighbours = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _neighbours(spec: AlgebraSpec) -> _Neighbours:
+    k = family_matrix(spec)
+    return tuple(tuple((t - 1, int(k[i, t])) for t in spec.indices
+                       if t != i and k[i, t])
+                 for i in spec.indices)
+
+
+def _reflect(rows: _Rows, i: int, nbrs: _Neighbours) -> _Rows:
+    """R_{i+1} on rows: row_i <- 2e_i - row_i - sum_{t != i} k_it row_t."""
+    row = [-c for c in rows[i]]
+    row[i] += 2
+    for t, k in nbrs[i]:
+        row = [a - k * b for a, b in zip(row, rows[t])]
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
+
+
+def _form(row: tuple[int, ...]) -> LinForm:
+    return LinForm(mu=tuple((j, Fraction(c))
+                            for j, c in enumerate(row, 1) if c))
 
 
 def enumerate_orbit(spec: AlgebraSpec, depth: int, workers: int = 1,
                     skip_repeat: bool = True) -> list[OrbitNode]:
     """All orbit vectors within the given word length, as sorted nodes.
 
-    Each vector carries a shortest discovered witness word.  The result
-    is sorted by (level, canonical key) and is byte-identical for any
-    worker count: frontier chunks are expanded independently and merged
-    in sorted order.
+    Each vector carries the lexicographically smallest witness word among
+    its shortest ones.  The result is sorted by (level, canonical key).
+    Enumeration is serial on integer coefficient rows; ``workers`` is
+    accepted for compatibility and does not change anything.
     """
-    root = OrbitNode(MassVector.zero(spec), Word(), 0)
-    seen = {root.vector.canonical_key(): root}
-    frontier = [root]
+    nbrs = _neighbours(spec)
+    zero = ((0,) * spec.size,) * spec.size
+    seen = {zero}
+    levels = [[(zero, ())]]
     for _ in range(depth):
-        if not frontier:
+        # Generators outermost and each level in witness order, so the
+        # first word that reaches a vector is its smallest, and the next
+        # level comes out in witness order too.
+        found = []
+        for i in range(spec.size):
+            letter = i + 1
+            for rows, word in levels[-1]:
+                if skip_repeat and word and word[0] == letter:
+                    continue  # R_i^2 = e, this child is the node's own parent
+                child = _reflect(rows, i, nbrs)
+                if child not in seen:
+                    seen.add(child)
+                    found.append((child, (letter,) + word))
+        if not found:
             break
-        chunks = [frontier[k::workers] for k in range(workers)]
-        chunks = [c for c in chunks if c]
-        if workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(
-                    lambda c: [p for nd in c for p in _expand(nd, skip_repeat)],
-                    chunks))
-        else:
-            batches = [[p for nd in c for p in _expand(nd, skip_repeat)]
-                       for c in chunks]
-        candidates = [p for batch in batches for p in batch]
-        candidates.sort(key=lambda p: (p[0], p[1].witness.letters))
-        frontier = []
-        for key, node in candidates:
-            if key not in seen:
-                seen[key] = node
-                frontier.append(node)
-    return sorted(seen.values(),
-                  key=lambda nd: (nd.level, nd.vector.canonical_key()))
+        levels.append(found)
+    # one form per distinct row, shared by every vector that has it
+    distinct = {row for members in levels for rows, _ in members
+                for row in rows}
+    forms = {row: _form(row) for row in distinct}
+    nodes = [OrbitNode(MassVector(spec, tuple(forms[row] for row in rows)),
+                       Word(word), level)
+             for level, members in enumerate(levels)
+             for rows, word in members]
+    nodes.sort(key=lambda nd: (nd.level, nd.vector.canonical_key()))
+    return nodes
 
 
 def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
@@ -109,7 +129,8 @@ def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
             raise NotMassForm("entry %d has constant term %s" % (i, e.const))
         if e.s:
             raise NotMassForm("entry %d has generic s-indeterminates" % i)
-        rows.append(tuple(e.mu_coeff(j) / 2 for j in v.spec.indices))
+        mu = dict(e.mu)
+        rows.append(tuple(mu.get(j, Fraction(0)) / 2 for j in v.spec.indices))
     return CoefficientMatrix(tuple(rows))
 
 
@@ -126,11 +147,6 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
     return MembershipReport(verdict, pohozaev_ok, coeffs_ok, reason=reason)
 
 
-def _phi(v: MassVector) -> Fraction:
-    ones = [1] * v.spec.size
-    return sum(v.evaluate(ones), Fraction(0))
-
-
 def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     """Greedy descent certificate: a word carrying v to zero, if found.
 
@@ -141,43 +157,32 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     base = gamma_n_test(v)
     if base.verdict != MEMBER:
         return base
+    nbrs = _neighbours(v.spec)
+    rows = tuple(tuple(int(2 * c) for c in row)
+                 for row in coefficient_matrix(v).entries)
+    zero = ((0,) * v.spec.size,) * v.spec.size
+    # R_i changes only row i, so the mass at (1,...,1) moves by
+    # 2 - 2 sums[i] - sum_{t != i} k_it sums[t]
+    sums = [sum(row) for row in rows]
     applied: list[int] = []
-    cur = v
-    steps = 0
-    while not cur.is_zero:
-        if steps >= max_steps:
+    while rows != zero:
+        if len(applied) >= max_steps:
             return MembershipReport(DESCENT_STALLED, True, True,
                                     reason="step budget exhausted",
-                                    steps=steps)
-        phi = _phi(cur)
-        pick = None
-        for i in cur.spec.indices:
-            child = apply_generator(i, cur)
-            if _phi(child) < phi:
-                pick = (i, child)
+                                    steps=len(applied))
+        for i, nb in enumerate(nbrs):
+            delta = 2 - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
+            if delta < 0:
                 break
-        if pick is None:
+        else:
             return MembershipReport(DESCENT_STALLED, True, True,
                                     reason="no descending generator",
-                                    steps=steps)
-        applied.append(pick[0])
-        cur = pick[1]
-        steps += 1
+                                    steps=len(applied))
+        rows = _reflect(rows, i, nbrs)
+        sums[i] += delta
+        applied.append(i + 1)
     word = Word(tuple(reversed(applied)))
-    return MembershipReport(MEMBER, True, True, word=word, steps=steps)
-
-
-def _node_edges(nodes: Sequence[OrbitNode]) -> list[tuple[str, str, int]]:
-    """Discovery-tree edges (parent key, child key, generator label)."""
-    edges = []
-    for nd in nodes:
-        if not nd.witness.letters:
-            continue
-        parent = apply_word(Word(nd.witness.letters[1:]),
-                            MassVector.zero(nd.vector.spec))
-        edges.append((parent.canonical_key(), nd.vector.canonical_key(),
-                      nd.witness.letters[0]))
-    return edges
+    return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
 
 
 def export_graph(nodes: Sequence[OrbitNode], fmt: str,
@@ -185,13 +190,17 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
     """Serialize an enumerated orbit as DOT, JSON, or CSV bytes."""
     nodes = sorted(nodes, key=lambda nd: (nd.level, nd.vector.canonical_key()))
     if fmt == "dot":
-        ids = {nd.vector.canonical_key(): "v%d" % k
-               for k, nd in enumerate(nodes)}
         lines = ["digraph orbit {"]
         for k, nd in enumerate(nodes):
             lines.append('  v%d [label="%s"];' % (k, nd.vector))
-        for src, dst, label in _node_edges(nodes):
-            lines.append("  %s -> %s [label=%d];" % (ids[src], ids[dst], label))
+        # discovery-tree edges: a node's parent has its witness minus the
+        # first letter
+        ids = {nd.witness.letters: k for k, nd in enumerate(nodes)}
+        for k, nd in enumerate(nodes):
+            word = nd.witness.letters
+            if word:
+                lines.append("  v%d -> v%d [label=%d];"
+                             % (ids[word[1:]], k, word[0]))
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
@@ -200,13 +209,12 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
                               "level": nd.level} for nd in nodes]}
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
-        values = mu if mu is not None else None
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["index", "mass"])
         for k, nd in enumerate(nodes):
-            if values is not None:
-                masses = nd.vector.evaluate(values)
+            if mu is not None:
+                masses = nd.vector.evaluate(mu)
                 writer.writerow([k, " ".join(str(m) for m in masses)])
             else:
                 writer.writerow([k, str(nd.vector)])

@@ -110,6 +110,9 @@ def test_json_round_trip():
     '{"family":"affine_a","n":2,"entries":[{"const":"x"},{},{}]}',
     '{"family":"affine_a","n":2,"entries":[{"mu":{"0":"1"}},{},{}]}',
     '{"family":"affine_a","n":"2","entries":[{},{},{}]}',
+    '{"family":"affine_a","n":2,"entries":[{"mu":{"99":"2"}},{},{}]}',
+    '{"family":"affine_a","n":2,"entries":[{},{"mu":{"4":"2"}},{}]}',
+    '{"family":"affine_a","n":2,"entries":[{},{},{"s":{"4":"1"}}]}',
 ])
 def test_malformed_json_rejected(text):
     with pytest.raises(FormatError):

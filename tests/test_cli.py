@@ -129,3 +129,48 @@ def test_byte_identical_repeat_runs():
             "--out", "json"]
     outs = {invoke(args)[1] for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_orbit_rejects_workers_below_one():
+    for workers in ("0", "-2"):
+        code, out, err = invoke(["orbit", "--family", "a", "--rank", "2",
+                                 "--depth", "2", "--workers", workers])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_orbit_rejects_negative_depth():
+    code, out, err = invoke(["orbit", "--family", "a", "--rank", "2",
+                             "--depth", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_member_rejects_negative_max_steps(tmp_path):
+    v = apply_word(Word.of(2, 1), MassVector.zero(AlgebraSpec("affine_a", 2)))
+    path = write_vector(tmp_path, "v.json", v)
+    code, out, err = invoke(["member", "--input", path, "--max-steps", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_malformed_blocks_and_wrap_are_usage_errors():
+    for blocks in ("w:4", "x", "1", "2:0,w:1:2:3", ""):
+        code, out, err = invoke(["blowup-step", "--family", "a", "--rank",
+                                 "4", "--case", "A-II", "--blocks", blocks])
+        assert code == 1 and out == "", blocks
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    for wrap in ("4", "4,x", "4,1,2"):
+        code, out, err = invoke(["chain", "--family", "a", "--rank", "4",
+                                 "--wrap", wrap])
+        assert code == 1 and err.startswith("usage error:"), wrap
+
+
+def test_out_of_range_index_is_a_format_error(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"family": "affine_a", "n": 2, "entries": '
+                    '[{"mu": {"1": "2"}}, {"mu": {"99": "2"}}, {}]}')
+    for verb in ("pohozaev", "member"):
+        code, out, err = invoke([verb, "--input", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("FormatError:") and err.count("\n") == 1
