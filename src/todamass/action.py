@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import AFFINE_A, AlgebraSpec, LinForm, MassVector
 from .cartan import CartanMatrix, build
@@ -67,15 +67,11 @@ def apply_generator(i: int, v: MassVector,
     spec = v.spec
     if not 1 <= i <= spec.size:
         raise DomainError("generator index %d outside 1..%d" % (i, spec.size))
-    k = family_matrix(spec)
+    row = family_matrix(spec).entries[i - 1]
     w_i = weights[i - 1] if weights is not None else LinForm.weight(i)
-    new = w_i.scale(2)
-    for t in spec.indices:
-        c = k[i, t]
-        if c:
-            new = new - v.entry(t).scale(c)
-    new = new + v.entry(i)
-    return v.replace(i, new)
+    return v.replace(i, LinForm.combine(
+        [(2, w_i), (1, v.entries[i - 1])]
+        + [(-c, e) for c, e in zip(row, v.entries)]))
 
 
 def apply_word(w: Word, v: MassVector,
@@ -154,18 +150,17 @@ class QuadPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "QuadPoly") -> "QuadPoly":
-        d = self.as_dict()
-        for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
+    @staticmethod
+    def combine(terms: Iterable[tuple[Fraction, "QuadPoly"]]) -> "QuadPoly":
+        """The sum of k * poly over the (k, poly) pairs, normalised once."""
+        d: dict[Monomial, Fraction] = {}
+        for k, p in terms:
+            for m, c in p.terms:
+                d[m] = d.get(m, 0) + k * c
         return QuadPoly.from_dict(d)
 
-    def __sub__(self, other: "QuadPoly") -> "QuadPoly":
-        return self + other.scale(-1)
-
     def scale(self, k) -> "QuadPoly":
-        k = Fraction(k)
-        return QuadPoly.from_dict({m: c * k for m, c in self.terms})
+        return QuadPoly.combine(((Fraction(k), self),))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -218,23 +213,21 @@ def pohozaev_residual(v: MassVector,
     """
     spec = v.spec
     w = list(weights) if weights is not None else _default_weights(spec)
-    total = QuadPoly()
     if spec.family == AFFINE_A:
+        terms = []
         for i in spec.indices:
             e = v.entry(i)
-            total = total + linform_product(e, e)
-            total = total - linform_product(e, v.entry(i + 1))
-            total = total - linform_product(w[i - 1], e).scale(2)
-    else:
-        for i in range(1, spec.n + 1):
-            diff = v.entry(i) - v.entry(i + 1)
-            total = total + linform_product(diff, diff)
-        pairing = linform_product(w[0], v.entry(1))
-        for i in range(2, spec.n + 1):
-            pairing = pairing + linform_product(w[i - 1], v.entry(i)).scale(2)
-        pairing = pairing + linform_product(w[spec.n], v.entry(spec.n + 1))
-        total = total - pairing.scale(2)
-    return total
+            terms += [(1, linform_product(e, e)),
+                      (-1, linform_product(e, v.entry(i + 1))),
+                      (-2, linform_product(w[i - 1], e))]
+        return QuadPoly.combine(terms)
+    e = v.entries
+    diffs = [e[i] - e[i + 1] for i in range(spec.n)]
+    # the pairing weighs the two end entries once and the others twice
+    return QuadPoly.combine(
+        [(1, linform_product(d, d)) for d in diffs]
+        + [(-2 if i in (0, spec.n) else -4, linform_product(w[i], e[i]))
+           for i in range(spec.size)])
 
 
 def pohozaev_residual_cyclic_difference(
@@ -250,9 +243,9 @@ def pohozaev_residual_cyclic_difference(
     if spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")
     w = list(weights) if weights is not None else _default_weights(spec)
-    total = QuadPoly()
+    terms = []
     for i in spec.indices:
         diff = v.entry(i) - v.entry(i + 1)
-        total = total + linform_product(diff, diff)
-        total = total - linform_product(w[i - 1], v.entry(i)).scale(4)
-    return total
+        terms += [(1, linform_product(diff, diff)),
+                  (-4, linform_product(w[i - 1], v.entry(i)))]
+    return QuadPoly.combine(terms)

@@ -114,39 +114,36 @@ class LinForm:
         """The form coeff * s_i."""
         return LinForm.make(s={i: coeff})
 
-    def s_dict(self) -> dict[int, Fraction]:
-        return dict(self.s)
-
-    def s_coeff(self, i: int) -> Fraction:
-        return dict(self.s).get(i, Fraction(0))
-
     @property
     def is_zero(self) -> bool:
         return not self.const and not self.mu and not self.s
 
+    @staticmethod
+    def combine(terms: Iterable[tuple[Scalar, "LinForm"]]) -> "LinForm":
+        """The sum of k * form over the (k, form) pairs, normalised once."""
+        const = Fraction(0)
+        mu: list[tuple[int, Fraction]] = []
+        s: list[tuple[int, Fraction]] = []
+        for k, f in terms:
+            k = _as_fraction(k)
+            if k == 1:  # the common case: skip the Fraction products
+                const += f.const
+                mu += f.mu
+                s += f.s
+            elif k:
+                const += f.const * k
+                mu += [(i, c * k) for i, c in f.mu]
+                s += [(i, c * k) for i, c in f.s]
+        return LinForm(const, _clean(mu), _clean(s))
+
     def __add__(self, other: "LinForm") -> "LinForm":
-        return LinForm(self.const + other.const,
-                       _clean(self.mu + other.mu),
-                       _clean(self.s + other.s))
+        return LinForm.combine(((1, self), (1, other)))
 
     def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + (-other)
-
-    def __neg__(self) -> "LinForm":
-        return self.scale(-1)
+        return LinForm.combine(((1, self), (-1, other)))
 
     def scale(self, k: Scalar) -> "LinForm":
-        k = _as_fraction(k)
-        if not k:
-            return LinForm()
-        return LinForm(self.const * k,
-                       tuple((i, c * k) for i, c in self.mu),
-                       tuple((i, c * k) for i, c in self.s))
-
-    def __mul__(self, k: Scalar) -> "LinForm":
-        return self.scale(k)
-
-    __rmul__ = __mul__
+        return LinForm.combine(((k, self),))
 
     def substitute_weights(self, mapping: Mapping[int, int]) -> "LinForm":
         """Relabel mu_i -> mu_{mapping[i]}; indices absent from the map stay."""
@@ -186,10 +183,6 @@ class LinForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _frac_from_str(text) -> Fraction:
     if not isinstance(text, str):
         raise FormatError("rational must be a string, got %r" % (text,))
@@ -200,9 +193,9 @@ def _frac_from_str(text) -> Fraction:
 
 
 def _linform_to_json(f: LinForm) -> dict:
-    return {"const": _frac_to_str(f.const),
-            "mu": {str(i): _frac_to_str(c) for i, c in f.mu},
-            "s": {str(i): _frac_to_str(c) for i, c in f.s}}
+    return {"const": str(f.const),
+            "mu": {str(i): str(c) for i, c in f.mu},
+            "s": {str(i): str(c) for i, c in f.s}}
 
 
 def _linform_from_json(obj, size: int) -> LinForm:

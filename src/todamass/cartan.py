@@ -36,12 +36,6 @@ class CartanMatrix:
         i, j = ij
         return self.entries[i - 1][j - 1]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i - 1]
-
-    def to_lists(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
-
 
 def _rows(size, entry) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(entry(i, j)) for j in range(1, size + 1))
@@ -116,7 +110,7 @@ class ConsecutiveSet:
 
     Wrap sets (affine A only) list their elements in the order
     r2, r2+1, ..., n+1, 1, ..., r1; ``start`` is then r2 and the last
-    element is r1 = start + length - (n+1) - 1 + ... computed cyclically.
+    element is r1 = start + length - (n+1).
     """
 
     start: int

@@ -9,9 +9,11 @@ sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from typing import Iterable
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
 from .cartan import ConsecutiveSet, inverse_submatrix
@@ -86,15 +88,15 @@ def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
 def mu_star(v: MassVector) -> list[LinForm]:
     """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
     k = family_matrix(v.spec)
-    out = []
-    for s in v.spec.indices:
-        f = LinForm.weight(s)
-        for t in v.spec.indices:
-            c = k[s, t]
-            if c:
-                f = f - v.entry(t).scale(HALF * c)
-        out.append(f)
-    return out
+    return [LinForm.combine([(1, LinForm.weight(s))]
+                            + [(-HALF * c, e)
+                               for c, e in zip(k.entries[s - 1], v.entries)])
+            for s in v.spec.indices]
+
+
+def _prefix_sums(forms: Iterable[LinForm]) -> list[LinForm]:
+    """[0, f_1, f_1 + f_2, ...]: entry k is the sum of the first k forms."""
+    return list(accumulate(forms, operator.add, initial=LinForm()))
 
 
 def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
@@ -118,25 +120,29 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
     stars = mu_star(v)
     m = len(idx)
     out = v
-    for p in range(1, m + 1):
-        s_p = idx[p - 1]
-        acc = v.entry(s_p)
-        for q in range(1, m + 1):
-            s_q = idx[q - 1]
-            s_q_mirror = idx[m - q]
-            coeff = K[p, q]
-            if coeff:
-                acc = acc + (stars[s_q - 1] + stars[s_q_mirror - 1]).scale(2 * coeff)
-        out = out.replace(s_p, acc)
+    for p, s_p in enumerate(idx, 1):
+        terms = [(1, v.entry(s_p))]
+        for q, s_q in enumerate(idx, 1):
+            terms += [(2 * K[p, q], stars[s_q - 1]),
+                      (2 * K[p, q], stars[idx[m - q] - 1])]
+        out = out.replace(s_p, LinForm.combine(terms))
     return out
 
 
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
-    """Chain target for boundary blocks of affine Ct, by explicit sums.
+    """Chain target for boundary blocks of affine Ct, by prefix sums.
 
     Head blocks {1..l+1} and tail blocks {i..n+1} have closed forms in
     the plain weights and the neighboring entry just outside the block;
-    interior blocks are rejected (use closed_form_a).
+    interior blocks are rejected (use closed_form_a).  With
+    P[k] = mu_1 + .. + mu_k, head entry s becomes
+
+        4 sum_{k=s}^{l+1} P[k] - 2(l+2-s) mu_1 - sigma_s + 2 sigma_{l+2},
+
+    and with Q[k] = mu_i + .. + mu_{i+k-1}, tail entry s becomes
+
+        2(s-i+1)(Q[l+1] + Q[l]) - 4 sum_{q=0}^{s-i} Q[q] - sigma_s
+        + 2 sigma_{i-1}.
     """
     spec = v.spec
     if spec.family != AFFINE_CT:
@@ -149,32 +155,22 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
     l = J.length
     out = v
     if J.is_head(spec.n):
+        P = _prefix_sums([LinForm.weight(t) for t in range(1, l + 2)])
         for s in range(1, l + 2):
-            acc = LinForm.zero()
-            for t in range(1, l + 2):
-                acc = acc + LinForm.weight(t, 2 * (l + 2 - s))
-            for q in range(0, l + 2 - s):
-                for t in range(l + 2, 2 * l + 2 - q):
-                    acc = acc + LinForm.weight(t - l, 2)
-                for t in range(1, q + 1):
-                    acc = acc - LinForm.weight(l + 2 - t, 2)
-            acc = acc - v.entry(s) + v.entry(l + 2).scale(2)
-            out = out.replace(s, acc)
+            out = out.replace(s, LinForm.combine(
+                [(4, P[k]) for k in range(s, l + 2)]
+                + [(-2 * (l + 2 - s), P[1]), (-1, v.entry(s)),
+                   (2, v.entry(l + 2))]))
     elif J.is_tail(spec.n):
         i = J.start
         if i < 2:
             raise DomainError("tail block covering the whole index set")
+        Q = _prefix_sums([LinForm.weight(t) for t in range(i, i + l + 1)])
         for s in range(i, spec.n + 2):
-            acc = LinForm.zero()
-            for q in range(0, s - i + 1):
-                for t in range(1, l + 2):
-                    acc = acc + LinForm.weight(t + i - 1, 2)
-                for t in range(l + 2, 2 * l + 2 - q):
-                    acc = acc + LinForm.weight(2 * l + i + 1 - t, 2)
-                for t in range(1, q + 1):
-                    acc = acc - LinForm.weight(t + i - 1, 2)
-            acc = acc - v.entry(s) + v.entry(i - 1).scale(2)
-            out = out.replace(s, acc)
+            out = out.replace(s, LinForm.combine(
+                [(2 * (s - i + 1), Q[l + 1]), (2 * (s - i + 1), Q[l])]
+                + [(-4, Q[q]) for q in range(s - i + 1)]
+                + [(-1, v.entry(s)), (2, v.entry(i - 1))]))
     else:
         raise DomainError("interior blocks use closed_form_a")
     return out

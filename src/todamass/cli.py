@@ -105,12 +105,10 @@ def _cmd_chain(args, out) -> int:
     out.write("length %d\n" % len(plan.word))
     if args.verify:
         g = MassVector.generic(spec)
-        if spec.family == AFFINE_A:
-            target = closed_form_a(g, J)
-        elif J.is_interior(spec.n):
-            target = closed_form_a(g, J)
-        else:
+        if spec.family == AFFINE_CT and not J.is_interior(spec.n):
             target = closed_form_ct(g, J)
+        else:
+            target = closed_form_a(g, J)
         out.write("target %s\n" % target)
         equal = apply_word(plan.word, g) == target
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
@@ -172,6 +170,7 @@ def _cmd_rotate(args, out) -> int:
 
 
 def _cmd_sperm(args, out) -> int:
+    _require("--l", args.l, 0)
     f = SPermC.identity(args.l)
     if args.word:
         for tok in args.word.split(","):

@@ -78,8 +78,8 @@ def _form(row: tuple[int, ...]) -> LinForm:
                             for j, c in enumerate(row, 1) if c))
 
 
-def enumerate_orbit(spec: AlgebraSpec, depth: int, workers: int = 1,
-                    skip_repeat: bool = True) -> list[OrbitNode]:
+def enumerate_orbit(spec: AlgebraSpec, depth: int,
+                    workers: int = 1) -> list[OrbitNode]:
     """All orbit vectors within the given word length, as sorted nodes.
 
     Each vector carries the lexicographically smallest witness word among
@@ -99,7 +99,7 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int, workers: int = 1,
         for i in range(spec.size):
             letter = i + 1
             for rows, word in levels[-1]:
-                if skip_repeat and word and word[0] == letter:
+                if word and word[0] == letter:
                     continue  # R_i^2 = e, this child is the node's own parent
                 child = _reflect(rows, i, nbrs)
                 if child not in seen:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
 from .action import Word, family_matrix
-from .chains import mu_star
+from .chains import _prefix_sums, mu_star
 from .errors import DomainError, SymmetryError
 
 
@@ -93,18 +93,9 @@ def finite_a_mass(f: FinitePermutation,
     if f.top != m:
         raise DomainError("permutation must act on 0..%d" % m)
 
-    def prefix(k: int) -> LinForm:
-        acc = LinForm.zero()
-        for j in range(1, k + 1):
-            acc = acc + weights[j - 1]
-        return acc
-
-    out = []
-    acc = LinForm.zero()
-    for i in range(1, m + 1):
-        acc = acc + (prefix(f(i - 1)) - prefix(i - 1)).scale(2)
-        out.append(acc)
-    return out
+    P = _prefix_sums(weights)
+    return _prefix_sums([LinForm.combine(((2, P[f(j)]), (-2, P[j])))
+                         for j in range(m)])[1:]
 
 
 @dataclass(frozen=True)
@@ -177,38 +168,22 @@ def sigma_f_ct(v: MassVector, f: SPermC, J) -> MassVector:
         raise DomainError("permutation acts on 0..%d, block needs 0..%d"
                           % (2 * f.l + 1, 2 * l0 + 1))
     bar = mu_star(v)
-
+    # the block's shifted weights read through its mirror extension:
+    # hats[r-1] is mu-bar-hat_r for r = 1..2*l0+1
+    block = bar[J.start - 1:J.start + l0]
     if J.is_head(spec.n):
-        def hat(r: int) -> LinForm:
-            if r <= l0 + 1:
-                return bar[l0 + 2 - r - 1]
-            return bar[r - l0 - 1]
-
-        lo, span = 1, lambda i: l0 + 1 - i
+        hats, lo, span = block[::-1] + block[1:], 1, lambda i: l0 + 1 - i
     elif J.is_tail(spec.n):
-        i0 = J.start
-
-        def hat(r: int) -> LinForm:
-            if r <= l0 + 1:
-                return bar[r + i0 - 1 - 1]
-            return bar[2 * l0 + 1 + i0 - r - 1]
-
-        lo, span = i0, lambda i: i - i0
+        hats, lo, span = block + block[-2::-1], J.start, lambda i: i - J.start
     else:
         raise DomainError("interior blocks have no boundary mass formula")
-
-    def prefix(k: int) -> LinForm:
-        acc = LinForm.zero()
-        for r in range(1, k + 1):
-            acc = acc + hat(r)
-        return acc
-
+    P = _prefix_sums(hats)
+    # T[k] = 2 sum_{j<k} (P[f(j)] - P[j])
+    T = _prefix_sums([LinForm.combine(((2, P[f(j)]), (-2, P[j])))
+                      for j in range(l0 + 1)])
     out = v
     for i in range(lo, lo + l0 + 1):
-        acc = v.entry(i)
-        for j in range(0, span(i) + 1):
-            acc = acc + (prefix(f(j)) - prefix(j)).scale(2)
-        out = out.replace(i, acc)
+        out = out.replace(i, v.entry(i) + T[span(i) + 1])
     return out
 
 

@@ -174,3 +174,11 @@ def test_out_of_range_index_is_a_format_error(tmp_path):
         code, out, err = invoke([verb, "--input", str(path)])
         assert code == 1 and out == ""
         assert err.startswith("FormatError:") and err.count("\n") == 1
+
+
+def test_negative_sperm_l_is_a_usage_error():
+    code, out, err = invoke(["sperm", "--l", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    code, out, _ = invoke(["sperm", "--l", "0", "--check"])
+    assert code == 0 and out == "values 0 1\nconstraint PASS\n"

@@ -1,0 +1,304 @@
+"""Differential tests: n-ary combinations against binary folds.
+
+`LinForm.combine` and `QuadPoly.combine` normalise a whole linear
+combination once.  The oracles below are the implementations that
+folded every sum one binary `+`/`-`/`scale` at a time, including the
+triple-loop `closed_form_ct` and the per-call prefix closures of
+`finite_a_mass` and `sigma_f_ct`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from todamass.algebra import AlgebraSpec, LinForm, MassVector
+from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
+                             family_matrix, linform_product,
+                             pohozaev_residual,
+                             pohozaev_residual_cyclic_difference)
+from todamass.cartan import ConsecutiveSet
+from todamass.chains import HALF, closed_form_ct, mu_star
+from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
+                            sc_simple, sigma_f_ct)
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+coeff_maps = st.dictionaries(st.integers(min_value=1, max_value=6), rationals,
+                             max_size=4)
+linforms = st.builds(LinForm.make, rationals, coeff_maps, coeff_maps)
+terms = st.lists(st.tuples(st.one_of(st.integers(-4, 4), rationals), linforms),
+                 max_size=8)
+
+
+# -- oracles -------------------------------------------------------------
+
+def fold_combine(pairs):
+    acc = LinForm.zero()
+    for k, f in pairs:
+        acc = acc + f.scale(k)
+    return acc
+
+
+def old_apply_generator(i, v):
+    k = family_matrix(v.spec)
+    new = LinForm.weight(i).scale(2)
+    for t in v.spec.indices:
+        c = k[i, t]
+        if c:
+            new = new - v.entry(t).scale(c)
+    new = new + v.entry(i)
+    return v.replace(i, new)
+
+
+def old_mu_star(v):
+    k = family_matrix(v.spec)
+    out = []
+    for s in v.spec.indices:
+        f = LinForm.weight(s)
+        for t in v.spec.indices:
+            c = k[s, t]
+            if c:
+                f = f - v.entry(t).scale(HALF * c)
+        out.append(f)
+    return out
+
+
+def old_closed_form_ct(v, J):
+    spec = v.spec
+    l = J.length
+    out = v
+    if J.is_head(spec.n):
+        for s in range(1, l + 2):
+            acc = LinForm.zero()
+            for t in range(1, l + 2):
+                acc = acc + LinForm.weight(t, 2 * (l + 2 - s))
+            for q in range(0, l + 2 - s):
+                for t in range(l + 2, 2 * l + 2 - q):
+                    acc = acc + LinForm.weight(t - l, 2)
+                for t in range(1, q + 1):
+                    acc = acc - LinForm.weight(l + 2 - t, 2)
+            acc = acc - v.entry(s) + v.entry(l + 2).scale(2)
+            out = out.replace(s, acc)
+    else:
+        i = J.start
+        for s in range(i, spec.n + 2):
+            acc = LinForm.zero()
+            for q in range(0, s - i + 1):
+                for t in range(1, l + 2):
+                    acc = acc + LinForm.weight(t + i - 1, 2)
+                for t in range(l + 2, 2 * l + 2 - q):
+                    acc = acc + LinForm.weight(2 * l + i + 1 - t, 2)
+                for t in range(1, q + 1):
+                    acc = acc - LinForm.weight(t + i - 1, 2)
+            acc = acc - v.entry(s) + v.entry(i - 1).scale(2)
+            out = out.replace(s, acc)
+    return out
+
+
+def old_finite_a_mass(f, weights):
+    m = len(weights)
+
+    def prefix(k):
+        acc = LinForm.zero()
+        for j in range(1, k + 1):
+            acc = acc + weights[j - 1]
+        return acc
+
+    out = []
+    acc = LinForm.zero()
+    for i in range(1, m + 1):
+        acc = acc + (prefix(f(i - 1)) - prefix(i - 1)).scale(2)
+        out.append(acc)
+    return out
+
+
+def old_sigma_f_ct(v, f, J):
+    spec = v.spec
+    l0 = J.length
+    bar = old_mu_star(v)
+    if J.is_head(spec.n):
+        def hat(r):
+            if r <= l0 + 1:
+                return bar[l0 + 2 - r - 1]
+            return bar[r - l0 - 1]
+
+        lo, span = 1, lambda i: l0 + 1 - i
+    else:
+        i0 = J.start
+
+        def hat(r):
+            if r <= l0 + 1:
+                return bar[r + i0 - 1 - 1]
+            return bar[2 * l0 + 1 + i0 - r - 1]
+
+        lo, span = i0, lambda i: i - i0
+
+    def prefix(k):
+        acc = LinForm.zero()
+        for r in range(1, k + 1):
+            acc = acc + hat(r)
+        return acc
+
+    out = v
+    for i in range(lo, lo + l0 + 1):
+        acc = v.entry(i)
+        for j in range(0, span(i) + 1):
+            acc = acc + (prefix(f(j)) - prefix(j)).scale(2)
+        out = out.replace(i, acc)
+    return out
+
+
+def qadd(a, b, k=1):
+    """a + k * b, the binary QuadPoly step the residuals used to fold."""
+    d = a.as_dict()
+    for m, c in b.terms:
+        d[m] = d.get(m, Fraction(0)) + k * c
+    return QuadPoly.from_dict(d)
+
+
+def old_residual(v, w):
+    spec = v.spec
+    total = QuadPoly()
+    if spec.family == "affine_a":
+        for i in spec.indices:
+            e = v.entry(i)
+            total = qadd(total, linform_product(e, e))
+            total = qadd(total, linform_product(e, v.entry(i + 1)), -1)
+            total = qadd(total, linform_product(w[i - 1], e), -2)
+    else:
+        for i in range(1, spec.n + 1):
+            diff = v.entry(i) - v.entry(i + 1)
+            total = qadd(total, linform_product(diff, diff))
+        pairing = linform_product(w[0], v.entry(1))
+        for i in range(2, spec.n + 1):
+            pairing = qadd(pairing, linform_product(w[i - 1], v.entry(i)), 2)
+        pairing = qadd(pairing, linform_product(w[spec.n], v.entry(spec.n + 1)))
+        total = qadd(total, pairing, -2)
+    return total
+
+
+def old_cyclic_difference(v, w):
+    total = QuadPoly()
+    for i in v.spec.indices:
+        diff = v.entry(i) - v.entry(i + 1)
+        total = qadd(total, linform_product(diff, diff))
+        total = qadd(total, linform_product(w[i - 1], v.entry(i)), -4)
+    return total
+
+
+# -- LinForm.combine -------------------------------------------------------
+
+def is_canonical(items):
+    return (all(c for _, c in items)
+            and [i for i, _ in items] == sorted({i for i, _ in items}))
+
+
+@settings(max_examples=60)
+@given(terms)
+def test_combine_equals_binary_fold(pairs):
+    got = LinForm.combine(pairs)
+    assert got == fold_combine(pairs)
+    assert is_canonical(got.mu) and is_canonical(got.s)
+    mu = {i: Fraction(i, 7) for i in range(1, 7)}
+    s = {i: Fraction(-i, 5) for i in range(1, 7)}
+    assert got.evaluate(mu, s) == \
+        sum((k * f.evaluate(mu, s) for k, f in pairs), Fraction(0))
+
+
+def test_combine_of_nothing_is_zero():
+    assert LinForm.combine([]) == LinForm.zero()
+    f = LinForm.make(3, {1: 2}, {2: -1})
+    assert LinForm.combine([(0, f)]) == LinForm.zero()
+    assert LinForm.combine([(1, f), (-1, f)]).is_zero
+
+
+def random_vector(spec, rng, seeds=True):
+    def form():
+        mu = {i: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+              for i in rng.sample(list(spec.indices), 2)}
+        s = {rng.choice(list(spec.indices)): rng.randint(-3, 3)} if seeds else {}
+        return LinForm.make(rng.randint(-2, 2), mu, s)
+    return MassVector(spec, tuple(form() for _ in spec.indices))
+
+
+@pytest.mark.parametrize("family", ["affine_a", "affine_ct"])
+def test_generator_and_mu_star_match_folds(family):
+    rng = random.Random(3)
+    for n in range(2, 8):
+        spec = AlgebraSpec(family, n)
+        for v in (MassVector.generic(spec), random_vector(spec, rng)):
+            assert mu_star(v) == old_mu_star(v)
+            for i in spec.indices:
+                assert apply_generator(i, v) == old_apply_generator(i, v)
+
+
+# -- closed forms and permutation masses ----------------------------------
+
+def boundary_blocks(n):
+    for l in range(n):
+        yield ConsecutiveSet(1, l)
+        yield ConsecutiveSet(n + 1 - l, l)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_closed_form_ct_matches_triple_loop(n):
+    spec = AlgebraSpec("affine_ct", n)
+    g = MassVector.generic(spec)
+    for J in boundary_blocks(n):
+        assert closed_form_ct(g, J) == old_closed_form_ct(g, J), (n, J)
+
+
+def test_finite_a_mass_matches_prefix_recompute():
+    rng = random.Random(5)
+    for size in range(1, 10):
+        m = size - 1
+        weights = [LinForm.make(rng.randint(-2, 2),
+                                {j: rng.randint(-3, 3), rng.randint(1, 9): 1},
+                                {j: Fraction(1, rng.randint(1, 4))})
+                   for j in range(1, m + 1)]
+        for _ in range(6):
+            values = list(range(size))
+            rng.shuffle(values)
+            f = FinitePermutation(tuple(values))
+            assert finite_a_mass(f, weights) == old_finite_a_mass(f, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sigma_f_ct_matches_prefix_recompute(data):
+    n = data.draw(st.integers(2, 7))
+    l0 = data.draw(st.integers(0, n - 1))
+    head = data.draw(st.booleans())
+    J = ConsecutiveSet(1, l0) if head else ConsecutiveSet(n + 1 - l0, l0)
+    f = SPermC.identity(l0)
+    for i in data.draw(st.lists(st.integers(0, l0), max_size=3 * l0 + 3)):
+        f = f.compose(sc_simple(i, l0))
+    spec = AlgebraSpec("affine_ct", n)
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    for v in (MassVector.generic(spec), random_vector(spec, rng)):
+        assert sigma_f_ct(v, f, J) == old_sigma_f_ct(v, f, J)
+
+
+# -- Pohozaev residuals ----------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 6),
+       st.data())
+def test_residuals_match_binary_folds(family, n, data):
+    spec = AlgebraSpec(family, n)
+    word = data.draw(st.lists(st.sampled_from(list(spec.indices)),
+                              max_size=10))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    orbit = apply_word(Word(tuple(word)), MassVector.zero(spec))
+    off_orbit = random_vector(spec, rng, seeds=False)
+    overlay = [LinForm.make(rng.randint(-1, 1), {rng.randint(1, n + 1): 1})
+               for _ in spec.indices]
+    plain = [LinForm.weight(i) for i in spec.indices]
+    for v in (orbit, off_orbit):
+        for w in (plain, overlay):
+            assert pohozaev_residual(v, weights=w) == old_residual(v, w)
+            if family == "affine_a":
+                assert pohozaev_residual_cyclic_difference(v, weights=w) == \
+                    old_cyclic_difference(v, w)
+    assert pohozaev_residual(orbit).is_zero

@@ -45,14 +45,6 @@ def test_matches_brute_force_oracle():
                 brute_force_keys(spec, depth)
 
 
-def test_skip_repeat_is_sound():
-    spec = a_spec(3)
-    with_skip = enumerate_orbit(spec, 4, skip_repeat=True)
-    without = enumerate_orbit(spec, 4, skip_repeat=False)
-    assert [nd.vector.canonical_key() for nd in with_skip] == \
-        [nd.vector.canonical_key() for nd in without]
-
-
 def test_witness_words_are_valid():
     for nd in enumerate_orbit(a_spec(), 4):
         assert apply_word(nd.witness, MassVector.zero(a_spec())) == nd.vector

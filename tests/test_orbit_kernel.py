@@ -124,9 +124,9 @@ def test_integer_step_matches_apply_generator(family, n, data):
 @pytest.mark.parametrize("family,n,depth", CRITERION_12_SWEEP)
 def test_enumeration_matches_linform_bfs(family, n, depth):
     spec = AlgebraSpec(family, n)
+    nodes = enumerate_orbit(spec, depth)
     for skip in (True, False):
-        assert enumerate_orbit(spec, depth, skip_repeat=skip) == \
-            linform_enumerate(spec, depth, skip_repeat=skip)
+        assert nodes == linform_enumerate(spec, depth, skip_repeat=skip)
 
 
 @pytest.mark.parametrize("family,n,depth", CRITERION_12_SWEEP)
