@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import DomainError, EvaluationError, FormatError, RankError
@@ -145,12 +146,6 @@ class LinForm:
     def scale(self, k: Scalar) -> "LinForm":
         return LinForm.combine(((k, self),))
 
-    def substitute_weights(self, mapping: Mapping[int, int]) -> "LinForm":
-        """Relabel mu_i -> mu_{mapping[i]}; indices absent from the map stay."""
-        return LinForm(self.const,
-                       _clean((mapping.get(i, i), c) for i, c in self.mu),
-                       self.s)
-
     def evaluate(self,
                  mu: Optional[Mapping[int, Scalar]] = None,
                  s: Optional[Mapping[int, Scalar]] = None) -> Fraction:
@@ -181,6 +176,20 @@ class LinForm:
         for i, c in self.s:
             parts.append("%s*s_%d" % (c, i))
         return " + ".join(parts) if parts else "0"
+
+    # Forms are immutable and orbit vectors share them, so each form
+    # renders its JSON object once: compactly for vector keys and at
+    # indent 2 for export.
+    @cached_property
+    def json_compact(self) -> str:
+        """This form's JSON object, sorted keys, no whitespace."""
+        return json.dumps(_linform_to_json(self), sort_keys=True,
+                          separators=(",", ":"))
+
+    @cached_property
+    def json_indented(self) -> str:
+        """This form's JSON object, sorted keys, indent 2."""
+        return json.dumps(_linform_to_json(self), sort_keys=True, indent=2)
 
 
 def _frac_from_str(text) -> Fraction:
@@ -219,6 +228,14 @@ def _linform_from_json(obj, size: int) -> LinForm:
         return out
 
     return LinForm.make(const, coeffs("mu"), coeffs("s"))
+
+
+def _weight_map(spec: AlgebraSpec, mu_values) -> dict[int, Fraction]:
+    """Weight values given by position (mu_1 first) as an index map."""
+    if len(mu_values) != spec.size:
+        raise EvaluationError("expected %d weight values, got %d"
+                              % (spec.size, len(mu_values)))
+    return {i + 1: _as_fraction(x) for i, x in enumerate(mu_values)}
 
 
 @dataclass(frozen=True)
@@ -265,10 +282,7 @@ class MassVector:
         (value for mu_1 first).  Seeds are only required when some entry
         actually mentions an s-indeterminate.
         """
-        if len(mu_values) != self.spec.size:
-            raise EvaluationError("expected %d weight values, got %d"
-                                  % (self.spec.size, len(mu_values)))
-        mu = {i + 1: _as_fraction(x) for i, x in enumerate(mu_values)}
+        mu = _weight_map(self.spec, mu_values)
         s = {}
         if s_values is not None:
             s = {i + 1: _as_fraction(x) for i, x in enumerate(s_values)}
@@ -276,11 +290,14 @@ class MassVector:
 
     def canonical_key(self) -> str:
         """Deterministic string key; equal vectors get equal keys."""
-        # vectors are immutable, so the key is computed once per instance
+        # vectors are immutable, so the key is computed once per instance;
+        # it equals json.dumps(self.to_json_dict(), sort_keys=True,
+        # separators=(",", ":")) byte for byte
         key = self.__dict__.get("_canonical_key")
         if key is None:
-            key = json.dumps(self.to_json_dict(), sort_keys=True,
-                             separators=(",", ":"))
+            key = '{"entries":[%s],"family":"%s","n":%d}' % (
+                ",".join([e.json_compact for e in self.entries]),
+                self.spec.family, self.spec.n)
             object.__setattr__(self, "_canonical_key", key)
         return key
 

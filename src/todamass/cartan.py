@@ -186,16 +186,3 @@ def inverse_submatrix(m: CartanMatrix, J: ConsecutiveSet) -> CartanMatrix:
     """Exact inverse of the principal submatrix of m at J."""
     return inverse(principal_submatrix(m, J))
 
-
-def matmul(a: CartanMatrix, b: CartanMatrix) -> CartanMatrix:
-    assert a.size == b.size
-    k = a.size
-    rows = tuple(tuple(sum((a.entries[i][t] * b.entries[t][j]
-                            for t in range(k)), Fraction(0))
-                       for j in range(k)) for i in range(k))
-    return CartanMatrix(a.family, k, rows)
-
-
-def identity_matrix(size: int) -> CartanMatrix:
-    return CartanMatrix(FINITE_A, size,
-                        _rows(size, lambda i, j: int(i == j)))

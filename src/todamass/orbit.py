@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgebraSpec, LinForm, MassVector
+from .algebra import AlgebraSpec, LinForm, MassVector, _weight_map
 from .action import Word, family_matrix, pohozaev_residual
 from .errors import FormatError, NotMassForm
 
@@ -185,14 +184,65 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
 
 
+def _render(nodes: Sequence[OrbitNode], render) -> dict[int, str]:
+    """render(form) for each distinct entry of the nodes, by id(form).
+
+    Keyed by identity: hashing a form hashes every Fraction in it, and
+    enumerated vectors share one form per distinct entry anyway.
+    """
+    out: dict[int, str] = {}
+    for nd in nodes:
+        for e in nd.vector.entries:
+            if id(e) not in out:
+                out[id(e)] = render(e)
+    return out
+
+
+def _joined(texts: dict[int, str], v: MassVector, sep: str) -> str:
+    return sep.join(map(texts.__getitem__, map(id, v.entries)))
+
+
+# one node of the JSON export, at the depth json.dumps(..., indent=2)
+# puts it; an entry sits 10 spaces in, a witness letter 8
+_JSON_NODE = """    {
+      "level": %d,
+      "vector": {
+        "entries": [
+          %s
+        ],
+        "family": "%s",
+        "n": %d
+      },
+      "witness": %s
+    }"""
+_ENTRY_PAD = "\n" + " " * 10
+
+
+def _json_witness(letters: tuple[int, ...]) -> str:
+    if not letters:
+        return "[]"
+    return ("[\n        " + ",\n        ".join(map(str, letters))
+            + "\n      ]")
+
+
 def export_graph(nodes: Sequence[OrbitNode], fmt: str,
                  mu: Optional[Sequence] = None) -> bytes:
-    """Serialize an enumerated orbit as DOT, JSON, or CSV bytes."""
+    """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
+
+    Nodes come out sorted by (level, canonical key).  The JSON equals
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` byte for
+    byte, where payload is ``{"nodes": [{"vector": v.to_json_dict(),
+    "witness": [letters], "level": level}, ...]}``; it is assembled from
+    each distinct entry's cached rendering.  CSV rows hold every entry's
+    value at ``mu`` or, without ``mu``, the vector as text.
+    """
     nodes = sorted(nodes, key=lambda nd: (nd.level, nd.vector.canonical_key()))
     if fmt == "dot":
+        texts = _render(nodes, str)
         lines = ["digraph orbit {"]
         for k, nd in enumerate(nodes):
-            lines.append('  v%d [label="%s"];' % (k, nd.vector))
+            lines.append('  v%d [label="(%s)"];'
+                         % (k, _joined(texts, nd.vector, ", ")))
         # discovery-tree edges: a node's parent has its witness minus the
         # first letter
         ids = {nd.witness.letters: k for k, nd in enumerate(nodes)}
@@ -204,19 +254,37 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
-        payload = {"nodes": [{"vector": nd.vector.to_json_dict(),
-                              "witness": list(nd.witness.letters),
-                              "level": nd.level} for nd in nodes]}
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        if not nodes:
+            return b'{\n  "nodes": []\n}\n'
+        texts = _render(nodes,
+                        lambda e: e.json_indented.replace("\n", _ENTRY_PAD))
+        items = ",\n".join(
+            _JSON_NODE % (nd.level, _joined(texts, nd.vector, "," + _ENTRY_PAD),
+                          nd.vector.spec.family, nd.vector.spec.n,
+                          _json_witness(nd.witness.letters))
+            for nd in nodes)
+        return ('{\n  "nodes": [\n' + items + "\n  ]\n}\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["index", "mass"])
+        if mu is None:
+            texts = _render(nodes, str)
+            for k, nd in enumerate(nodes):
+                writer.writerow([k, "(%s)" % _joined(texts, nd.vector, ", ")])
+            return buf.getvalue().encode()
+        # each distinct entry is evaluated once, in the order the
+        # entries come, so the first failure is the one a per-node
+        # evaluation would raise
+        values: dict[int, str] = {}
+        at = None
         for k, nd in enumerate(nodes):
-            if mu is not None:
-                masses = nd.vector.evaluate(mu)
-                writer.writerow([k, " ".join(str(m) for m in masses)])
-            else:
-                writer.writerow([k, str(nd.vector)])
+            entries = nd.vector.entries
+            if at is None or len(entries) != len(mu):
+                at = _weight_map(nd.vector.spec, mu)
+            for e in entries:
+                if id(e) not in values:
+                    values[id(e)] = str(e.evaluate(at))
+            writer.writerow([k, _joined(values, nd.vector, " ")])
         return buf.getvalue().encode()
     raise FormatError("unknown export format %r" % (fmt,))

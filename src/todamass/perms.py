@@ -196,6 +196,8 @@ def fold_ct_to_a(v: MassVector,
     returned weight overlay folds the same way, so the output's Pohozaev
     residual should be taken against those weights.
     """
+    if v.spec.family != AFFINE_CT:
+        raise DomainError("folding starts from an affine Ct vector")
     n = v.spec.n
     if weights is None:
         weights = [LinForm.weight(i) for i in v.spec.indices]

@@ -118,8 +118,3 @@ def test_malformed_json_rejected(text):
     with pytest.raises(FormatError):
         MassVector.from_json(text)
 
-
-def test_substitute_weights():
-    f = LinForm.make(1, {1: 2, 3: 1}, {2: 5})
-    g = f.substitute_weights({1: 3, 3: 1})
-    assert g == LinForm.make(1, {3: 2, 1: 1}, {2: 5})

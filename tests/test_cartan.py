@@ -2,10 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from todamass.cartan import (ConsecutiveSet, build, identity_matrix, inverse,
-                             inverse_finite_a, inverse_submatrix, matmul,
+from todamass.cartan import (FINITE_A, CartanMatrix, ConsecutiveSet, build,
+                             inverse, inverse_finite_a, inverse_submatrix,
                              principal_submatrix)
 from todamass.errors import DomainError, RankError, SingularError
+
+
+def matmul(a: CartanMatrix, b: CartanMatrix) -> CartanMatrix:
+    assert a.size == b.size
+    k = a.size
+    rows = tuple(tuple(sum((a.entries[i][t] * b.entries[t][j]
+                            for t in range(k)), Fraction(0))
+                       for j in range(k)) for i in range(k))
+    return CartanMatrix(a.family, k, rows)
+
+
+def identity_matrix(size: int) -> CartanMatrix:
+    return CartanMatrix(FINITE_A, size,
+                        tuple(tuple(Fraction(int(i == j)) for j in range(size))
+                              for i in range(size)))
 
 
 def _as_ints(m):

@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
 from todamass.cli import run
@@ -182,3 +185,99 @@ def test_negative_sperm_l_is_a_usage_error():
     assert err.startswith("usage error:") and err.count("\n") == 1
     code, out, _ = invoke(["sperm", "--l", "0", "--check"])
     assert code == 0 and out == "values 0 1\nconstraint PASS\n"
+
+
+def test_fold_rejects_an_affine_a_vector(tmp_path):
+    a = apply_word(Word.of(1), MassVector.zero(AlgebraSpec("affine_a", 2)))
+    path = write_vector(tmp_path, "a.json", a)
+    code, out, err = invoke(["fold", "--input", path])
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:") and err.count("\n") == 1
+
+
+# Every numeric token that can size the work (--rank, --depth, --l, word
+# letters) stays at 6 or below: an unbounded rank makes `relations` run
+# without end, which is not what the fuzz test checks.
+_small = st.sampled_from(["2", "3", "1", "4", "0", "5", "6", "-1"])
+_junk = st.sampled_from(["", "x", "-", "1.5", "1/0", "1:2", "w:3:1", "2,1",
+                         "ones", "--", "nan", "0x3"])
+_value = st.one_of(_small, _small, _small, _junk)  # mostly well formed
+
+
+def _pairs(sep):
+    return st.one_of(*[st.tuples(_small, _small).map(sep.join)] * 3, _junk)
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    vectors = {
+        "a.json": apply_word(Word.of(2, 1),
+                             MassVector.zero(AlgebraSpec("affine_a", 2))),
+        "ct.json": apply_word(Word.of(1, 3, 2),
+                              MassVector.zero(AlgebraSpec("affine_ct", 3))),
+        "seeded.json": MassVector.generic(AlgebraSpec("affine_ct", 2)),
+        "half.json": MassVector(AlgebraSpec("affine_a", 2),
+                                (LinForm.weight(1, 1), LinForm.zero(),
+                                 LinForm.zero())),
+    }
+    for name, v in vectors.items():
+        (root / name).write_text(v.to_json())
+    (root / "junk.json").write_text("{not json")
+    (root / "list.json").write_text("[1, 2]")
+    return [str(root / name) for name in sorted(vectors)] + [
+        str(root / "junk.json"), str(root / "list.json"),
+        str(root / "missing.json"), str(root)]
+
+
+def _verb_options(paths):
+    family = st.sampled_from(["a", "ct", "a", "ct", "b"])
+    path = st.sampled_from(paths) | _junk
+    letters = st.lists(_small, max_size=6).map(",".join)
+    fr = [("--family", family), ("--rank", _value)]
+    return {
+        "relations": fr,
+        "chain": fr + [("--set", _pairs(":")), ("--wrap", _pairs(",")),
+                       ("--verify", None)],
+        "orbit": fr + [("--depth", st.integers(-1, 3).map(str) | _junk),
+                       ("--out", st.sampled_from(["json", "dot", "csv"] * 2
+                                                 + ["png"])),
+                       ("--mu", st.sampled_from(["ones"] * 4 + [
+                           "1,2,3", "1,1/2,1,2", "1,x,2", "1,1/0,1"])),
+                       ("--workers", _value)],
+        "member": [("--input", path), ("--max-steps", _value)],
+        "pohozaev": [("--input", path)],
+        "fold": [("--input", path)],
+        "rotate": [("--input", path), ("--r", _value)],
+        "sperm": [("--l", _value), ("--word", letters), ("--check", None)],
+        "blowup-step": fr + [("--case", st.sampled_from(
+            ["A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV", "B-I"])),
+            ("--blocks", st.lists(_pairs(":"), min_size=1, max_size=3)
+             .map(",".join)), ("--input", path)],
+    }
+
+
+@st.composite
+def _argv(draw, paths):
+    """A verb with most of its flags, each well formed or not, maybe a
+    stray token; now and then no known verb at all."""
+    options = _verb_options(paths)
+    verb = draw(st.sampled_from(sorted(options) * 3 + ["", "x", "--rank"]))
+    flags = options.get(verb, options["relations"])
+    argv = [verb]
+    for flag, value in draw(st.permutations(flags)):
+        if draw(st.sampled_from([True] * 5 + [False])):
+            argv.append(flag)
+            if value is not None:
+                argv.append(draw(value))
+    if draw(st.sampled_from([False] * 3 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_value))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_exits_cleanly(input_paths, data):
+    argv = data.draw(_argv(input_paths))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out=out, err=err) in (0, 1, 2, 3)
