@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AFFINE_A, AlgebraSpec, LinForm, MassVector
+from .algebra import AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar
 from .cartan import CartanMatrix, build
 from .errors import DomainError, EvaluationError
 
@@ -43,14 +44,9 @@ class Word:
         return "[" + " ".join(str(i) for i in self.letters) + "]"
 
 
-_matrix_cache: dict[tuple[str, int], CartanMatrix] = {}
-
-
+@cache
 def family_matrix(spec: AlgebraSpec) -> CartanMatrix:
-    key = (spec.family, spec.size)
-    if key not in _matrix_cache:
-        _matrix_cache[key] = build(spec.family, spec.size)
-    return _matrix_cache[key]
+    return build(spec.family, spec.size)
 
 
 def _default_weights(spec: AlgebraSpec) -> list[LinForm]:
@@ -151,16 +147,24 @@ class QuadPoly:
         return not self.terms
 
     @staticmethod
-    def combine(terms: Iterable[tuple[Fraction, "QuadPoly"]]) -> "QuadPoly":
-        """The sum of k * poly over the (k, poly) pairs, normalised once."""
+    def of_products(
+            terms: Iterable[tuple[Scalar, LinForm, LinForm]]) -> "QuadPoly":
+        """The sum of k * a * b over (k, a, b) triples of mu-only forms,
+        normalised once."""
         d: dict[Monomial, Fraction] = {}
-        for k, p in terms:
-            for m, c in p.terms:
-                d[m] = d.get(m, 0) + k * c
+        for k, a, b in terms:
+            fb = _factors(b)
+            for ma, ca in _factors(a):
+                if k != 1:
+                    ca *= k
+                for mb, cb in fb:
+                    # monomials have length <= 1 here, so this sorts them
+                    m = ma + mb if ma <= mb else mb + ma
+                    d[m] = d.get(m, 0) + ca * cb
         return QuadPoly.from_dict(d)
 
-    def scale(self, k) -> "QuadPoly":
-        return QuadPoly.combine(((Fraction(k), self),))
+    def scale(self, k: Scalar) -> "QuadPoly":
+        return QuadPoly.from_dict({m: c * k for m, c in self.terms})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -172,32 +176,20 @@ class QuadPoly:
         return " + ".join(bits)
 
 
-def _require_mu_only(f: LinForm) -> None:
+def _factors(f: LinForm) -> list[tuple[Monomial, Fraction]]:
+    """The nonzero (monomial, coefficient) terms of a mu-only form."""
     if f.s:
         raise EvaluationError("generic s-indeterminates present; "
                               "evaluate them before forming residuals")
+    out = [((i,), c) for i, c in f.mu]
+    if f.const:
+        out.append(((), f.const))
+    return out
 
 
 def linform_product(a: LinForm, b: LinForm) -> QuadPoly:
     """Exact product of two mu-only linear forms."""
-    _require_mu_only(a)
-    _require_mu_only(b)
-    d: dict[Monomial, Fraction] = {}
-
-    def bump(m: Monomial, c: Fraction) -> None:
-        if c:
-            d[m] = d.get(m, Fraction(0)) + c
-
-    bump((), a.const * b.const)
-    for i, c in a.mu:
-        bump((i,), c * b.const)
-    for j, c in b.mu:
-        bump((j,), c * a.const)
-    for i, ci in a.mu:
-        for j, cj in b.mu:
-            m = (i, j) if i <= j else (j, i)
-            bump(m, ci * cj)
-    return QuadPoly.from_dict(d)
+    return QuadPoly.of_products([(1, a, b)])
 
 
 def pohozaev_residual(v: MassVector,
@@ -213,20 +205,17 @@ def pohozaev_residual(v: MassVector,
     """
     spec = v.spec
     w = list(weights) if weights is not None else _default_weights(spec)
-    if spec.family == AFFINE_A:
-        terms = []
-        for i in spec.indices:
-            e = v.entry(i)
-            terms += [(1, linform_product(e, e)),
-                      (-1, linform_product(e, v.entry(i + 1))),
-                      (-2, linform_product(w[i - 1], e))]
-        return QuadPoly.combine(terms)
     e = v.entries
-    diffs = [e[i] - e[i + 1] for i in range(spec.n)]
+    if spec.family == AFFINE_A:
+        return QuadPoly.of_products(
+            [(1, a, a) for a in e]
+            + [(-1, a, b) for a, b in zip(e, e[1:] + e[:1])]
+            + [(-2, w[i], e[i]) for i in range(spec.size)])
+    diffs = [a - b for a, b in zip(e, e[1:])]
     # the pairing weighs the two end entries once and the others twice
-    return QuadPoly.combine(
-        [(1, linform_product(d, d)) for d in diffs]
-        + [(-2 if i in (0, spec.n) else -4, linform_product(w[i], e[i]))
+    return QuadPoly.of_products(
+        [(1, d, d) for d in diffs]
+        + [(-2 if i in (0, spec.n) else -4, w[i], e[i])
            for i in range(spec.size)])
 
 
@@ -243,9 +232,8 @@ def pohozaev_residual_cyclic_difference(
     if spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")
     w = list(weights) if weights is not None else _default_weights(spec)
-    terms = []
-    for i in spec.indices:
-        diff = v.entry(i) - v.entry(i + 1)
-        terms += [(1, linform_product(diff, diff)),
-                  (-4, linform_product(w[i - 1], v.entry(i)))]
-    return QuadPoly.combine(terms)
+    e = v.entries
+    diffs = [a - b for a, b in zip(e, e[1:] + e[:1])]
+    return QuadPoly.of_products(
+        [(1, d, d) for d in diffs]
+        + [(-4, w[i], e[i]) for i in range(spec.size)])

@@ -36,16 +36,11 @@ def _std_chain(l: int) -> tuple[int, ...]:
         return (1,)
     if l == 1:
         return (1, 2, 1)
-    if l == 2:
-        block = (2, 3, 1)
-        return block * 2
-    if l == 3:
-        block = (2, 3, 4, 2, 1)
-        return block * 2
     # ascending sweep 2..l+1, then descending l-1..1, squared, with the
-    # recursive chain for the middle block {3..l-1} up front
+    # recursive chain for the middle block {3..l-1} (empty for l < 4)
+    # up front
     block = tuple(range(2, l + 2)) + tuple(range(l - 1, 0, -1))
-    middle = tuple(p + 2 for p in _std_chain(l - 4))
+    middle = tuple(p + 2 for p in _std_chain(l - 4)) if l >= 4 else ()
     return middle + block * 2
 
 

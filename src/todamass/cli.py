@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
-from .action import apply_word, pohozaev_residual, presentation_relations
+from .action import (apply_word, pohozaev_residual, presentation_relations,
+                     verify_relation)
 from .chains import (Decomposition, blowup_step, chain_word_a, chain_word_ct,
                      closed_form_a, closed_form_ct)
-from .errors import TodamassError
+from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, descend_to_zero, enumerate_orbit,
                     export_graph)
 from .perms import (CyclicRotation, SPermC, fold_ct_to_a, rotate_vector,
@@ -28,9 +30,16 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """Carries a parser's help text from -h/--help back to `run`."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _spec(args) -> AlgebraSpec:
@@ -82,7 +91,6 @@ def _load_vector(path: str) -> MassVector:
 
 def _cmd_relations(args, out) -> int:
     spec = _spec(args)
-    from .action import verify_relation
     failed = 0
     for name, word in presentation_relations(spec):
         ok = verify_relation(word, spec)
@@ -131,7 +139,6 @@ def _cmd_orbit(args, out) -> int:
 
 
 def _cmd_member(args, out) -> int:
-    from .errors import NotMassForm
     _require("--max-steps", args.max_steps, 0)
     v = _load_vector(args.input)
     try:
@@ -199,51 +206,55 @@ def _cmd_blowup_step(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser; each verb's subparser carries its handler.
+
+    Built on the first call and shared by every later one, so callers
+    must not change it; parsing does not.
+    """
     parser = _Parser(prog="todamass")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def family_rank(p):
-        p.add_argument("--family", choices=sorted(FAMILY_FLAGS), required=True)
-        p.add_argument("--rank", type=int, required=True)
+    def verb(name, handler, family_rank=False):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        if family_rank:
+            p.add_argument("--family", choices=sorted(FAMILY_FLAGS),
+                           required=True)
+            p.add_argument("--rank", type=int, required=True)
+        return p
 
-    p = sub.add_parser("relations")
-    family_rank(p)
+    verb("relations", _cmd_relations, family_rank=True)
 
-    p = sub.add_parser("chain")
-    family_rank(p)
+    p = verb("chain", _cmd_chain, family_rank=True)
     p.add_argument("--set")
     p.add_argument("--wrap")
     p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("orbit")
-    family_rank(p)
+    p = verb("orbit", _cmd_orbit, family_rank=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", choices=["dot", "json", "csv"], default="json")
     p.add_argument("--mu")
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("member")
+    p = verb("member", _cmd_member)
     p.add_argument("--input", required=True)
     p.add_argument("--max-steps", type=int, default=256)
 
-    p = sub.add_parser("pohozaev")
-    p.add_argument("--input", required=True)
+    verb("pohozaev", _cmd_pohozaev).add_argument("--input", required=True)
+    verb("fold", _cmd_fold).add_argument("--input", required=True)
 
-    p = sub.add_parser("fold")
-    p.add_argument("--input", required=True)
-
-    p = sub.add_parser("rotate")
+    p = verb("rotate", _cmd_rotate)
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("sperm")
+    p = verb("sperm", _cmd_sperm)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--word", default="")
     p.add_argument("--check", action="store_true")
 
-    p = sub.add_parser("blowup-step")
-    family_rank(p)
+    p = verb("blowup-step", _cmd_blowup_step, family_rank=True)
     p.add_argument("--case", required=True)
     p.add_argument("--blocks", required=True)
     p.add_argument("--input")
@@ -251,29 +262,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "relations": _cmd_relations,
-    "chain": _cmd_chain,
-    "orbit": _cmd_orbit,
-    "member": _cmd_member,
-    "pohozaev": _cmd_pohozaev,
-    "fold": _cmd_fold,
-    "rotate": _cmd_rotate,
-    "sperm": _cmd_sperm,
-    "blowup-step": _cmd_blowup_step,
-}
-
-
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        err.write("usage error: %s\n" % exc)
-        return 1
-    try:
-        return _HANDLERS[args.verb](args, out)
+        return args.handler(args, out)
+    except _Help as exc:
+        out.write(str(exc))
+        return 0
     except UsageError as exc:
         err.write("usage error: %s\n" % exc)
         return 1
@@ -282,15 +279,10 @@ def run(argv, out=None, err=None) -> int:
         return 1
     except TodamassError as exc:
         err.write("%s: %s\n" % (type(exc).__name__, exc))
-        return 2 if not _is_input_error(exc) else 1
+        return exc.exit_code
     except (OSError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 1
-
-
-def _is_input_error(exc: TodamassError) -> bool:
-    from .errors import FormatError, RankError
-    return isinstance(exc, (FormatError, RankError))
 
 
 def main() -> None:

@@ -2,11 +2,16 @@
 
 
 class TodamassError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the CLI's exit
+    status for it (2 for a domain error, 1 for bad input)."""
+
+    exit_code = 2
 
 
 class RankError(TodamassError):
     """Rank out of range for the requested algebra family."""
+
+    exit_code = 1
 
 
 class DomainError(TodamassError):
@@ -35,3 +40,5 @@ class SymmetryError(TodamassError):
 
 class FormatError(TodamassError):
     """Malformed serialized input."""
+
+    exit_code = 1

@@ -3,9 +3,9 @@ import pytest
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
 from todamass.cartan import ConsecutiveSet
-from todamass.chains import (Decomposition, blowup_step, chain_word_a,
-                             chain_word_ct, closed_form_a, closed_form_ct,
-                             mu_star)
+from todamass.chains import (Decomposition, _std_chain, blowup_step,
+                             chain_word_a, chain_word_ct, closed_form_a,
+                             closed_form_ct, mu_star)
 from todamass.errors import DecompositionError, DomainError
 
 
@@ -29,6 +29,25 @@ def all_wrap(n):
             J = ConsecutiveSet(r2, (n + 1) - r2 + r1, wrap=True)
             if J.size <= n:
                 yield J
+
+
+def old_std_chain(l):
+    """The chain letters with l = 2 and l = 3 written out as base cases."""
+    if l == 0:
+        return (1,)
+    if l == 1:
+        return (1, 2, 1)
+    if l == 2:
+        return (2, 3, 1) * 2
+    if l == 3:
+        return (2, 3, 4, 2, 1) * 2
+    block = tuple(range(2, l + 2)) + tuple(range(l - 1, 0, -1))
+    return tuple(p + 2 for p in old_std_chain(l - 4)) + block * 2
+
+
+def test_std_chain_matches_written_out_base_cases():
+    for l in range(31):
+        assert _std_chain(l) == old_std_chain(l), l
 
 
 def test_chain_word_shapes():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
-from todamass.cli import run
+from todamass.cli import build_parser, run
 
 
 def invoke(argv):
@@ -195,12 +195,53 @@ def test_fold_rejects_an_affine_a_vector(tmp_path):
     assert err.startswith("DomainError:") and err.count("\n") == 1
 
 
+VERBS = ["relations", "chain", "orbit", "member", "pohozaev", "fold",
+         "rotate", "sperm", "blowup-step"]
+
+
+def test_help_is_written_to_out_and_exits_zero():
+    requests = [[flag] for flag in ("-h", "--help")]
+    requests += [[verb, flag] for verb in VERBS for flag in ("-h", "--help")]
+    requests += [["orbit", "--family", "a", "-h"]]
+    for argv in requests:
+        code, out, err = invoke(argv)
+        assert code == 0 and err == "", argv
+        verb = [argv[0]] if argv[0] in VERBS else []
+        assert out.startswith("usage: " + " ".join(["todamass"] + verb)), argv
+        assert "-h, --help" in out
+
+
+def test_reused_parser_matches_a_fresh_one():
+    chain = ["chain", "--family", "a", "--rank", "4", "--set", "1:2"]
+    orbit = ["orbit", "--family", "a", "--rank", "2", "--depth", "1",
+             "--out", "csv"]
+    sequence = [chain + ["--verify"], chain, orbit + ["--mu", "ones"], orbit,
+                ["sperm", "--l", "2", "--word", "0,1", "--check"],
+                ["sperm", "--l", "2", "--word", "0,1"],
+                ["member", "--help"], ["orbit", "--family", "x"]]
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return invoke(argv)
+
+    expected = [fresh(argv) for argv in sequence]
+    assert "EQUAL" in expected[0][1] and "EQUAL" not in expected[1][1]
+    assert expected[2][1] != expected[3][1]
+    assert "constraint" in expected[4][1] and \
+        "constraint" not in expected[5][1]
+    assert [code for code, _, _ in expected[6:]] == [0, 1]
+    build_parser.cache_clear()
+    assert [invoke(argv) for argv in sequence] == expected
+    assert build_parser() is build_parser()
+    assert [invoke(argv) for argv in reversed(sequence)] == expected[::-1]
+
+
 # Every numeric token that can size the work (--rank, --depth, --l, word
 # letters) stays at 6 or below: an unbounded rank makes `relations` run
 # without end, which is not what the fuzz test checks.
 _small = st.sampled_from(["2", "3", "1", "4", "0", "5", "6", "-1"])
 _junk = st.sampled_from(["", "x", "-", "1.5", "1/0", "1:2", "w:3:1", "2,1",
-                         "ones", "--", "nan", "0x3"])
+                         "ones", "--", "nan", "0x3", "-h", "--help"])
 _value = st.one_of(_small, _small, _small, _junk)  # mostly well formed
 
 

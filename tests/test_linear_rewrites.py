@@ -1,10 +1,11 @@
 """Differential tests: n-ary combinations against binary folds.
 
-`LinForm.combine` and `QuadPoly.combine` normalise a whole linear
-combination once.  The oracles below are the implementations that
-folded every sum one binary `+`/`-`/`scale` at a time, including the
-triple-loop `closed_form_ct` and the per-call prefix closures of
-`finite_a_mass` and `sigma_f_ct`.
+`LinForm.combine` normalises a whole linear combination once, and
+`QuadPoly.of_products` a whole sum of products.  The oracles below are
+the implementations that folded every sum one binary `+`/`-`/`scale` at
+a time, including the triple-loop `closed_form_ct` and the per-call
+prefix closures of `finite_a_mass` and `sigma_f_ct`, and the residuals
+that built one `QuadPoly` per product before merging them.
 """
 
 import random
@@ -19,6 +20,7 @@ from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
                              pohozaev_residual,
                              pohozaev_residual_cyclic_difference)
 from todamass.cartan import ConsecutiveSet
+from todamass.errors import EvaluationError
 from todamass.chains import HALF, closed_form_ct, mu_star
 from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
                             sc_simple, sigma_f_ct)
@@ -187,6 +189,72 @@ def old_cyclic_difference(v, w):
     return total
 
 
+def product_poly(a, b):
+    """One product as its own sorted `QuadPoly`, term by term."""
+    assert not a.s and not b.s
+    d = {}
+
+    def bump(m, c):
+        if c:
+            d[m] = d.get(m, Fraction(0)) + c
+
+    bump((), a.const * b.const)
+    for i, c in a.mu:
+        bump((i,), c * b.const)
+    for j, c in b.mu:
+        bump((j,), c * a.const)
+    for i, ci in a.mu:
+        for j, cj in b.mu:
+            bump((i, j) if i <= j else (j, i), ci * cj)
+    return QuadPoly.from_dict(d)
+
+
+def combine_polys(pairs):
+    """The sum of k * poly over (k, poly) pairs, normalised once."""
+    d = {}
+    for k, p in pairs:
+        for m, c in p.terms:
+            d[m] = d.get(m, 0) + Fraction(k) * c
+    return QuadPoly.from_dict(d)
+
+
+def per_product_residual(v, w):
+    """`pohozaev_residual` with one polynomial per product, then a merge."""
+    spec = v.spec
+    if spec.family == "affine_a":
+        terms = []
+        for i in spec.indices:
+            e = v.entry(i)
+            terms += [(1, product_poly(e, e)),
+                      (-1, product_poly(e, v.entry(i + 1))),
+                      (-2, product_poly(w[i - 1], e))]
+        return combine_polys(terms)
+    e = v.entries
+    diffs = [e[i] - e[i + 1] for i in range(spec.n)]
+    return combine_polys(
+        [(1, product_poly(d, d)) for d in diffs]
+        + [(-2 if i in (0, spec.n) else -4, product_poly(w[i], e[i]))
+           for i in range(spec.size)])
+
+
+def per_product_cyclic_difference(v, w):
+    terms = []
+    for i in v.spec.indices:
+        diff = v.entry(i) - v.entry(i + 1)
+        terms += [(1, product_poly(diff, diff)),
+                  (-4, product_poly(w[i - 1], v.entry(i)))]
+    return combine_polys(terms)
+
+
+def evaluate_poly(p, mu):
+    total = Fraction(0)
+    for m, c in p.terms:
+        for i in m:
+            c *= mu[i]
+        total += c
+    return total
+
+
 # -- LinForm.combine -------------------------------------------------------
 
 def is_canonical(items):
@@ -302,3 +370,69 @@ def test_residuals_match_binary_folds(family, n, data):
                 assert pohozaev_residual_cyclic_difference(v, weights=w) == \
                     old_cyclic_difference(v, w)
     assert pohozaev_residual(orbit).is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 6),
+       st.data())
+def test_residuals_match_per_product_polynomials(family, n, data):
+    spec = AlgebraSpec(family, n)
+    word = data.draw(st.lists(st.sampled_from(list(spec.indices)),
+                              max_size=10))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    orbit = apply_word(Word(tuple(word)), MassVector.zero(spec))
+    off_orbit = random_vector(spec, rng, seeds=False)
+    overlay = [LinForm.make(rng.randint(-1, 1), {rng.randint(1, n + 1): 1})
+               for _ in spec.indices]
+    plain = [LinForm.weight(i) for i in spec.indices]
+    for v in (orbit, off_orbit):
+        for w in (plain, overlay):
+            assert pohozaev_residual(v, weights=w) == \
+                per_product_residual(v, w)
+            if family == "affine_a":
+                assert pohozaev_residual_cyclic_difference(v, weights=w) == \
+                    per_product_cyclic_difference(v, w)
+
+
+# mu-only forms up to rank 10: indices 1..11, constants, negative and
+# fractional coefficients
+mu_maps = st.dictionaries(st.integers(min_value=1, max_value=11), rationals,
+                          max_size=6)
+mu_forms = st.builds(LinForm.make, rationals, mu_maps)
+mu_points = st.lists(rationals, min_size=11, max_size=11).map(
+    lambda xs: dict(enumerate(xs, 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mu_forms, mu_forms, mu_points)
+def test_linform_product_evaluates_to_the_product(a, b, mu):
+    p = linform_product(a, b)
+    assert evaluate_poly(p, mu) == a.evaluate(mu) * b.evaluate(mu)
+    assert p == product_poly(a, b)
+    assert all(c for _, c in p.terms)
+    assert [m for m, _ in p.terms] == sorted({m for m, _ in p.terms})
+    assert all(list(m) == sorted(m) for m, _ in p.terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), rationals),
+                          mu_forms, mu_forms), max_size=6), mu_points)
+def test_of_products_evaluates_to_the_sum(triples, mu):
+    got = QuadPoly.of_products(triples)
+    assert evaluate_poly(got, mu) == sum(
+        (k * a.evaluate(mu) * b.evaluate(mu) for k, a, b in triples),
+        Fraction(0))
+    assert got == combine_polys([(k, product_poly(a, b))
+                                 for k, a, b in triples])
+
+
+def test_products_with_seeds_raise_the_same_error():
+    g = MassVector.generic(AlgebraSpec("affine_ct", 3))
+    for call in (lambda: linform_product(LinForm.weight(1), LinForm.seed(2)),
+                 lambda: QuadPoly.of_products([(0, LinForm.seed(1),
+                                                LinForm.weight(1))]),
+                 lambda: pohozaev_residual(g)):
+        with pytest.raises(EvaluationError) as exc:
+            call()
+        assert str(exc.value) == ("generic s-indeterminates present; "
+                                  "evaluate them before forming residuals")
