@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .algebra import AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar
@@ -49,8 +50,9 @@ def family_matrix(spec: AlgebraSpec) -> CartanMatrix:
     return build(spec.family, spec.size)
 
 
-def _default_weights(spec: AlgebraSpec) -> list[LinForm]:
-    return [LinForm.weight(i) for i in spec.indices]
+@cache
+def _default_weights(spec: AlgebraSpec) -> tuple[LinForm, ...]:
+    return tuple(LinForm.weight(i) for i in spec.indices)
 
 
 def apply_generator(i: int, v: MassVector,
@@ -149,19 +151,16 @@ class QuadPoly:
     @staticmethod
     def of_products(
             terms: Iterable[tuple[Scalar, LinForm, LinForm]]) -> "QuadPoly":
-        """The sum of k * a * b over (k, a, b) triples of mu-only forms,
-        normalised once."""
-        d: dict[Monomial, Fraction] = {}
-        for k, a, b in terms:
-            fb = _factors(b)
-            for ma, ca in _factors(a):
-                if k != 1:
-                    ca *= k
-                for mb, cb in fb:
-                    # monomials have length <= 1 here, so this sorts them
-                    m = ma + mb if ma <= mb else mb + ma
-                    d[m] = d.get(m, 0) + ca * cb
-        return QuadPoly.from_dict(d)
+        """The sum of k * a * b over (k, a, b) triples of mu-only forms.
+
+        The products are summed on integers over one common denominator,
+        the lcm of every coefficient's and every k's, and divided once.
+        """
+        terms = list(terms)
+        d, offset, rows = _int_rows([f for _, a, b in terms for f in (a, b)],
+                                    [k for k, _, _ in terms])
+        return _quad([(int(k * d), rows[2 * t], rows[2 * t + 1])
+                      for t, (k, _, _) in enumerate(terms)], offset, d ** 3)
 
     def scale(self, k: Scalar) -> "QuadPoly":
         return QuadPoly.from_dict({m: c * k for m, c in self.terms})
@@ -176,20 +175,86 @@ class QuadPoly:
         return " + ".join(bits)
 
 
-def _factors(f: LinForm) -> list[tuple[Monomial, Fraction]]:
-    """The nonzero (monomial, coefficient) terms of a mu-only form."""
-    if f.s:
-        raise EvaluationError("generic s-indeterminates present; "
-                              "evaluate them before forming residuals")
-    out = [((i,), c) for i, c in f.mu]
-    if f.const:
-        out.append(((), f.const))
-    return out
+_IntRow = list[int]
+
+
+def _int_rows(forms: Sequence[LinForm], scalars: Iterable[Scalar] = ()
+              ) -> tuple[int, int, list[_IntRow]]:
+    """(d, offset, rows): each mu-only form times d as a dense integer row.
+
+    d is the lcm of every denominator among the forms' coefficients and
+    the scalars.  A row holds the constant at position 0 and the
+    coefficient of mu_i at position i + offset; the offset is 0 unless
+    some form mentions an index below 1.
+    """
+    dens = {Fraction(k).denominator for k in scalars}
+    lo = top = 1
+    for f in forms:
+        if f.s:
+            raise EvaluationError("generic s-indeterminates present; "
+                                  "evaluate them before forming residuals")
+        if f.mu:
+            lo = min(lo, f.mu[0][0])
+            top = max(top, f.mu[-1][0])
+            dens.update(c.denominator for _, c in f.mu)
+        dens.add(f.const.denominator)
+    d = lcm(*dens)
+    offset = 1 - lo
+    rows = []
+    for f in forms:
+        row = [0] * (top + offset + 1)
+        if f.const:
+            row[0] = f.const.numerator * (d // f.const.denominator)
+        for i, c in f.mu:
+            row[i + offset] = c.numerator * (d // c.denominator)
+        rows.append(row)
+    return d, offset, rows
+
+
+def _quad(products: Sequence[tuple[int, _IntRow, _IntRow]], offset: int,
+          denom: int) -> QuadPoly:
+    """The sum of k * a * b over integer-row (k, a, b), divided by denom."""
+    if not products:
+        return QuadPoly()
+    width = len(products[0][1])
+    acc = [[0] * width for _ in range(width)]
+    for k, a, b in products:
+        nz = [(q, y) for q, y in enumerate(b) if y]
+        for p, x in enumerate(a):
+            if x:
+                x *= k
+                out = acc[p]
+                for q, y in nz:
+                    out[q] += x * y
+    names = [()] + [(p - offset,) for p in range(1, width)]
+    terms = {}
+    for p in range(width):
+        row = acc[p]
+        for q in range(p, width):
+            c = row[q] + acc[q][p] if q != p else row[p]
+            if c:
+                terms[names[p] + names[q]] = Fraction(c, denom)
+    return QuadPoly.from_dict(terms)
 
 
 def linform_product(a: LinForm, b: LinForm) -> QuadPoly:
     """Exact product of two mu-only linear forms."""
     return QuadPoly.of_products([(1, a, b)])
+
+
+def _residual_rows(v: MassVector, weights: Optional[Sequence[LinForm]]
+                   ) -> tuple[int, int, list[_IntRow], list[_IntRow]]:
+    """(d, offset, entry rows, weight rows) over one common denominator."""
+    size = v.spec.size
+    # only the first n+1 weights take part, as entries' partners
+    w = (tuple(weights)[:size] if weights is not None
+         else _default_weights(v.spec))
+    d, offset, rows = _int_rows(v.entries + w)
+    return d, offset, rows[:size], rows[size:]
+
+
+def _minus(a: _IntRow, b: _IntRow) -> _IntRow:
+    return [x - y for x, y in zip(a, b)]
 
 
 def pohozaev_residual(v: MassVector,
@@ -201,22 +266,22 @@ def pohozaev_residual(v: MassVector,
                - 2 (mu_1 s_1 + 2 sum_{2<=i<=n} mu_i s_i + mu_{n+1} s_{n+1})
 
     ``weights`` optionally substitutes forms for the plain mu_i, which is
-    what the folding map needs.
+    what the folding map needs.  The entries and weights are read once
+    as integer rows over their common denominator, as in
+    `QuadPoly.of_products`.
     """
     spec = v.spec
-    w = list(weights) if weights is not None else _default_weights(spec)
-    e = v.entries
+    d, offset, e, w = _residual_rows(v, weights)
     if spec.family == AFFINE_A:
-        return QuadPoly.of_products(
-            [(1, a, a) for a in e]
-            + [(-1, a, b) for a, b in zip(e, e[1:] + e[:1])]
-            + [(-2, w[i], e[i]) for i in range(spec.size)])
-    diffs = [a - b for a, b in zip(e, e[1:])]
-    # the pairing weighs the two end entries once and the others twice
-    return QuadPoly.of_products(
-        [(1, d, d) for d in diffs]
-        + [(-2 if i in (0, spec.n) else -4, w[i], e[i])
-           for i in range(spec.size)])
+        # s_i^2 - s_i s_{i+1} = s_i (s_i - s_{i+1})
+        products = [(1, a, _minus(a, b)) for a, b in zip(e, e[1:] + e[:1])]
+        products += [(-2, w[i], e[i]) for i in range(spec.size)]
+    else:
+        products = [(1, diff, diff) for diff in map(_minus, e, e[1:])]
+        # the pairing weighs the two end entries once and the others twice
+        products += [(-2 if i in (0, spec.n) else -4, w[i], e[i])
+                     for i in range(spec.size)]
+    return _quad(products, offset, d * d)
 
 
 def pohozaev_residual_cyclic_difference(
@@ -231,9 +296,7 @@ def pohozaev_residual_cyclic_difference(
     spec = v.spec
     if spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")
-    w = list(weights) if weights is not None else _default_weights(spec)
-    e = v.entries
-    diffs = [a - b for a, b in zip(e, e[1:] + e[:1])]
-    return QuadPoly.of_products(
-        [(1, d, d) for d in diffs]
-        + [(-4, w[i], e[i]) for i in range(spec.size)])
+    d, offset, e, w = _residual_rows(v, weights)
+    products = [(1, diff, diff) for diff in map(_minus, e, e[1:] + e[:1])]
+    products += [(-4, w[i], e[i]) for i in range(spec.size)]
+    return _quad(products, offset, d * d)

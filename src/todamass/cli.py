@@ -228,8 +228,9 @@ def build_parser() -> _Parser:
     verb("relations", _cmd_relations, family_rank=True)
 
     p = verb("chain", _cmd_chain, family_rank=True)
-    p.add_argument("--set")
-    p.add_argument("--wrap")
+    block = p.add_mutually_exclusive_group()
+    block.add_argument("--set")
+    block.add_argument("--wrap")
     p.add_argument("--verify", action="store_true")
 
     p = verb("orbit", _cmd_orbit, family_rank=True)

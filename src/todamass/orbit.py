@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgebraSpec, LinForm, MassVector, _weight_map
+from .algebra import AlgebraSpec, LinForm, MassVector, Scalar, _weight_map
 from .action import Word, family_matrix, pohozaev_residual
 from .errors import FormatError, NotMassForm
 
@@ -119,23 +119,39 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     return nodes
 
 
-def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
-    """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
+def _mu_rows(v: MassVector) -> tuple[tuple[tuple[Scalar, ...], ...], bool]:
+    """Each entry's mu_1..mu_{n+1} coefficients as a row, once.
+
+    Integral coefficients come as ints and the others as Fractions.  The
+    flag says whether some entry also mentions a mu index outside
+    1..n+1, which no row holds.
+    """
+    size = v.spec.size
     rows = []
-    for i in v.spec.indices:
-        e = v.entry(i)
+    stray = False
+    for i, e in enumerate(v.entries, 1):
         if e.const:
             raise NotMassForm("entry %d has constant term %s" % (i, e.const))
         if e.s:
             raise NotMassForm("entry %d has generic s-indeterminates" % i)
-        mu = dict(e.mu)
-        rows.append(tuple(mu.get(j, Fraction(0)) / 2 for j in v.spec.indices))
-    return CoefficientMatrix(tuple(rows))
+        row = [0] * size
+        for j, c in e.mu:
+            if 1 <= j <= size:
+                row[j - 1] = c.numerator if c.denominator == 1 else c
+            else:
+                stray = True
+        rows.append(tuple(row))
+    return tuple(rows), stray
 
 
-def gamma_n_test(v: MassVector) -> MembershipReport:
-    """Check the two membership conditions: coefficients and Pohozaev."""
-    coeffs_ok = coefficient_matrix(v).is_nonneg_integral()
+def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
+    """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
+    return CoefficientMatrix(tuple(tuple(Fraction(c, 2) for c in row)
+                                   for row in _mu_rows(v)[0]))
+
+
+def _verdict(v: MassVector, coeffs_ok: bool) -> MembershipReport:
+    """The two-condition report, the Pohozaev residual computed here."""
     pohozaev_ok = pohozaev_residual(v).is_zero
     verdict = MEMBER if (coeffs_ok and pohozaev_ok) else NOT_IN_GAMMA_N
     reason = ""
@@ -146,42 +162,76 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
     return MembershipReport(verdict, pohozaev_ok, coeffs_ok, reason=reason)
 
 
+def gamma_n_test(v: MassVector) -> MembershipReport:
+    """Check the two membership conditions: coefficients and Pohozaev.
+
+    Both are always evaluated.  `descend_to_zero` decides membership in
+    a cheaper order, coefficients first, then the descent, and the
+    residual only if the descent stalls, since a descent that reaches
+    zero proves the residual zero.  Whenever it rejects a vector it
+    returns this same report.
+    """
+    return _verdict(v, coefficient_matrix(v).is_nonneg_integral())
+
+
 def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     """Greedy descent certificate: a word carrying v to zero, if found.
 
-    At each step, among generators that strictly decrease the total mass
-    at weights (1,...,1), the smallest index is applied.  If none exists
-    before reaching zero the verdict is a stall, never a loop.
+    The entries are read once as integer mu-coefficient rows.  A
+    coefficient n_ij that is not a nonnegative integer rejects v at once,
+    with the report of `gamma_n_test`.  Otherwise the descent runs: at
+    each step, among generators that strictly decrease the total mass at
+    weights (1,...,1), the smallest index is applied.  If none exists
+    before reaching zero the descent stalls, never loops.
+
+    The Pohozaev residual is computed only on a stall (no descending
+    generator, or the step budget spent): a nonzero residual makes v a
+    non-member, a zero one leaves the verdict a stall.  A descent that
+    reaches zero needs no residual: the word it returns carries v to
+    zero, every generator is invertible (an involution), so v is the
+    reversed word applied to zero, an orbit vector, and the residual
+    vanishes on the whole orbit (acceptance criterion 6).  The descent
+    reads only mu_1..mu_{n+1}, so for an entry that mentions another
+    index the residual is computed even then.
     """
-    base = gamma_n_test(v)
-    if base.verdict != MEMBER:
-        return base
-    nbrs = _neighbours(v.spec)
-    rows = tuple(tuple(int(2 * c) for c in row)
-                 for row in coefficient_matrix(v).entries)
-    zero = ((0,) * v.spec.size,) * v.spec.size
+    rows, stray = _mu_rows(v)
+    if not all(type(c) is int and c >= 0 and not c & 1
+               for row in rows for c in row):
+        return _verdict(v, False)
+    applied, stall = _descend(rows, _neighbours(v.spec), max_steps)
+    if stall or stray:
+        base = _verdict(v, True)
+        if base.verdict != MEMBER:
+            return base
+    if stall:
+        return MembershipReport(DESCENT_STALLED, True, True, reason=stall,
+                                steps=len(applied))
+    word = Word(tuple(reversed(applied)))
+    return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
+
+
+def _descend(rows: _Rows, nbrs: _Neighbours,
+             max_steps: int) -> tuple[list[int], str]:
+    """The letters the greedy descent applies, and why it stalled ("" if
+    it reached zero)."""
+    zero = ((0,) * len(rows),) * len(rows)
     # R_i changes only row i, so the mass at (1,...,1) moves by
     # 2 - 2 sums[i] - sum_{t != i} k_it sums[t]
     sums = [sum(row) for row in rows]
     applied: list[int] = []
     while rows != zero:
         if len(applied) >= max_steps:
-            return MembershipReport(DESCENT_STALLED, True, True,
-                                    reason="step budget exhausted",
-                                    steps=len(applied))
+            return applied, "step budget exhausted"
         for i, nb in enumerate(nbrs):
             delta = 2 - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
             if delta < 0:
                 break
         else:
-            return MembershipReport(DESCENT_STALLED, True, True,
-                                    reason="no descending generator",
-                                    steps=len(applied))
+            return applied, "no descending generator"
         rows = _reflect(rows, i, nbrs)
         sums[i] += delta
         applied.append(i + 1)
-    word = Word(tuple(reversed(applied)))
-    return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
+    return applied, ""
 
 
 def _render(nodes: Sequence[OrbitNode], render) -> dict[int, str]:

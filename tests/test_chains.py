@@ -173,6 +173,33 @@ def test_universal_chain_identity_ct():
                     closed_form_a(g, J)
 
 
+def rank_seven_blocks():
+    """Every block of A at rank 7, wrap blocks included, with its closed
+    form, then every Ct head, tail and interior block with its own."""
+    n = 7
+    proper = [ConsecutiveSet(j, l) for j in range(1, n + 2)
+              for l in range(0, min(n, n + 2 - j))]
+    for J in proper + list(all_wrap(n)):
+        yield a_spec(n), chain_word_a, J, closed_form_a
+    for J in proper:
+        closed = closed_form_a if J.is_interior(n) else closed_form_ct
+        yield ct_spec(n), chain_word_ct, J, closed
+
+
+def test_rank_seven_chains_equal_their_closed_forms():
+    kinds = {"a": 0, "wrap": 0, "head": 0, "tail": 0, "interior": 0}
+    for spec, chain, J, closed in rank_seven_blocks():
+        g = MassVector.generic(spec)
+        assert apply_word(chain(J, spec).word, g) == closed(g, J), (spec, J)
+        if spec.family == "affine_a":
+            kinds["wrap" if J.wrap else "a"] += 1
+        else:
+            kinds["head" if J.is_head(7) else
+                  "tail" if J.is_tail(7) else "interior"] += 1
+    assert kinds == {"a": 35, "wrap": 21, "head": 7, "tail": 7,
+                     "interior": 21}
+
+
 def test_closed_form_ct_rejects_interior():
     with pytest.raises(DomainError):
         closed_form_ct(MassVector.zero(ct_spec(4)), ConsecutiveSet(2, 1))

@@ -169,6 +169,18 @@ def test_malformed_blocks_and_wrap_are_usage_errors():
         assert code == 1 and err.startswith("usage error:"), wrap
 
 
+def test_chain_set_and_wrap_together_are_a_usage_error():
+    for flags in (["--set", "1:2", "--wrap", "3,1"],
+                  ["--wrap", "3,1", "--set", "1:2", "--verify"]):
+        code, out, err = invoke(["chain", "--family", "a", "--rank", "3"]
+                                + flags)
+        assert code == 1 and out == "", flags
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    code, _, err = invoke(["chain", "--family", "a", "--rank", "3"])
+    assert code == 1
+    assert err == "usage error: either --set or --wrap is required\n"
+
+
 def test_out_of_range_index_is_a_format_error(tmp_path):
     path = tmp_path / "v.json"
     path.write_text('{"family": "affine_a", "n": 2, "entries": '

@@ -1,11 +1,13 @@
 """Differential tests: n-ary combinations against binary folds.
 
 `LinForm.combine` normalises a whole linear combination once, and
-`QuadPoly.of_products` a whole sum of products.  The oracles below are
-the implementations that folded every sum one binary `+`/`-`/`scale` at
-a time, including the triple-loop `closed_form_ct` and the per-call
-prefix closures of `finite_a_mass` and `sigma_f_ct`, and the residuals
-that built one `QuadPoly` per product before merging them.
+`QuadPoly.of_products` a whole sum of products, on integers over one
+common denominator.  The oracles below are the implementations that
+folded every sum one binary `+`/`-`/`scale` at a time, including the
+triple-loop `closed_form_ct` and the per-call prefix closures of
+`finite_a_mass` and `sigma_f_ct`, the residuals that built one
+`QuadPoly` per product before merging them, and the Fraction loop that
+summed every product term by term before the integer kernel.
 """
 
 import random
@@ -246,6 +248,63 @@ def per_product_cyclic_difference(v, w):
     return combine_polys(terms)
 
 
+def fraction_factors(f):
+    """The nonzero (monomial, coefficient) terms of a mu-only form."""
+    if f.s:
+        raise EvaluationError("generic s-indeterminates present; "
+                              "evaluate them before forming residuals")
+    out = [((i,), c) for i, c in f.mu]
+    if f.const:
+        out.append(((), f.const))
+    return out
+
+
+def fraction_of_products(terms):
+    """`QuadPoly.of_products` as a Fraction loop over the forms' terms."""
+    d = {}
+    for k, a, b in terms:
+        fb = fraction_factors(b)
+        for ma, ca in fraction_factors(a):
+            if k != 1:
+                ca *= k
+            for mb, cb in fb:
+                m = ma + mb if ma <= mb else mb + ma
+                d[m] = d.get(m, 0) + ca * cb
+    return QuadPoly.from_dict(d)
+
+
+def fraction_residual(v, w):
+    """`pohozaev_residual` as its triples summed by the Fraction loop."""
+    spec = v.spec
+    e = v.entries
+    if spec.family == "affine_a":
+        return fraction_of_products(
+            [(1, a, a) for a in e]
+            + [(-1, a, b) for a, b in zip(e, e[1:] + e[:1])]
+            + [(-2, w[i], e[i]) for i in range(spec.size)])
+    diffs = [a - b for a, b in zip(e, e[1:])]
+    return fraction_of_products(
+        [(1, d, d) for d in diffs]
+        + [(-2 if i in (0, spec.n) else -4, w[i], e[i])
+           for i in range(spec.size)])
+
+
+def fraction_cyclic_difference(v, w):
+    e = v.entries
+    diffs = [a - b for a, b in zip(e, e[1:] + e[:1])]
+    return fraction_of_products(
+        [(1, d, d) for d in diffs]
+        + [(-4, w[i], e[i]) for i in range(v.spec.size)])
+
+
+def outcome(call):
+    """A call's result, or its error type and message."""
+    try:
+        return call()
+    except EvaluationError as exc:
+        return EvaluationError, str(exc)
+
+
 def evaluate_poly(p, mu):
     total = Fraction(0)
     for m, c in p.terms:
@@ -436,3 +495,80 @@ def test_products_with_seeds_raise_the_same_error():
             call()
         assert str(exc.value) == ("generic s-indeterminates present; "
                                   "evaluate them before forming residuals")
+
+
+def random_form(rng, size, seeded=False):
+    """A form with a constant, negative and fractional mu coefficients
+    over up to all n+1 indices, and seed terms if asked."""
+    def coeff():
+        return Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 12]))
+    mu = {i: coeff() for i in rng.sample(range(1, size + 1),
+                                         rng.randint(0, size))}
+    s = {rng.randint(1, size): coeff() or 1} if seeded else {}
+    return LinForm.make(coeff() if rng.random() < 0.5 else 0, mu, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 10),
+       st.sampled_from(["orbit", "random", "seeded entry"]),
+       st.sampled_from(["plain", "overlay", "seeded overlay"]),
+       st.integers(0, 10 ** 6))
+def test_integer_kernel_matches_the_fraction_loop(family, n, vector, weights,
+                                                  seed):
+    spec = AlgebraSpec(family, n)
+    size = spec.size
+    rng = random.Random(seed)
+    if vector == "orbit":
+        word = [rng.choice(spec.indices) for _ in range(rng.randint(0, 12))]
+        v = apply_word(Word(tuple(word)), MassVector.zero(spec))
+    else:
+        v = MassVector(spec, tuple(random_form(rng, size) for _ in range(size)))
+        if vector == "seeded entry":
+            v = v.replace(rng.randint(1, size), random_form(rng, size, True))
+    overlay = None
+    w = [LinForm.weight(i) for i in spec.indices]
+    if weights != "plain":
+        overlay = [random_form(rng, size) for _ in range(size)]
+        if weights == "seeded overlay":
+            overlay[rng.randrange(size)] = random_form(rng, size, True)
+        w = overlay
+    assert outcome(lambda: pohozaev_residual(v, weights=overlay)) == \
+        outcome(lambda: fraction_residual(v, w))
+    if family == "affine_a":
+        assert outcome(lambda: pohozaev_residual_cyclic_difference(
+            v, weights=overlay)) == \
+            outcome(lambda: fraction_cyclic_difference(v, w))
+    # Fraction and integer k, k = 0 included, and now and then a seed
+    # term, also under k = 0
+    triples = [(rng.choice([0, 1, -2, Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 7))]),
+                random_form(rng, size, rng.random() < 0.05),
+                random_form(rng, size, rng.random() < 0.05))
+               for _ in range(rng.randint(0, 8))]
+    assert outcome(lambda: QuadPoly.of_products(triples)) == \
+        outcome(lambda: fraction_of_products(triples))
+
+
+def test_seed_terms_raise_the_fraction_loop_message():
+    spec = AlgebraSpec("affine_a", 3)
+    seeded = LinForm.make(1, {2: 3}, {4: Fraction(1, 2)})
+    v = MassVector(spec, (LinForm.weight(1, 2),) * 4)
+    weights = [LinForm.weight(i) for i in spec.indices]
+    calls = [
+        (lambda: QuadPoly.of_products([(0, seeded, LinForm.weight(1))]),
+         lambda: fraction_of_products([(0, seeded, LinForm.weight(1))])),
+        (lambda: QuadPoly.of_products([(Fraction(1, 3), LinForm.weight(2),
+                                        seeded)]),
+         lambda: fraction_of_products([(Fraction(1, 3), LinForm.weight(2),
+                                        seeded)])),
+        (lambda: pohozaev_residual(v.replace(3, seeded)),
+         lambda: fraction_residual(v.replace(3, seeded), weights)),
+        (lambda: pohozaev_residual(v, weights=weights[:2] + [seeded] * 2),
+         lambda: fraction_residual(v, weights[:2] + [seeded] * 2)),
+        (lambda: pohozaev_residual_cyclic_difference(v.replace(1, seeded)),
+         lambda: fraction_cyclic_difference(v.replace(1, seeded), weights)),
+    ]
+    for new, old in calls:
+        got = outcome(new)
+        assert got == outcome(old)
+        assert got[0] is EvaluationError

@@ -2,7 +2,9 @@
 
 The oracles below are the symbolic implementations that enumeration,
 DOT export and descent used before they moved onto integer coefficient
-rows; they build every vector with `apply_generator`.
+rows; they build every vector with `apply_generator`.  Membership is
+also checked against the order it used to take: `gamma_n_test` first,
+then the integer descent.
 """
 
 import random
@@ -14,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_generator, apply_word
 from todamass.errors import NotMassForm
-from todamass.orbit import (DESCENT_STALLED, MEMBER, MembershipReport,
-                            OrbitNode, _form, _neighbours, _reflect,
-                            descend_to_zero, enumerate_orbit, export_graph,
-                            gamma_n_test)
+from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
+                            MembershipReport, OrbitNode, _form, _neighbours,
+                            _reflect, coefficient_matrix, descend_to_zero,
+                            enumerate_orbit, export_graph, gamma_n_test)
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -89,6 +91,39 @@ def linform_descent(v, max_steps=256):
                                     steps=len(applied))
         applied.append(i)
         cur = child
+    return MembershipReport(MEMBER, True, True,
+                            word=Word(tuple(reversed(applied))),
+                            steps=len(applied))
+
+
+def gamma_first_descent(v, max_steps=256):
+    """Membership as it was decided before: both conditions of
+    `gamma_n_test` first, then the integer descent."""
+    base = gamma_n_test(v)
+    if base.verdict != MEMBER:
+        return base
+    nbrs = _neighbours(v.spec)
+    rows = tuple(tuple(int(2 * c) for c in row)
+                 for row in coefficient_matrix(v).entries)
+    zero = ((0,) * v.spec.size,) * v.spec.size
+    sums = [sum(row) for row in rows]
+    applied = []
+    while rows != zero:
+        if len(applied) >= max_steps:
+            return MembershipReport(DESCENT_STALLED, True, True,
+                                    reason="step budget exhausted",
+                                    steps=len(applied))
+        for i, nb in enumerate(nbrs):
+            delta = 2 - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
+            if delta < 0:
+                break
+        else:
+            return MembershipReport(DESCENT_STALLED, True, True,
+                                    reason="no descending generator",
+                                    steps=len(applied))
+        rows = _reflect(rows, i, nbrs)
+        sums[i] += delta
+        applied.append(i + 1)
     return MembershipReport(MEMBER, True, True,
                             word=Word(tuple(reversed(applied))),
                             steps=len(applied))
@@ -169,3 +204,66 @@ def test_descent_matches_linform_on_non_members():
         descend_to_zero(seeded)
     with pytest.raises(NotMassForm):
         linform_descent(seeded)
+
+
+def bumped(v, rng, amount, index=None):
+    """v with amount * mu_index added to one entry."""
+    i = rng.randint(1, v.spec.size)
+    j = index if index is not None else rng.randint(1, v.spec.size)
+    return v.replace(i, v.entry(i) + LinForm.weight(j, amount))
+
+
+DEFECTS = {"member": None, "half": 1, "third": Fraction(2, 3),
+           "negative": -2, "residual": 2, "stray": 2}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 7), st.integers(0, 25),
+       st.sampled_from(sorted(DEFECTS)), st.integers(0, 10 ** 6))
+def test_membership_matches_gamma_first_order(family, n, level, defect, seed):
+    spec = AlgebraSpec(family, n)
+    rng = random.Random(seed)
+    v = ascent(spec, level, rng)
+    if defect != "member":
+        # "stray" puts the term on mu_{n+2}, which no orbit entry has
+        stray = spec.size + 1 if defect == "stray" else None
+        v = bumped(v, rng, DEFECTS[defect], stray)
+    budgets = {256, 0, rng.randint(0, level), level}
+    for budget in sorted(budgets):
+        report = descend_to_zero(v, max_steps=budget)
+        assert report == gamma_first_descent(v, max_steps=budget), budget
+
+
+def test_membership_reports_on_each_path():
+    rng = random.Random(6)
+    for family in FAMILIES:
+        spec = AlgebraSpec(family, 4)
+        member = ascent(spec, 9, rng)
+        residual = bumped(member, rng, 2)
+        while gamma_n_test(residual).pohozaev_ok:
+            residual = bumped(member, rng, 2)
+        cases = [
+            (member, 256, MembershipReport(
+                MEMBER, True, True, word=descend_to_zero(member).word,
+                steps=9)),
+            (member, 4, MembershipReport(DESCENT_STALLED, True, True,
+                                         reason="step budget exhausted",
+                                         steps=4)),
+            (bumped(member, rng, 1), 256, MembershipReport(
+                NOT_IN_GAMMA_N, False, False,
+                reason="coefficient matrix is not nonnegative-integral")),
+            # a nonzero residual stays a non-member, even with no budget
+            # for the descent to stall on first
+            (residual, 0, MembershipReport(
+                NOT_IN_GAMMA_N, False, True,
+                reason="Pohozaev residual is nonzero")),
+            (residual, 256, MembershipReport(
+                NOT_IN_GAMMA_N, False, True,
+                reason="Pohozaev residual is nonzero")),
+            (bumped(MassVector.zero(spec), rng, 2, spec.size + 1), 256,
+             MembershipReport(NOT_IN_GAMMA_N, False, True,
+                              reason="Pohozaev residual is nonzero")),
+        ]
+        for v, budget, want in cases:
+            assert descend_to_zero(v, max_steps=budget) == want
+            assert gamma_first_descent(v, max_steps=budget) == want
