@@ -8,13 +8,17 @@ where k is the Cartan matrix of the vector's family, and leaves every
 other entry alone.  Words are applied right to left: the last letter of
 the tuple acts first, so a word reads like the usual product notation
 R_{i_s} ... R_{i_1}.
+
+Words, orbits and descents share one rule: a vector is read once into
+integer rows over a common denominator, each letter updates one row,
+and the result is written back once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -50,34 +54,135 @@ def family_matrix(spec: AlgebraSpec) -> CartanMatrix:
     return build(spec.family, spec.size)
 
 
+# Forms are read as integer rows over one common denominator d.  A
+# layout (d, mu, s) names the columns: column 0 holds d times the
+# constant, then come d times the coefficients of the mu_i with i in mu,
+# then of the s_i with i in s, each index tuple sorted.
+_Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
+_Row = tuple[int, ...]
+_Rows = tuple[_Row, ...]
+# per generator i (0-based), the (t, k_it) with t != i and k_it != 0
+_Neighbours = tuple[tuple[tuple[int, int], ...], ...]
+# per generator i, the nonzero (column, value) pairs of the row of 2 w_i
+_Lifts = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _int_rows(forms: Sequence[LinForm],
+              weights: Optional[Sequence[LinForm]] = (),
+              scalars: Iterable[Scalar] = ()
+              ) -> tuple[_Layout, list[_Row], list[_Row]]:
+    """(layout, form rows, weight rows), every form read once.
+
+    The layout has a column for each mu_i and s_i that occurs, and d is
+    the lcm of every denominator among the forms, the weights and the
+    scalars.  Weight t stands for mu_{t+1}, and only the first m =
+    len(forms) weights are read; ``weights`` None stands for the plain
+    weights mu_1..mu_m.
+    """
+    m = len(forms)
+    read = [(f.const, f.mu, f.s) for f in
+            list(forms) + ([] if weights is None else list(weights)[:m])]
+    if weights is None:
+        read += [(0, ((i, 1),), ()) for i in range(1, m + 1)]
+    dens = {Fraction(k).denominator for k in scalars}
+    mu, s = set(), set()
+    for const, f_mu, f_s in read:
+        dens.add(const.denominator)
+        for i, c in f_mu:
+            mu.add(i)
+            dens.add(c.denominator)
+        for i, c in f_s:
+            s.add(i)
+            dens.add(c.denominator)
+    d, mu, s = layout = (lcm(*dens), tuple(sorted(mu)), tuple(sorted(s)))
+    at = {i: p for p, i in enumerate(mu, 1)}
+    s_at = {i: p for p, i in enumerate(s, len(mu) + 1)}
+    rows = []
+    for const, f_mu, f_s in read:
+        row = [0] * (len(mu) + len(s) + 1)
+        row[0] = const.numerator * (d // const.denominator)
+        for i, c in f_mu:
+            row[at[i]] = c.numerator * (d // c.denominator)
+        for i, c in f_s:
+            row[s_at[i]] = c.numerator * (d // c.denominator)
+        rows.append(tuple(row))
+    return layout, rows[:m], rows[m:]
+
+
+@lru_cache(maxsize=4096)
+def _frac(c: int, d: int) -> Fraction:
+    """Fraction(c, d), shared: rows repeat a few small coefficients."""
+    return Fraction(c, d)
+
+
+def _form(row: _Row, layout: _Layout) -> LinForm:
+    """The form a row stands for in the layout."""
+    d, mu, s = layout
+    m = len(mu) + 1
+    return LinForm(_frac(row[0], d),
+                   tuple((i, _frac(c, d)) for i, c in zip(mu, row[1:m]) if c),
+                   tuple((i, _frac(c, d)) for i, c in zip(s, row[m:]) if c))
+
+
 @cache
-def _default_weights(spec: AlgebraSpec) -> tuple[LinForm, ...]:
-    return tuple(LinForm.weight(i) for i in spec.indices)
+def _neighbours(spec: AlgebraSpec) -> _Neighbours:
+    k = family_matrix(spec)
+    return tuple(tuple((t - 1, int(k[i, t])) for t in spec.indices
+                       if t != i and k[i, t])
+                 for i in spec.indices)
+
+
+def _kernel_rows(v: MassVector, weights: Optional[Sequence[LinForm]] = None
+                 ) -> tuple[_Layout, _Rows, _Lifts]:
+    """v's entry rows, and each weight's lift, for `_reflect`."""
+    layout, rows, w = _int_rows(v.entries, weights)
+    return layout, tuple(rows), tuple(
+        tuple((p, 2 * c) for p, c in enumerate(row) if c) for row in w)
+
+
+def _reflect(rows: _Rows, i: int, nbrs: _Neighbours,
+             lift: tuple[tuple[int, int], ...]) -> _Rows:
+    """R_{i+1} on rows: row_i <- 2 w_i - row_i - sum_{t != i} k_it row_t,
+    where ``lift`` is the sparse row of 2 w_i.  Every generator has a
+    neighbour, so the first neighbour's pass also negates row_i."""
+    row, sign = rows[i], -1
+    for t, k in nbrs[i]:
+        row = [sign * a - k * b for a, b in zip(row, rows[t])]
+        sign = 1
+    for p, c in lift:
+        row[p] += c
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
 
 
 def apply_generator(i: int, v: MassVector,
                     weights: Optional[Sequence[LinForm]] = None) -> MassVector:
-    """Apply the reflection with index i to v.
+    """Apply the reflection with index i to v: the one-letter word."""
+    return apply_word(Word((i,)), v, weights)
 
-    ``weights`` optionally replaces the symbolic weights: entry t is the
-    form standing in for mu_{t+1}.  The default is the plain mu basis.
-    """
-    spec = v.spec
-    if not 1 <= i <= spec.size:
-        raise DomainError("generator index %d outside 1..%d" % (i, spec.size))
-    row = family_matrix(spec).entries[i - 1]
-    w_i = weights[i - 1] if weights is not None else LinForm.weight(i)
-    return v.replace(i, LinForm.combine(
-        [(2, w_i), (1, v.entries[i - 1])]
-        + [(-c, e) for c, e in zip(row, v.entries)]))
+
+def _fold(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts) -> _Rows:
+    """The rows after the word's letters, applied right to left."""
+    nbrs = _neighbours(spec)
+    for i in reversed(w.letters):
+        if not 1 <= i <= spec.size:
+            raise DomainError("generator index %d outside 1..%d"
+                              % (i, spec.size))
+        rows = _reflect(rows, i - 1, nbrs, lifts[i - 1])
+    return rows
 
 
 def apply_word(w: Word, v: MassVector,
                weights: Optional[Sequence[LinForm]] = None) -> MassVector:
-    """Right-to-left fold of apply_generator over the word's letters."""
-    for i in reversed(w.letters):
-        v = apply_generator(i, v, weights)
-    return v
+    """Apply the word's letters right to left, under optional weights.
+
+    ``weights`` optionally replaces the symbolic weights: entry t is the
+    form standing in for mu_{t+1}.  The default is the plain mu basis.
+    v is read into rows once, each letter is one `_reflect`, and the
+    result is written back once.
+    """
+    layout, rows, lifts = _kernel_rows(v, weights)
+    return MassVector(v.spec, tuple(_form(row, layout) for row in
+                                    _fold(w, rows, v.spec, lifts)))
 
 
 def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
@@ -87,45 +192,31 @@ def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
     single word u * v^{-1} (which here is just u * v reversed).
     """
     n = spec.n
-    rels: list[tuple[str, Word]] = []
+    cyclic = spec.family == AFFINE_A
+    rels = [("R%d^2" % i, Word.of(i, i)) for i in spec.indices]
     for i in spec.indices:
-        rels.append(("R%d^2" % i, Word.of(i, i)))
-    if spec.family == AFFINE_A:
-        for i in spec.indices:
-            for j in spec.indices:
-                if i >= j:
-                    continue
-                d = j - i
-                if d in (1, n):
+        for j in range(i + 1, n + 2):
+            if j - i == 1 or cyclic and j - i == n:
+                if cyclic:
                     rels.append(("(R%dR%d)^3" % (i, j),
                                  Word.of(i, j).power(3)))
-                    # braid R_i R_j R_i = R_j R_i R_j, moved to one side
+                # braid R_i R_j R_i = R_j R_i R_j, moved to one side; the
+                # doubled bonds at the ends of Ct have order 4 instead
+                if cyclic or 2 <= i and j <= n:
                     rels.append(("braid(%d,%d)" % (i, j),
                                  Word.of(i, j, i) * Word.of(j, i, j)))
-                elif 1 < d < n:
-                    rels.append(("(R%dR%d)^2" % (i, j),
-                                 Word.of(i, j).power(2)))
-    else:
-        for i in spec.indices:
-            for j in spec.indices:
-                if i >= j:
-                    continue
-                d = j - i
-                if 1 < d <= n:
-                    rels.append(("(R%dR%d)^2" % (i, j),
-                                 Word.of(i, j).power(2)))
-                elif d == 1 and 2 <= i and j <= n:
-                    rels.append(("braid(%d,%d)" % (i, j),
-                                 Word.of(i, j, i) * Word.of(j, i, j)))
-        rels.append(("(R2R1)^4", Word.of(2, 1).power(4)))
-        rels.append(("(R%dR%d)^4" % (n, n + 1), Word.of(n, n + 1).power(4)))
+            else:
+                rels.append(("(R%dR%d)^2" % (i, j), Word.of(i, j).power(2)))
+    if not cyclic:
+        rels += [("(R2R1)^4", Word.of(2, 1).power(4)),
+                 ("(R%dR%d)^4" % (n, n + 1), Word.of(n, n + 1).power(4))]
     return rels
 
 
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
-    g = MassVector.generic(spec)
-    return apply_word(w, g) == g
+    _, rows, lifts = _kernel_rows(MassVector.generic(spec))
+    return _fold(w, rows, spec, lifts) == rows
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j
@@ -157,10 +248,11 @@ class QuadPoly:
         the lcm of every coefficient's and every k's, and divided once.
         """
         terms = list(terms)
-        d, offset, rows = _int_rows([f for _, a, b in terms for f in (a, b)],
-                                    [k for k, _, _ in terms])
+        layout, rows, _ = _int_rows([f for _, a, b in terms for f in (a, b)],
+                                    scalars=[k for k, _, _ in terms])
+        d = layout[0]
         return _quad([(int(k * d), rows[2 * t], rows[2 * t + 1])
-                      for t, (k, _, _) in enumerate(terms)], offset, d ** 3)
+                      for t, (k, _, _) in enumerate(terms)], layout, d ** 3)
 
     def scale(self, k: Scalar) -> "QuadPoly":
         return QuadPoly.from_dict({m: c * k for m, c in self.terms})
@@ -175,48 +267,13 @@ class QuadPoly:
         return " + ".join(bits)
 
 
-_IntRow = list[int]
-
-
-def _int_rows(forms: Sequence[LinForm], scalars: Iterable[Scalar] = ()
-              ) -> tuple[int, int, list[_IntRow]]:
-    """(d, offset, rows): each mu-only form times d as a dense integer row.
-
-    d is the lcm of every denominator among the forms' coefficients and
-    the scalars.  A row holds the constant at position 0 and the
-    coefficient of mu_i at position i + offset; the offset is 0 unless
-    some form mentions an index below 1.
-    """
-    dens = {Fraction(k).denominator for k in scalars}
-    lo = top = 1
-    for f in forms:
-        if f.s:
-            raise EvaluationError("generic s-indeterminates present; "
-                                  "evaluate them before forming residuals")
-        if f.mu:
-            lo = min(lo, f.mu[0][0])
-            top = max(top, f.mu[-1][0])
-            dens.update(c.denominator for _, c in f.mu)
-        dens.add(f.const.denominator)
-    d = lcm(*dens)
-    offset = 1 - lo
-    rows = []
-    for f in forms:
-        row = [0] * (top + offset + 1)
-        if f.const:
-            row[0] = f.const.numerator * (d // f.const.denominator)
-        for i, c in f.mu:
-            row[i + offset] = c.numerator * (d // c.denominator)
-        rows.append(row)
-    return d, offset, rows
-
-
-def _quad(products: Sequence[tuple[int, _IntRow, _IntRow]], offset: int,
+def _quad(products: Sequence[tuple[int, _Row, _Row]], layout: _Layout,
           denom: int) -> QuadPoly:
     """The sum of k * a * b over integer-row (k, a, b), divided by denom."""
-    if not products:
-        return QuadPoly()
-    width = len(products[0][1])
+    if layout[2]:
+        raise EvaluationError("generic s-indeterminates present; "
+                              "evaluate them before forming residuals")
+    width = len(layout[1]) + 1
     acc = [[0] * width for _ in range(width)]
     for k, a, b in products:
         nz = [(q, y) for q, y in enumerate(b) if y]
@@ -226,7 +283,7 @@ def _quad(products: Sequence[tuple[int, _IntRow, _IntRow]], offset: int,
                 out = acc[p]
                 for q, y in nz:
                     out[q] += x * y
-    names = [()] + [(p - offset,) for p in range(1, width)]
+    names = [()] + [(i,) for i in layout[1]]
     terms = {}
     for p in range(width):
         row = acc[p]
@@ -242,18 +299,7 @@ def linform_product(a: LinForm, b: LinForm) -> QuadPoly:
     return QuadPoly.of_products([(1, a, b)])
 
 
-def _residual_rows(v: MassVector, weights: Optional[Sequence[LinForm]]
-                   ) -> tuple[int, int, list[_IntRow], list[_IntRow]]:
-    """(d, offset, entry rows, weight rows) over one common denominator."""
-    size = v.spec.size
-    # only the first n+1 weights take part, as entries' partners
-    w = (tuple(weights)[:size] if weights is not None
-         else _default_weights(v.spec))
-    d, offset, rows = _int_rows(v.entries + w)
-    return d, offset, rows[:size], rows[size:]
-
-
-def _minus(a: _IntRow, b: _IntRow) -> _IntRow:
+def _minus(a: _Row, b: _Row) -> list[int]:
     return [x - y for x, y in zip(a, b)]
 
 
@@ -271,7 +317,7 @@ def pohozaev_residual(v: MassVector,
     `QuadPoly.of_products`.
     """
     spec = v.spec
-    d, offset, e, w = _residual_rows(v, weights)
+    layout, e, w = _int_rows(v.entries, weights)
     if spec.family == AFFINE_A:
         # s_i^2 - s_i s_{i+1} = s_i (s_i - s_{i+1})
         products = [(1, a, _minus(a, b)) for a, b in zip(e, e[1:] + e[:1])]
@@ -281,7 +327,7 @@ def pohozaev_residual(v: MassVector,
         # the pairing weighs the two end entries once and the others twice
         products += [(-2 if i in (0, spec.n) else -4, w[i], e[i])
                      for i in range(spec.size)]
-    return _quad(products, offset, d * d)
+    return _quad(products, layout, layout[0] ** 2)
 
 
 def pohozaev_residual_cyclic_difference(
@@ -296,7 +342,7 @@ def pohozaev_residual_cyclic_difference(
     spec = v.spec
     if spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")
-    d, offset, e, w = _residual_rows(v, weights)
+    layout, e, w = _int_rows(v.entries, weights)
     products = [(1, diff, diff) for diff in map(_minus, e, e[1:] + e[:1])]
     products += [(-4, w[i], e[i]) for i in range(spec.size)]
-    return _quad(products, offset, d * d)
+    return _quad(products, layout, layout[0] ** 2)

@@ -225,9 +225,10 @@ def _linform_from_json(obj, size: int) -> LinForm:
             if not 1 <= idx <= size:
                 raise FormatError("index %d outside 1..%d" % (idx, size))
             out[idx] = _frac_from_str(v)
-        return out
+        # one value per index: drop the zeros and sort, as LinForm.make would
+        return tuple(sorted((i, c) for i, c in out.items() if c))
 
-    return LinForm.make(const, coeffs("mu"), coeffs("s"))
+    return LinForm(const, coeffs("mu"), coeffs("s"))
 
 
 def _weight_map(spec: AlgebraSpec, mu_values) -> dict[int, Fraction]:

@@ -53,39 +53,18 @@ def build(family: str, size: int) -> CartanMatrix:
     if family == FINITE_A and size < 1:
         raise RankError("finite_a needs size >= 1, got %d" % size)
 
-    if family == AFFINE_A:
-        def entry(i, j):
-            if i == j:
-                return 2
-            return -1 if (i - j) % size in (1, size - 1) else 0
-    elif family == AFFINE_CT:
-        def entry(i, j):
-            if i == j:
-                return 2
-            if abs(i - j) != 1:
-                return 0
-            if i == 1 or i == size:
-                return -2
-            return -1
-    elif family == FINITE_B:
-        def entry(i, j):
-            if i == j:
-                return 2
-            if abs(i - j) != 1:
-                return 0
-            return -2 if (i, j) == (size - 1, size) else -1
-    elif family == FINITE_C:
-        def entry(i, j):
-            if i == j:
-                return 2
-            if abs(i - j) != 1:
-                return 0
-            return -2 if (i, j) == (size, size - 1) else -1
-    else:
-        def entry(i, j):
-            if i == j:
-                return 2
-            return -1 if abs(i - j) == 1 else 0
+    doubled = {AFFINE_CT: ((1, 2), (size, size - 1)),
+               FINITE_B: ((size - 1, size),),
+               FINITE_C: ((size, size - 1),)}.get(family, ())
+
+    def entry(i, j):
+        if i == j:
+            return 2
+        if (i, j) in doubled:
+            return -2
+        # neighbours on the path, and the two ends of the affine A cycle
+        gap = abs(i - j)
+        return -1 if gap == 1 or family == AFFINE_A and gap == size - 1 else 0
 
     return CartanMatrix(family, size, _rows(size, entry))
 
@@ -183,6 +162,11 @@ def inverse(m: CartanMatrix) -> CartanMatrix:
 
 
 def inverse_submatrix(m: CartanMatrix, J: ConsecutiveSet) -> CartanMatrix:
-    """Exact inverse of the principal submatrix of m at J."""
+    """Exact inverse of the principal submatrix of m at J.
+
+    `closed_form_a` does not call this: every block it accepts has the
+    finite A submatrix, whose inverse `inverse_finite_a` gives in closed
+    form.
+    """
     return inverse(principal_submatrix(m, J))
 

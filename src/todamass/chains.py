@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .cartan import ConsecutiveSet, inverse_submatrix
+from .cartan import ConsecutiveSet, inverse_finite_a
 from .errors import DecompositionError, DomainError
 from .action import Word, apply_word, family_matrix
 
@@ -31,17 +31,30 @@ class ChainPlan:
 
 
 def _std_chain(l: int) -> tuple[int, ...]:
-    """Chain letters for the block {1, ..., l+1} at start position 1."""
-    if l == 0:
-        return (1,)
-    if l == 1:
-        return (1, 2, 1)
-    # ascending sweep 2..l+1, then descending l-1..1, squared, with the
-    # recursive chain for the middle block {3..l-1} (empty for l < 4)
-    # up front
-    block = tuple(range(2, l + 2)) + tuple(range(l - 1, 0, -1))
-    middle = tuple(p + 2 for p in _std_chain(l - 4)) if l >= 4 else ()
-    return middle + block * 2
+    """Chain letters for the block {1, ..., l+1} at start position 1.
+
+    The chain of l >= 2 is the chain of l - 4 shifted up by 2 (nothing
+    for l < 4), then the ascending sweep 2..l+1 and the descending sweep
+    l-1..1, twice.  The chains of 0 and 1 are (1,) and (1, 2, 1).  The
+    letters go out in one pass from the innermost chain, of 0 or 1 or
+    else the first sweep pair, each sweep sliced from one list.
+    """
+    nums = list(range(l + 2))
+    r = l % 4
+    letters = [p + (l - r) // 2 for p in ((1,), (1, 2, 1), (), ())[r]]
+    for m in range(r + 4 if r < 2 else r, l + 1, 4):
+        shift = (l - m) // 2
+        sweep = nums[2 + shift:m + 2 + shift] + nums[m - 1 + shift:shift:-1]
+        letters += sweep * 2
+    return tuple(letters)
+
+
+def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
+    """J's elements, which must not cover the whole index set."""
+    idx = J.indices(spec.n)
+    if len(idx) >= spec.size:
+        raise DomainError("block must be a proper subset of the index set")
+    return idx
 
 
 def _relabeled(letters: tuple[int, ...], idx: list[int]) -> tuple[int, ...]:
@@ -52,9 +65,7 @@ def chain_word_a(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """A-type chain word for a proper consecutive (or wrap) block."""
     if spec.family != AFFINE_A:
         raise DomainError("A-type chains need an affine A spec")
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
+    idx = _block(J, spec)
     letters = _relabeled(_std_chain(J.length), idx)
     return ChainPlan(J, Word(letters), spec.family)
 
@@ -65,9 +76,7 @@ def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
         raise DomainError("Ct-type chains need an affine Ct spec")
     if J.wrap:
         raise DomainError("affine Ct has no wrap-around blocks")
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
+    idx = _block(J, spec)
     j, l = J.start, J.length
     if l == 0:
         letters: tuple[int, ...] = (j,)
@@ -99,28 +108,27 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
 
     New entry at the p-th element s_p of J:
 
-        sigma_{s_p} + 2 sum_q K[p,q] (mu*_{s_q} + mu*_{s_{m+1-q}})
+        sigma_{s_p} + 2 sum_q (K[p,q] + K[p,m+1-q]) mu*_{s_q}
 
     where K inverts the principal submatrix of the Cartan matrix at J
     and m = |J|.  Entries outside J are unchanged.  Works for any proper
-    block of affine A and for interior blocks of affine Ct.
+    block of affine A, wrapping ones included, and for interior blocks
+    of affine Ct: each has the finite A submatrix of size m, so K is
+    `inverse_finite_a(m)`.
     """
     spec = v.spec
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
+    idx = _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         raise DomainError("boundary blocks of affine Ct use closed_form_ct")
-    K = inverse_submatrix(family_matrix(spec), J)
-    stars = mu_star(v)
     m = len(idx)
+    K = inverse_finite_a(m)
+    stars = mu_star(v)
     out = v
     for p, s_p in enumerate(idx, 1):
-        terms = [(1, v.entry(s_p))]
-        for q, s_q in enumerate(idx, 1):
-            terms += [(2 * K[p, q], stars[s_q - 1]),
-                      (2 * K[p, q], stars[idx[m - q] - 1])]
-        out = out.replace(s_p, LinForm.combine(terms))
+        out = out.replace(s_p, LinForm.combine(
+            [(1, v.entry(s_p))]
+            + [(2 * (K[p, q] + K[p, m + 1 - q]), stars[s_q - 1])
+               for q, s_q in enumerate(idx, 1)]))
     return out
 
 
@@ -144,9 +152,7 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
         raise DomainError("closed_form_ct needs an affine Ct spec")
     if J.wrap:
         raise DomainError("affine Ct has no wrap-around blocks")
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
+    _block(J, spec)
     l = J.length
     out = v
     if J.is_head(spec.n):
@@ -158,8 +164,6 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
                    (2, v.entry(l + 2))]))
     elif J.is_tail(spec.n):
         i = J.start
-        if i < 2:
-            raise DomainError("tail block covering the whole index set")
         Q = _prefix_sums([LinForm.weight(t) for t in range(i, i + l + 1)])
         for s in range(i, spec.n + 2):
             out = out.replace(s, LinForm.combine(

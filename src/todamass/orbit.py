@@ -3,8 +3,8 @@
 The orbit of the zero vector under the generator action is infinite, so
 enumeration is always depth-bounded.  Every orbit vector has entries
 2 sum_j n_ij mu_j with integers n_ij, so enumeration and descent run on
-tuples of integer mu-coefficient rows and build symbolic vectors only
-for the nodes they return.
+the integer rows of `action`, with its reflection rule, and build
+symbolic vectors only for the nodes they return.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgebraSpec, LinForm, MassVector, Scalar, _weight_map
-from .action import Word, family_matrix, pohozaev_residual
+from .algebra import AlgebraSpec, MassVector, _weight_map
+from .action import (Word, _int_rows, _form, _kernel_rows, _neighbours,
+                     _reflect, _Rows, pohozaev_residual)
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -50,33 +51,6 @@ class MembershipReport:
     steps: int = 0
 
 
-# entry i of a vector is sum_j rows[i][j] * mu_{j+1}, everything 0-based
-_Rows = tuple[tuple[int, ...], ...]
-# per generator i, the (t, k_it) with t != i and k_it != 0
-_Neighbours = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _neighbours(spec: AlgebraSpec) -> _Neighbours:
-    k = family_matrix(spec)
-    return tuple(tuple((t - 1, int(k[i, t])) for t in spec.indices
-                       if t != i and k[i, t])
-                 for i in spec.indices)
-
-
-def _reflect(rows: _Rows, i: int, nbrs: _Neighbours) -> _Rows:
-    """R_{i+1} on rows: row_i <- 2e_i - row_i - sum_{t != i} k_it row_t."""
-    row = [-c for c in rows[i]]
-    row[i] += 2
-    for t, k in nbrs[i]:
-        row = [a - k * b for a, b in zip(row, rows[t])]
-    return rows[:i] + (tuple(row),) + rows[i + 1:]
-
-
-def _form(row: tuple[int, ...]) -> LinForm:
-    return LinForm(mu=tuple((j, Fraction(c))
-                            for j, c in enumerate(row, 1) if c))
-
-
 def enumerate_orbit(spec: AlgebraSpec, depth: int,
                     workers: int = 1) -> list[OrbitNode]:
     """All orbit vectors within the given word length, as sorted nodes.
@@ -87,7 +61,7 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     accepted for compatibility and does not change anything.
     """
     nbrs = _neighbours(spec)
-    zero = ((0,) * spec.size,) * spec.size
+    layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
     seen = {zero}
     levels = [[(zero, ())]]
     for _ in range(depth):
@@ -100,7 +74,7 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
             for rows, word in levels[-1]:
                 if word and word[0] == letter:
                     continue  # R_i^2 = e, this child is the node's own parent
-                child = _reflect(rows, i, nbrs)
+                child = _reflect(rows, i, nbrs, lifts[i])
                 if child not in seen:
                     seen.add(child)
                     found.append((child, (letter,) + word))
@@ -110,7 +84,7 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     # one form per distinct row, shared by every vector that has it
     distinct = {row for members in levels for rows, _ in members
                 for row in rows}
-    forms = {row: _form(row) for row in distinct}
+    forms = {row: _form(row, layout) for row in distinct}
     nodes = [OrbitNode(MassVector(spec, tuple(forms[row] for row in rows)),
                        Word(word), level)
              for level, members in enumerate(levels)
@@ -119,35 +93,31 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     return nodes
 
 
-def _mu_rows(v: MassVector) -> tuple[tuple[tuple[Scalar, ...], ...], bool]:
-    """Each entry's mu_1..mu_{n+1} coefficients as a row, once.
+def _mass_rows(v: MassVector) -> tuple[int, _Rows, bool]:
+    """(d, rows, stray): each entry times d as a row of the plain layout.
 
-    Integral coefficients come as ints and the others as Fractions.  The
-    flag says whether some entry also mentions a mu index outside
-    1..n+1, which no row holds.
+    The plain layout is that of orbit vectors: column 0 holds the
+    constant, here 0, and column j the coefficient of mu_j.  d is the
+    lcm of the entries' denominators.  The flag says whether some entry
+    also mentions a mu index outside 1..n+1, which no row holds.
     """
-    size = v.spec.size
-    rows = []
-    stray = False
     for i, e in enumerate(v.entries, 1):
         if e.const:
             raise NotMassForm("entry %d has constant term %s" % (i, e.const))
         if e.s:
             raise NotMassForm("entry %d has generic s-indeterminates" % i)
-        row = [0] * size
-        for j, c in e.mu:
-            if 1 <= j <= size:
-                row[j - 1] = c.numerator if c.denominator == 1 else c
-            else:
-                stray = True
-        rows.append(tuple(row))
-    return tuple(rows), stray
+    (d, mu, _), rows, _ = _int_rows(v.entries, None)
+    size = v.spec.size
+    first = mu.index(1) + 1
+    return d, tuple((0,) + row[first:first + size] for row in rows), \
+        len(mu) > size
 
 
 def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
     """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
-    return CoefficientMatrix(tuple(tuple(Fraction(c, 2) for c in row)
-                                   for row in _mu_rows(v)[0]))
+    d, rows, _ = _mass_rows(v)
+    return CoefficientMatrix(tuple(tuple(Fraction(c, 2 * d) for c in row[1:])
+                                   for row in rows))
 
 
 def _verdict(v: MassVector, coeffs_ok: bool) -> MembershipReport:
@@ -194,11 +164,10 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     reads only mu_1..mu_{n+1}, so for an entry that mentions another
     index the residual is computed even then.
     """
-    rows, stray = _mu_rows(v)
-    if not all(type(c) is int and c >= 0 and not c & 1
-               for row in rows for c in row):
+    d, rows, stray = _mass_rows(v)
+    if not all(c >= 0 and not c % (2 * d) for row in rows for c in row):
         return _verdict(v, False)
-    applied, stall = _descend(rows, _neighbours(v.spec), max_steps)
+    applied, stall = _descend(rows, d, v.spec, max_steps)
     if stall or stray:
         base = _verdict(v, True)
         if base.verdict != MEMBER:
@@ -210,25 +179,27 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
 
 
-def _descend(rows: _Rows, nbrs: _Neighbours,
+def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
              max_steps: int) -> tuple[list[int], str]:
-    """The letters the greedy descent applies, and why it stalled ("" if
-    it reached zero)."""
-    zero = ((0,) * len(rows),) * len(rows)
+    """The letters the greedy descent applies to rows over d, and why it
+    stalled ("" if it reached zero)."""
+    nbrs = _neighbours(spec)
+    # the lifts of the plain weights: 2d at mu_i
+    lifts = tuple(((i, 2 * d),) for i in spec.indices)
     # R_i changes only row i, so the mass at (1,...,1) moves by
-    # 2 - 2 sums[i] - sum_{t != i} k_it sums[t]
+    # 2d - 2 sums[i] - sum_{t != i} k_it sums[t], the 2d from the lift
     sums = [sum(row) for row in rows]
     applied: list[int] = []
-    while rows != zero:
+    while any(map(any, rows)):
         if len(applied) >= max_steps:
             return applied, "step budget exhausted"
         for i, nb in enumerate(nbrs):
-            delta = 2 - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
+            delta = 2 * d - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
             if delta < 0:
                 break
         else:
             return applied, "no descending generator"
-        rows = _reflect(rows, i, nbrs)
+        rows = _reflect(rows, i, nbrs, lifts[i])
         sums[i] += delta
         applied.append(i + 1)
     return applied, ""

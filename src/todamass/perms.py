@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .action import Word, family_matrix
-from .chains import _prefix_sums, mu_star
+from .action import Word
+from .chains import _block, _prefix_sums, mu_star
 from .errors import DomainError, SymmetryError
 
 
@@ -160,9 +160,7 @@ def sigma_f_ct(v: MassVector, f: SPermC, J) -> MassVector:
     spec = v.spec
     if spec.family != AFFINE_CT:
         raise DomainError("sigma_f_ct needs an affine Ct spec")
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
+    _block(J, spec)
     l0 = J.length
     if f.l != l0:
         raise DomainError("permutation acts on 0..%d, block needs 0..%d"
@@ -201,14 +199,10 @@ def fold_ct_to_a(v: MassVector,
     n = v.spec.n
     if weights is None:
         weights = [LinForm.weight(i) for i in v.spec.indices]
-    spec_a = AlgebraSpec(AFFINE_A, 2 * n - 1)
-    entries = []
-    folded_w = []
-    for i in range(1, 2 * n + 1):
-        src = i if i <= n + 1 else 2 * n + 2 - i
-        entries.append(v.entry(src))
-        folded_w.append(weights[src - 1])
-    return MassVector(spec_a, tuple(entries)), folded_w
+    src = [min(i, 2 * n + 2 - i) for i in range(1, 2 * n + 1)]
+    return (MassVector(AlgebraSpec(AFFINE_A, 2 * n - 1),
+                       tuple(v.entry(i) for i in src)),
+            [weights[i - 1] for i in src])
 
 
 def unfold_a_to_ct(w: MassVector) -> MassVector:

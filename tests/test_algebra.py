@@ -118,3 +118,35 @@ def test_malformed_json_rejected(text):
     with pytest.raises(FormatError):
         MassVector.from_json(text)
 
+
+
+def make_path_from_json(obj, size):
+    """Entry parsing as it was: the parsed maps through `LinForm.make`."""
+    from todamass.algebra import _frac_from_str
+
+    def coeffs(key):
+        return {int(k): _frac_from_str(v) for k, v in obj.get(key, {}).items()}
+
+    return LinForm.make(_frac_from_str(obj.get("const", "0")), coeffs("mu"),
+                        coeffs("s"))
+
+
+# index keys as JSON writes them, and with a leading zero, which names
+# the same index: the later key wins on both paths
+index_keys = st.integers(1, 5).flatmap(
+    lambda i: st.sampled_from([str(i), "0" + str(i)]))
+coeff_texts = st.one_of(st.just("0"), st.just("-0"), rationals.map(str))
+json_entries = st.fixed_dictionaries(
+    {}, optional={"const": coeff_texts,
+                  "mu": st.dictionaries(index_keys, coeff_texts, max_size=6),
+                  "s": st.dictionaries(index_keys, coeff_texts, max_size=4)})
+
+
+@given(json_entries)
+def test_entry_parsing_matches_make_path(obj):
+    from todamass.algebra import _linform_from_json
+    got = _linform_from_json(obj, 5)
+    assert got == make_path_from_json(obj, 5)
+    assert all(c for _, c in got.mu + got.s)
+    assert [i for i, _ in got.mu] == sorted({i for i, _ in got.mu})
+    assert [i for i, _ in got.s] == sorted({i for i, _ in got.s})

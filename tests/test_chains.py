@@ -1,8 +1,8 @@
 import pytest
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import Word, apply_word
-from todamass.cartan import ConsecutiveSet
+from todamass.action import Word, apply_word, family_matrix
+from todamass.cartan import ConsecutiveSet, inverse_finite_a, inverse_submatrix
 from todamass.chains import (Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
                              closed_form_ct, mu_star)
@@ -45,9 +45,60 @@ def old_std_chain(l):
     return tuple(p + 2 for p in old_std_chain(l - 4)) + block * 2
 
 
+def recursive_std_chain(l):
+    """The chain letters by their recursive definition."""
+    if l == 0:
+        return (1,)
+    if l == 1:
+        return (1, 2, 1)
+    block = tuple(range(2, l + 2)) + tuple(range(l - 1, 0, -1))
+    middle = (tuple(p + 2 for p in recursive_std_chain(l - 4))
+              if l >= 4 else ())
+    return middle + block * 2
+
+
 def test_std_chain_matches_written_out_base_cases():
     for l in range(31):
         assert _std_chain(l) == old_std_chain(l), l
+
+
+def test_std_chain_loop_matches_recursive_definition():
+    for l in range(61):
+        assert _std_chain(l) == recursive_std_chain(l), l
+
+
+def test_std_chain_at_l_4000_has_the_chain_length():
+    # the recursive definition nests 1000 deep here
+    assert len(_std_chain(4000)) == 4001 * 4002 // 2
+
+
+def closed_form_a_blocks(n):
+    """Every block `closed_form_a` accepts at rank n, by family."""
+    for spec in (a_spec(n), ct_spec(n)):
+        z = MassVector.zero(spec)
+        for start in range(1, n + 2):
+            for length in range(n + 1):
+                for wrap in (False, True):
+                    J = ConsecutiveSet(start, length, wrap)
+                    try:
+                        closed_form_a(z, J)
+                    except DomainError:
+                        continue
+                    yield spec, J
+
+
+def test_closed_form_inverse_applies_to_every_accepted_block():
+    kinds = {"a": 0, "wrap": 0, "ct": 0}
+    for n in range(2, 13):
+        for spec, J in closed_form_a_blocks(n):
+            K = inverse_submatrix(family_matrix(spec), J)
+            assert K.entries == \
+                inverse_finite_a(len(J.indices(n))).entries, (spec, J)
+            kinds["ct" if spec.family == "affine_ct" else
+                  "wrap" if J.wrap else "a"] += 1
+    # (n+1)(n+2)/2 - 1 proper A blocks, n(n-1)/2 wrap blocks and as many
+    # Ct interior blocks at each rank: 1,012 in all
+    assert kinds == {"a": 440, "wrap": 286, "ct": 286}
 
 
 def test_chain_word_shapes():

@@ -1,10 +1,11 @@
-"""Differential tests: the integer orbit kernel against the LinForm path.
+"""Differential tests: the integer row kernel against the LinForm path.
 
-The oracles below are the symbolic implementations that enumeration,
-DOT export and descent used before they moved onto integer coefficient
-rows; they build every vector with `apply_generator`.  Membership is
-also checked against the order it used to take: `gamma_n_test` first,
-then the integer descent.
+The oracles below are the symbolic implementations that words,
+enumeration, DOT export and descent used before they moved onto integer
+rows; they build every vector with `linform_generator`, the generator
+rule as one `LinForm.combine` per letter.  Membership is also checked
+against the order it used to take: `gamma_n_test` first, then the
+integer descent.
 """
 
 import random
@@ -14,16 +15,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import Word, apply_generator, apply_word
-from todamass.errors import NotMassForm
+from todamass.action import (Word, _form, _kernel_rows, _neighbours,
+                             _reflect, apply_generator, apply_word,
+                             family_matrix, verify_relation)
+from todamass.errors import DomainError, NotMassForm
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
-                            MembershipReport, OrbitNode, _form, _neighbours,
-                            _reflect, coefficient_matrix, descend_to_zero,
-                            enumerate_orbit, export_graph, gamma_n_test)
+                            MembershipReport, OrbitNode, coefficient_matrix,
+                            descend_to_zero, enumerate_orbit, export_graph,
+                            gamma_n_test)
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
                       ("affine_ct", 3, 4))
+
+
+def linform_generator(i, v, weights=None):
+    """R_i: entry i becomes 2 w_i + sigma_i - sum_t k_it sigma_t."""
+    spec = v.spec
+    if not 1 <= i <= spec.size:
+        raise DomainError("generator index %d outside 1..%d" % (i, spec.size))
+    row = family_matrix(spec).entries[i - 1]
+    w_i = weights[i - 1] if weights is not None else LinForm.weight(i)
+    return v.replace(i, LinForm.combine(
+        [(2, w_i), (1, v.entries[i - 1])]
+        + [(-c, e) for c, e in zip(row, v.entries)]))
+
+
+def linform_word(w, v, weights=None):
+    for i in reversed(w.letters):
+        v = linform_generator(i, v, weights)
+    return v
 
 
 def linform_enumerate(spec, depth, skip_repeat=True):
@@ -37,7 +58,7 @@ def linform_enumerate(spec, depth, skip_repeat=True):
             for i in spec.indices:
                 if skip_repeat and i == first:
                     continue
-                child = apply_generator(i, node.vector)
+                child = linform_generator(i, node.vector)
                 word = Word((i,) + node.witness.letters)
                 candidates.append((child.canonical_key(),
                                    OrbitNode(child, word, node.level + 1)))
@@ -57,8 +78,8 @@ def replayed_edges(nodes):
     lines = []
     for k, nd in enumerate(nodes):
         if nd.witness.letters:
-            parent = apply_word(Word(nd.witness.letters[1:]),
-                                MassVector.zero(nd.vector.spec))
+            parent = linform_word(Word(nd.witness.letters[1:]),
+                                  MassVector.zero(nd.vector.spec))
             lines.append("  v%d -> v%d [label=%d];"
                          % (ids[parent.canonical_key()], k,
                             nd.witness.letters[0]))
@@ -82,7 +103,7 @@ def linform_descent(v, max_steps=256):
                                     steps=len(applied))
         phi = _phi(cur)
         for i in cur.spec.indices:
-            child = apply_generator(i, cur)
+            child = linform_generator(i, cur)
             if _phi(child) < phi:
                 break
         else:
@@ -103,9 +124,9 @@ def gamma_first_descent(v, max_steps=256):
     if base.verdict != MEMBER:
         return base
     nbrs = _neighbours(v.spec)
-    rows = tuple(tuple(int(2 * c) for c in row)
+    _, zero, lifts = _kernel_rows(MassVector.zero(v.spec))
+    rows = tuple((0,) + tuple(int(2 * c) for c in row)
                  for row in coefficient_matrix(v).entries)
-    zero = ((0,) * v.spec.size,) * v.spec.size
     sums = [sum(row) for row in rows]
     applied = []
     while rows != zero:
@@ -121,7 +142,7 @@ def gamma_first_descent(v, max_steps=256):
             return MembershipReport(DESCENT_STALLED, True, True,
                                     reason="no descending generator",
                                     steps=len(applied))
-        rows = _reflect(rows, i, nbrs)
+        rows = _reflect(rows, i, nbrs, lifts[i])
         sums[i] += delta
         applied.append(i + 1)
     return MembershipReport(MEMBER, True, True,
@@ -134,7 +155,7 @@ def ascent(spec, steps, rng):
     v = MassVector.zero(spec)
     for _ in range(steps):
         phi = _phi(v)
-        ups = [c for c in (apply_generator(i, v) for i in spec.indices)
+        ups = [c for c in (linform_generator(i, v) for i in spec.indices)
                if _phi(c) > phi]
         v = rng.choice(ups)
     return v
@@ -148,12 +169,63 @@ def test_integer_step_matches_apply_generator(family, n, data):
     letters = data.draw(st.lists(st.sampled_from(list(spec.indices)),
                                  max_size=12))
     nbrs = _neighbours(spec)
-    rows = ((0,) * spec.size,) * spec.size
+    layout, rows, lifts = _kernel_rows(MassVector.zero(spec))
     v = MassVector.zero(spec)
     for i in letters:
-        rows = _reflect(rows, i - 1, nbrs)
-        v = apply_generator(i, v)
-        assert MassVector(spec, tuple(map(_form, rows))) == v
+        rows = _reflect(rows, i - 1, nbrs, lifts[i - 1])
+        v = linform_generator(i, v)
+        assert MassVector(spec, tuple(_form(row, layout)
+                                      for row in rows)) == v
+        assert apply_generator(i, v) == linform_generator(i, v)
+
+
+def outcome(call):
+    """A call's result, or its error type and message."""
+    try:
+        return call()
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def forms(size):
+    """Forms with constants, Fractions, s-terms and mu indices outside
+    1..size, stray ones below and above."""
+    return st.builds(
+        LinForm.make, rationals,
+        st.dictionaries(st.integers(-1, size + 2), rationals, max_size=4),
+        st.dictionaries(st.integers(1, size), rationals, max_size=2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 6),
+       st.sampled_from(["generic", "mixed", "overlay"]), st.data())
+def test_apply_word_matches_linform_fold(family, n, kind, data):
+    spec = AlgebraSpec(family, n)
+    size = spec.size
+    letters = data.draw(st.lists(st.integers(1, size), max_size=14))
+    if data.draw(st.integers(0, 4)) == 0:
+        # one letter out of range: the first one applied raises
+        bad = data.draw(st.sampled_from([0, -2, size + 1, size + 3]))
+        letters.insert(data.draw(st.integers(0, len(letters))), bad)
+    word = Word(tuple(letters))
+    v, weights = MassVector.generic(spec), None
+    if kind != "generic":
+        v = MassVector(spec, tuple(data.draw(st.lists(
+            forms(size), min_size=size, max_size=size))))
+    if kind == "overlay":
+        weights = data.draw(st.lists(forms(size), min_size=size,
+                                     max_size=size + 2))
+    want = outcome(lambda: linform_word(word, v, weights))
+    assert outcome(lambda: apply_word(word, v, weights)) == want
+    g = MassVector.generic(spec)
+    if all(1 <= i <= size for i in letters):
+        assert verify_relation(word, spec) == (linform_word(word, g) == g)
+        assert verify_relation(word * Word(tuple(reversed(letters))), spec)
+    else:
+        assert outcome(lambda: verify_relation(word, spec)) == want
 
 
 @pytest.mark.parametrize("family,n,depth", CRITERION_12_SWEEP)
@@ -185,7 +257,7 @@ def test_descent_matches_linform_on_members():
             for _ in range(5):
                 word = Word(tuple(rng.choice(spec.indices)
                                   for _ in range(rng.randrange(1, 15))))
-                v = apply_word(word, MassVector.zero(spec))
+                v = linform_word(word, MassVector.zero(spec))
                 assert descend_to_zero(v, max_steps=30) == \
                     linform_descent(v, max_steps=30)
 
