@@ -132,6 +132,14 @@ def _neighbours(spec: AlgebraSpec) -> _Neighbours:
                  for i in spec.indices)
 
 
+@cache
+def _columns(spec: AlgebraSpec) -> _Neighbours:
+    """Per generator i, the (t, k_ti) with t != i and k_ti != 0: column i
+    of the Cartan matrix, which in Ct differs from row i."""
+    return tuple(tuple((t, k) for t, nb in enumerate(_neighbours(spec))
+                       for j, k in nb if j == i) for i in range(spec.size))
+
+
 def _kernel_rows(v: MassVector, weights: Optional[Sequence[LinForm]] = None
                  ) -> tuple[_Layout, _Rows, _Lifts]:
     """v's entry rows, and each weight's lift, for `_reflect`."""

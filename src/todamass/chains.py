@@ -57,16 +57,12 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     return idx
 
 
-def _relabeled(letters: tuple[int, ...], idx: list[int]) -> tuple[int, ...]:
-    return tuple(idx[p - 1] for p in letters)
-
-
 def chain_word_a(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """A-type chain word for a proper consecutive (or wrap) block."""
     if spec.family != AFFINE_A:
         raise DomainError("A-type chains need an affine A spec")
     idx = _block(J, spec)
-    letters = _relabeled(_std_chain(J.length), idx)
+    letters = tuple(idx[p - 1] for p in _std_chain(J.length))
     return ChainPlan(J, Word(letters), spec.family)
 
 
@@ -85,7 +81,7 @@ def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     elif J.is_tail(spec.n):
         letters = tuple(range(j, j + l + 1)) * (l + 1)
     else:
-        letters = _relabeled(_std_chain(l), idx)
+        letters = tuple(idx[p - 1] for p in _std_chain(l))
     return ChainPlan(J, Word(letters), spec.family)
 
 

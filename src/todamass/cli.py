@@ -13,8 +13,8 @@ from functools import cache
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
-from .action import (apply_word, pohozaev_residual, presentation_relations,
-                     verify_relation)
+from .action import (Word, apply_word, pohozaev_residual,
+                     presentation_relations, verify_relation)
 from .chains import (Decomposition, blowup_step, chain_word_a, chain_word_ct,
                      closed_form_a, closed_form_ct)
 from .errors import NotMassForm, TodamassError
@@ -24,6 +24,7 @@ from .perms import (CyclicRotation, SPermC, fold_ct_to_a, rotate_vector,
                     sc_simple)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
+WORD_SLICE = 4096  # letters per piece of a written word
 
 
 class UsageError(Exception):
@@ -99,6 +100,16 @@ def _cmd_relations(args, out) -> int:
     return 0 if not failed else 2
 
 
+def _write_word(out, word: Word) -> None:
+    """Write "word %s\n" % word, the letters joined WORD_SLICE at a time,
+    so that a word of millions of letters is never one string."""
+    out.write("word [")
+    for k in range(0, len(word), WORD_SLICE):
+        out.write((" " if k else "")
+                  + " ".join(map(str, word.letters[k:k + WORD_SLICE])))
+    out.write("]\n")
+
+
 def _cmd_chain(args, out) -> int:
     spec = _spec(args)
     if args.wrap:
@@ -109,7 +120,7 @@ def _cmd_chain(args, out) -> int:
         J = ConsecutiveSet(*_parse_pair(args.set, ":", "--set j:l"))
     builder = chain_word_a if spec.family == AFFINE_A else chain_word_ct
     plan = builder(J, spec)
-    out.write("word %s\n" % plan.word)
+    _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
         g = MassVector.generic(spec)
@@ -127,6 +138,8 @@ def _cmd_chain(args, out) -> int:
 def _cmd_orbit(args, out) -> int:
     _require("--depth", args.depth, 0)
     _require("--workers", args.workers, 1)
+    if args.mu is not None and args.out != "csv":
+        raise UsageError("--mu needs --out csv")
     spec = _spec(args)
     nodes = enumerate_orbit(spec, args.depth, workers=args.workers)
     mu = _parse_mu(args.mu, spec.size) if args.mu else None
@@ -194,10 +207,8 @@ def _cmd_sperm(args, out) -> int:
 def _cmd_blowup_step(args, out) -> int:
     spec = _spec(args)
     blocks = [_parse_block(tok, spec) for tok in args.blocks.split(",")]
-    covered = set()
-    for b in blocks:
-        covered |= set(b.indices(spec.n))
-    null_set = frozenset(spec.indices) - covered
+    null_set = frozenset(spec.indices).difference(
+        *(b.indices(spec.n) for b in blocks))
     d = Decomposition(spec, args.case, tuple(blocks), null_set)
     v = _load_vector(args.input) if args.input else MassVector.zero(spec)
     result = blowup_step(v, d)

@@ -1,9 +1,11 @@
-"""Breadth-first orbit enumeration, membership tests, descent certificates.
+"""Orbit enumeration by reverse search, membership, descent certificates.
 
-The orbit of the zero vector under the generator action is infinite, so
-enumeration is always depth-bounded.  Every orbit vector has entries
-2 sum_j n_ij mu_j with integers n_ij, so enumeration and descent run on
-the integer rows of `action`, with its reflection rule, and build
+One rule gives the orbit and its certificates: descend by R_i for the
+smallest i whose phi delta, the change R_i makes to the mass at weights
+(1,...,1), is negative.  Enumeration walks the rule back from zero by
+reverse search (Avis & Fukuda, 1996), to a bounded depth and with no
+visited set.  Orbit entries are 2 sum_j n_ij mu_j with integers n_ij, so
+both run on the integer rows and reflection rule of `action`, and build
 symbolic vectors only for the nodes they return.
 """
 
@@ -16,8 +18,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgebraSpec, MassVector, _weight_map
-from .action import (Word, _int_rows, _form, _kernel_rows, _neighbours,
-                     _reflect, _Rows, pohozaev_residual)
+from .action import (Word, _columns, _int_rows, _form, _kernel_rows,
+                     _neighbours, _reflect, _Rows, pohozaev_residual)
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -55,52 +57,36 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
                     workers: int = 1) -> list[OrbitNode]:
     """All orbit vectors within the given word length, as sorted nodes.
 
-    Each vector carries the lexicographically smallest witness word among
-    its shortest ones.  The result is sorted by (level, canonical key).
-    Enumeration is serial on integer coefficient rows; ``workers`` is
-    accepted for compatibility and does not change anything.
+    R_i of a node, for i with a positive delta, is its child exactly when
+    i is the child's smallest descent, the letter `_descend` takes back.
+    So each vector comes once, with its descent word reversed as witness:
+    its lexicographically smallest shortest word, of length its level.
+    Sorted by (level, canonical key); ``workers`` is accepted and ignored.
     """
-    nbrs = _neighbours(spec)
+    nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
-    seen = {zero}
-    levels = [[(zero, ())]]
+    level = [(zero, (), _deltas(zero, 1, spec))]
+    tree = list(level)
     for _ in range(depth):
-        # Generators outermost and each level in witness order, so the
-        # first word that reaches a vector is its smallest, and the next
-        # level comes out in witness order too.
-        found = []
-        for i in range(spec.size):
-            letter = i + 1
-            for rows, word in levels[-1]:
-                if word and word[0] == letter:
-                    continue  # R_i^2 = e, this child is the node's own parent
-                child = _reflect(rows, i, nbrs, lifts[i])
-                if child not in seen:
-                    seen.add(child)
-                    found.append((child, (letter,) + word))
-        if not found:
-            break
-        levels.append(found)
+        level = [(_reflect(rows, i, nbrs, lifts[i]), (i + 1,) + word, child)
+                 for rows, word, deltas in level
+                 for i, delta in enumerate(deltas) if delta > 0
+                 if _first_descent(child := _stepped(deltas, i, cols)) == i]
+        tree += level
     # one form per distinct row, shared by every vector that has it
-    distinct = {row for members in levels for rows, _ in members
-                for row in rows}
-    forms = {row: _form(row, layout) for row in distinct}
+    forms = {row: _form(row, layout)
+             for row in {row for rows, _, _ in tree for row in rows}}
     nodes = [OrbitNode(MassVector(spec, tuple(forms[row] for row in rows)),
-                       Word(word), level)
-             for level, members in enumerate(levels)
-             for rows, word in members]
+                       Word(word), len(word)) for rows, word, _ in tree]
     nodes.sort(key=lambda nd: (nd.level, nd.vector.canonical_key()))
     return nodes
 
 
 def _mass_rows(v: MassVector) -> tuple[int, _Rows, bool]:
-    """(d, rows, stray): each entry times d as a row of the plain layout.
-
-    The plain layout is that of orbit vectors: column 0 holds the
-    constant, here 0, and column j the coefficient of mu_j.  d is the
-    lcm of the entries' denominators.  The flag says whether some entry
-    also mentions a mu index outside 1..n+1, which no row holds.
-    """
+    """(d, rows, stray): each entry times d, d the lcm of their
+    denominators, as a row of the layout of orbit vectors, column 0 the
+    constant 0 and column j the coefficient of mu_j; stray says whether
+    some entry mentions a mu index outside 1..n+1, which no row holds."""
     for i, e in enumerate(v.entries, 1):
         if e.const:
             raise NotMassForm("entry %d has constant term %s" % (i, e.const))
@@ -123,23 +109,17 @@ def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
 def _verdict(v: MassVector, coeffs_ok: bool) -> MembershipReport:
     """The two-condition report, the Pohozaev residual computed here."""
     pohozaev_ok = pohozaev_residual(v).is_zero
-    verdict = MEMBER if (coeffs_ok and pohozaev_ok) else NOT_IN_GAMMA_N
-    reason = ""
-    if not coeffs_ok:
-        reason = "coefficient matrix is not nonnegative-integral"
-    elif not pohozaev_ok:
-        reason = "Pohozaev residual is nonzero"
-    return MembershipReport(verdict, pohozaev_ok, coeffs_ok, reason=reason)
+    reason = ("coefficient matrix is not nonnegative-integral" if not coeffs_ok
+              else "" if pohozaev_ok else "Pohozaev residual is nonzero")
+    return MembershipReport(NOT_IN_GAMMA_N if reason else MEMBER,
+                            pohozaev_ok, coeffs_ok, reason=reason)
 
 
 def gamma_n_test(v: MassVector) -> MembershipReport:
     """Check the two membership conditions: coefficients and Pohozaev.
 
-    Both are always evaluated.  `descend_to_zero` decides membership in
-    a cheaper order, coefficients first, then the descent, and the
-    residual only if the descent stalls, since a descent that reaches
-    zero proves the residual zero.  Whenever it rejects a vector it
-    returns this same report.
+    Both are always evaluated.  `descend_to_zero` decides in a cheaper
+    order and returns this same report whenever it rejects a vector.
     """
     return _verdict(v, coefficient_matrix(v).is_nonneg_integral())
 
@@ -147,22 +127,13 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
 def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     """Greedy descent certificate: a word carrying v to zero, if found.
 
-    The entries are read once as integer mu-coefficient rows.  A
-    coefficient n_ij that is not a nonnegative integer rejects v at once,
-    with the report of `gamma_n_test`.  Otherwise the descent runs: at
-    each step, among generators that strictly decrease the total mass at
-    weights (1,...,1), the smallest index is applied.  If none exists
-    before reaching zero the descent stalls, never loops.
-
-    The Pohozaev residual is computed only on a stall (no descending
-    generator, or the step budget spent): a nonzero residual makes v a
-    non-member, a zero one leaves the verdict a stall.  A descent that
-    reaches zero needs no residual: the word it returns carries v to
-    zero, every generator is invertible (an involution), so v is the
-    reversed word applied to zero, an orbit vector, and the residual
-    vanishes on the whole orbit (acceptance criterion 6).  The descent
-    reads only mu_1..mu_{n+1}, so for an entry that mentions another
-    index the residual is computed even then.
+    The entries are read once as integer rows.  A coefficient n_ij that
+    is not a nonnegative integer rejects v at once, with the report of
+    `gamma_n_test`.  Only a stall of `_descend` computes the Pohozaev
+    residual, whose nonzero value makes v a non-member: a descent that
+    reaches zero shows v = R_w(0), where it vanishes (criterion 6),
+    unless an entry mentions a mu index outside 1..n+1, which the descent
+    does not read.
     """
     d, rows, stray = _mass_rows(v)
     if not all(c >= 0 and not c % (2 * d) for row in rows for c in row):
@@ -179,28 +150,47 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
 
 
+def _deltas(rows: _Rows, d: int, spec: AlgebraSpec) -> list[int]:
+    """The phi deltas at rows over d: R_i changes only row i, with a lift
+    of 2d, so delta_i = 2d - 2 sums[i] - sum_{t != i} k_it sums[t]."""
+    sums = [sum(row) for row in rows]
+    return [2 * d - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
+            for i, nb in enumerate(_neighbours(spec))]
+
+
+def _first_descent(deltas: Sequence[int]) -> int:
+    """The smallest i whose delta is negative, -1 if there is none."""
+    return next((i for i, delta in enumerate(deltas) if delta < 0), -1)
+
+
+def _stepped(deltas: Sequence[int], i: int, cols) -> list[int]:
+    """The deltas after R_{i+1}, with ``cols`` from `_columns`: delta_i
+    changes sign and each delta_t moves by -k_ti delta_i."""
+    out = list(deltas)
+    out[i] = -deltas[i]
+    for t, k in cols[i]:
+        out[t] -= k * deltas[i]
+    return out
+
+
 def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
              max_steps: int) -> tuple[list[int], str]:
     """The letters the greedy descent applies to rows over d, and why it
-    stalled ("" if it reached zero)."""
-    nbrs = _neighbours(spec)
+    stalled ("" if it reached zero): each step applies R_i for the
+    smallest i with a negative delta."""
+    nbrs, cols = _neighbours(spec), _columns(spec)
     # the lifts of the plain weights: 2d at mu_i
     lifts = tuple(((i, 2 * d),) for i in spec.indices)
-    # R_i changes only row i, so the mass at (1,...,1) moves by
-    # 2d - 2 sums[i] - sum_{t != i} k_it sums[t], the 2d from the lift
-    sums = [sum(row) for row in rows]
+    deltas = _deltas(rows, d, spec)
     applied: list[int] = []
     while any(map(any, rows)):
         if len(applied) >= max_steps:
             return applied, "step budget exhausted"
-        for i, nb in enumerate(nbrs):
-            delta = 2 * d - 2 * sums[i] - sum(k * sums[t] for t, k in nb)
-            if delta < 0:
-                break
-        else:
+        i = _first_descent(deltas)
+        if i < 0:
             return applied, "no descending generator"
         rows = _reflect(rows, i, nbrs, lifts[i])
-        sums[i] += delta
+        deltas = _stepped(deltas, i, cols)
         applied.append(i + 1)
     return applied, ""
 

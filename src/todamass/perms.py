@@ -51,14 +51,12 @@ def rotation_covariance(word: Word, rot: CyclicRotation,
     """
     if spec.family != AFFINE_A:
         raise DomainError("rotations are an affine A diagram symmetry")
-    n = spec.n
-    return Word(tuple(rot.invert(i, n) for i in word.letters))
+    return Word(tuple(rot.invert(i, spec.n) for i in word.letters))
 
 
 def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
     """The weight overlay mu'_i = mu_{f(i)} as forms."""
-    n = spec.n
-    return [LinForm.weight(rot.apply(i, n)) for i in spec.indices]
+    return [LinForm.weight(rot.apply(i, spec.n)) for i in spec.indices]
 
 
 @dataclass(frozen=True)
@@ -138,14 +136,10 @@ def sc_simple(i: int, l: int) -> SPermC:
     """The i-th simple palindromic involution of {0..2l+1}, 0 <= i <= l."""
     if not 0 <= i <= l:
         raise DomainError("simple index %d outside 0..%d" % (i, l))
-    vals = []
-    for j in range(2 * l + 2):
-        if j == i or j == 2 * l - i:
-            vals.append(j + 1)
-        elif j == i + 1 or j == 2 * l + 1 - i:
-            vals.append(j - 1)
-        else:
-            vals.append(j)
+    # swaps i, i+1 and their mirrors 2l-i, 2l+1-i, the same pair at i = l
+    vals = list(range(2 * l + 2))
+    for j in (i, 2 * l - i):
+        vals[j], vals[j + 1] = j + 1, j
     return SPermC(tuple(vals))
 
 

@@ -1,12 +1,15 @@
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
-from todamass.cli import build_parser, run
+from todamass.cartan import ConsecutiveSet
+from todamass.chains import chain_word_a, chain_word_ct
+from todamass.cli import WORD_SLICE, _write_word, build_parser, run
 
 
 def invoke(argv):
@@ -132,6 +135,34 @@ def test_byte_identical_repeat_runs():
             "--out", "json"]
     outs = {invoke(args)[1] for _ in range(3)}
     assert len(outs) == 1
+
+
+def test_word_written_in_slices_equals_its_string():
+    rng = random.Random(8)
+    for length in (0, 1, WORD_SLICE - 1, WORD_SLICE, WORD_SLICE + 1,
+                   2 * WORD_SLICE, 2 * WORD_SLICE + 1):
+        word = Word(tuple(rng.randint(1, 12) for _ in range(length)))
+        out = io.StringIO()
+        _write_word(out, word)
+        assert out.getvalue() == "word %s\n" % word, length
+    # the set {2, .., 2+l} has a chain of (l+1)(l+2)/2 letters: 4095 at
+    # l = 89, 4186 at l = 90
+    for flag, builder in (("a", chain_word_a), ("ct", chain_word_ct)):
+        for l in (89, 90):
+            plan = builder(ConsecutiveSet(2, l),
+                           AlgebraSpec("affine_" + flag, l + 3))
+            code, out, _ = invoke(["chain", "--family", flag, "--rank",
+                                   str(l + 3), "--set", "2:%d" % l])
+            assert code == 0
+            assert out == "word %s\nlength %d\n" % (plan.word, len(plan.word))
+
+
+def test_orbit_mu_needs_csv():
+    for fmt in (["--out", "json"], ["--out", "dot"], []):
+        code, out, err = invoke(["orbit", "--family", "a", "--rank", "2",
+                                 "--depth", "1", "--mu", "ones"] + fmt)
+        assert code == 1 and out == "", fmt
+        assert err == "usage error: --mu needs --out csv\n"
 
 
 def test_orbit_rejects_workers_below_one():

@@ -5,10 +5,13 @@ enumeration, DOT export and descent used before they moved onto integer
 rows; they build every vector with `linform_generator`, the generator
 rule as one `LinForm.combine` per letter.  Membership is also checked
 against the order it used to take: `gamma_n_test` first, then the
-integer descent.
+integer descent.  Reverse-search enumeration is checked against the
+breadth-first search with a visited set that it replaced, `bfs_rows`,
+and its level counts against Bott's formula.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,19 @@ from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
                       ("affine_ct", 3, 4))
+# the orbit-export benchmark grid, then deeper sweeps of 1.5k-3k nodes
+REVERSE_SEARCH_SWEEP = (
+    ("affine_a", 3, 8), ("affine_ct", 3, 9), ("affine_a", 2, 9),
+    ("affine_ct", 2, 10), ("affine_a", 4, 5), ("affine_ct", 4, 5),
+    ("affine_a", 5, 4), ("affine_ct", 5, 4), ("affine_a", 6, 3),
+    ("affine_a", 6, 4), ("affine_ct", 6, 4), ("affine_a", 7, 3),
+    ("affine_ct", 7, 3),
+    ("affine_a", 2, 40), ("affine_a", 3, 16), ("affine_a", 5, 8),
+    ("affine_a", 7, 6), ("affine_ct", 2, 30), ("affine_ct", 3, 14),
+    ("affine_ct", 5, 8), ("affine_ct", 7, 6))
+# per family, the depth of the Bott check at ranks 2..7
+BOTT_DEPTHS = {"affine_a": (58, 20, 13, 10, 8, 7),
+               "affine_ct": (58, 24, 14, 11, 9, 7)}
 
 
 def linform_generator(i, v, weights=None):
@@ -70,6 +86,46 @@ def linform_enumerate(spec, depth, skip_repeat=True):
                 frontier.append(node)
     return sorted(seen.values(),
                   key=lambda nd: (nd.level, nd.vector.canonical_key()))
+
+
+def bfs_rows(spec, depth):
+    """(rows, witness) of every orbit vector within depth, by breadth-first
+    search on integer rows with a set of visited rows.
+
+    Generators outermost and each level in witness order, so the first
+    word that reaches a vector is its smallest, and the next level comes
+    out in witness order too.
+    """
+    nbrs = _neighbours(spec)
+    _, zero, lifts = _kernel_rows(MassVector.zero(spec))
+    seen = {zero}
+    levels = [[(zero, ())]]
+    for _ in range(depth):
+        found = []
+        for i in range(spec.size):
+            letter = i + 1
+            for rows, word in levels[-1]:
+                if word and word[0] == letter:
+                    continue  # R_i^2 = e, this child is the node's own parent
+                child = _reflect(rows, i, nbrs, lifts[i])
+                if child not in seen:
+                    seen.add(child)
+                    found.append((child, (letter,) + word))
+        if not found:
+            break
+        levels.append(found)
+    return {pair for members in levels for pair in members}
+
+
+def bott_counts(exponents, depth):
+    """The coefficients of t^0..t^depth in Bott's series of the affine
+    Weyl group, prod_i (1 + t + ... + t^e_i) / (1 - t^e_i)."""
+    series = [1] + [0] * depth
+    for e in exponents:
+        series = [sum(series[max(0, k - e):k + 1]) for k in range(depth + 1)]
+        for k in range(e, depth + 1):
+            series[k] += series[k - e]
+    return series
 
 
 def replayed_edges(nodes):
@@ -234,6 +290,32 @@ def test_enumeration_matches_linform_bfs(family, n, depth):
     nodes = enumerate_orbit(spec, depth)
     for skip in (True, False):
         assert nodes == linform_enumerate(spec, depth, skip_repeat=skip)
+
+
+@pytest.mark.parametrize("family,n,depth", REVERSE_SEARCH_SWEEP)
+def test_reverse_search_matches_bfs_and_descent(family, n, depth):
+    spec = AlgebraSpec(family, n)
+    nodes = enumerate_orbit(spec, depth)
+    assert {(_kernel_rows(nd.vector)[1], nd.witness.letters)
+            for nd in nodes} == bfs_rows(spec, depth)
+    assert len(nodes) == len({nd.vector for nd in nodes})
+    for nd in nodes:
+        report = descend_to_zero(nd.vector)
+        assert report.word.letters[::-1] == nd.witness.letters
+        assert report.steps == nd.level == len(nd.witness)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_level_counts_follow_bott_formula(family):
+    # the finite exponents: 1..n for A_n, and 1, 3, .., 2n-1 for C_n,
+    # since the Ct relations (R2R1)^4 make the group affine C_n
+    for n, depth in enumerate(BOTT_DEPTHS[family], 2):
+        exponents = range(1, n + 1) if family == "affine_a" \
+            else range(1, 2 * n, 2)
+        levels = Counter(nd.level for nd in
+                         enumerate_orbit(AlgebraSpec(family, n), depth))
+        assert [levels[k] for k in range(depth + 1)] == \
+            bott_counts(exponents, depth), (n, depth)
 
 
 @pytest.mark.parametrize("family,n,depth", CRITERION_12_SWEEP)
