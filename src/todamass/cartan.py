@@ -164,9 +164,7 @@ def inverse(m: CartanMatrix) -> CartanMatrix:
 def inverse_submatrix(m: CartanMatrix, J: ConsecutiveSet) -> CartanMatrix:
     """Exact inverse of the principal submatrix of m at J.
 
-    `closed_form_a` does not call this: every block it accepts has the
-    finite A submatrix, whose inverse `inverse_finite_a` gives in closed
-    form.
+    No chain target reads an inverse: each is a permutation mass.
     """
     return inverse(principal_submatrix(m, J))
 

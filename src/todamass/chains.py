@@ -5,22 +5,21 @@ application realizes, in one shot, the mass gain of a full sub-system
 blow-up.  For affine A the word on a block of size l+1 has length
 (l+1)(l+2)/2; for affine Ct, blocks touching the boundary use squares of
 sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
+
+A chain's target is the permutation mass of the longest element (the
+reversal), read from `perms.finite_a_mass`; no inverse matrix is needed.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable
 
-from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .cartan import ConsecutiveSet, inverse_finite_a
+from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
+from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
-from .action import Word, apply_word, family_matrix
-
-HALF = Fraction(1, 2)
+from .action import Word, apply_word
+from .perms import (FinitePermutation, SPermC, _block, finite_a_mass, mu_star,
+                    sigma_f_ct)
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,6 @@ def _std_chain(l: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
-    """J's elements, which must not cover the whole index set."""
-    idx = J.indices(spec.n)
-    if len(idx) >= spec.size:
-        raise DomainError("block must be a proper subset of the index set")
-    return idx
-
-
 def chain_word_a(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """A-type chain word for a proper consecutive (or wrap) block."""
     if spec.family != AFFINE_A:
@@ -70,8 +61,6 @@ def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """Ct-type chain word: sweep powers at the boundary, A-type inside."""
     if spec.family != AFFINE_CT:
         raise DomainError("Ct-type chains need an affine Ct spec")
-    if J.wrap:
-        raise DomainError("affine Ct has no wrap-around blocks")
     idx = _block(J, spec)
     j, l = J.start, J.length
     if l == 0:
@@ -85,90 +74,46 @@ def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     return ChainPlan(J, Word(letters), spec.family)
 
 
-def mu_star(v: MassVector) -> list[LinForm]:
-    """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
-    k = family_matrix(v.spec)
-    return [LinForm.combine([(1, LinForm.weight(s))]
-                            + [(-HALF * c, e)
-                               for c, e in zip(k.entries[s - 1], v.entries)])
-            for s in v.spec.indices]
-
-
-def _prefix_sums(forms: Iterable[LinForm]) -> list[LinForm]:
-    """[0, f_1, f_1 + f_2, ...]: entry k is the sum of the first k forms."""
-    return list(accumulate(forms, operator.add, initial=LinForm()))
-
-
 def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
-    """Chain target by the inverse-submatrix closed form.
+    """Chain target: the mass of the longest element over J's weights.
 
-    New entry at the p-th element s_p of J:
+    With s_1..s_m the elements of J, the new entry at s_p is
 
-        sigma_{s_p} + 2 sum_q (K[p,q] + K[p,m+1-q]) mu*_{s_q}
+        sigma_{s_p} + finite_a_mass(w0, (mu*_{s_1}, .., mu*_{s_m}))_p
 
-    where K inverts the principal submatrix of the Cartan matrix at J
-    and m = |J|.  Entries outside J are unchanged.  Works for any proper
-    block of affine A, wrapping ones included, and for interior blocks
-    of affine Ct: each has the finite A submatrix of size m, so K is
-    `inverse_finite_a(m)`.
+    where w0(j) = m - j is the longest element on {0..m}.  Entries
+    outside J are unchanged.  Works for any proper block of affine A,
+    wrapping ones included, and for interior blocks of affine Ct: each
+    is a finite A system of size m.
     """
     spec = v.spec
     idx = _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         raise DomainError("boundary blocks of affine Ct use closed_form_ct")
-    m = len(idx)
-    K = inverse_finite_a(m)
     stars = mu_star(v)
+    gains = finite_a_mass(FinitePermutation(tuple(range(len(idx), -1, -1))),
+                          [stars[s - 1] for s in idx])
     out = v
-    for p, s_p in enumerate(idx, 1):
-        out = out.replace(s_p, LinForm.combine(
-            [(1, v.entry(s_p))]
-            + [(2 * (K[p, q] + K[p, m + 1 - q]), stars[s_q - 1])
-               for q, s_q in enumerate(idx, 1)]))
+    for s, gain in zip(idx, gains):
+        out = out.replace(s, v.entry(s) + gain)
     return out
 
 
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
-    """Chain target for boundary blocks of affine Ct, by prefix sums.
+    """Chain target for boundary blocks of affine Ct.
 
-    Head blocks {1..l+1} and tail blocks {i..n+1} have closed forms in
-    the plain weights and the neighboring entry just outside the block;
-    interior blocks are rejected (use closed_form_a).  With
-    P[k] = mu_1 + .. + mu_k, head entry s becomes
-
-        4 sum_{k=s}^{l+1} P[k] - 2(l+2-s) mu_1 - sigma_s + 2 sigma_{l+2},
-
-    and with Q[k] = mu_i + .. + mu_{i+k-1}, tail entry s becomes
-
-        2(s-i+1)(Q[l+1] + Q[l]) - 4 sum_{q=0}^{s-i} Q[q] - sigma_s
-        + 2 sigma_{i-1}.
+    Head blocks {1..l+1} and tail blocks {i..n+1} gain the permutation
+    masses of the reversal of {0..2l+1}, the longest element:
+    `sigma_f_ct(v, SPermC.reversal(l), J)`.  Interior blocks are
+    rejected (use closed_form_a).
     """
     spec = v.spec
     if spec.family != AFFINE_CT:
         raise DomainError("closed_form_ct needs an affine Ct spec")
-    if J.wrap:
-        raise DomainError("affine Ct has no wrap-around blocks")
     _block(J, spec)
-    l = J.length
-    out = v
-    if J.is_head(spec.n):
-        P = _prefix_sums([LinForm.weight(t) for t in range(1, l + 2)])
-        for s in range(1, l + 2):
-            out = out.replace(s, LinForm.combine(
-                [(4, P[k]) for k in range(s, l + 2)]
-                + [(-2 * (l + 2 - s), P[1]), (-1, v.entry(s)),
-                   (2, v.entry(l + 2))]))
-    elif J.is_tail(spec.n):
-        i = J.start
-        Q = _prefix_sums([LinForm.weight(t) for t in range(i, i + l + 1)])
-        for s in range(i, spec.n + 2):
-            out = out.replace(s, LinForm.combine(
-                [(2 * (s - i + 1), Q[l + 1]), (2 * (s - i + 1), Q[l])]
-                + [(-4, Q[q]) for q in range(s - i + 1)]
-                + [(-1, v.entry(s)), (2, v.entry(i - 1))]))
-    else:
+    if J.is_interior(spec.n):
         raise DomainError("interior blocks use closed_form_a")
-    return out
+    return sigma_f_ct(v, SPermC.reversal(J.length), J)
 
 
 CASE_TAGS = ("A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV")

@@ -4,17 +4,44 @@ Three kinds of permutation appear: cyclic rotations of the affine A
 index cycle, arbitrary permutations of {0..m} feeding the finite A
 partial-sum mass formula, and palindromic permutations of {0..2l+1}
 classifying the boundary-block masses of affine Ct.
+
+`finite_a_mass` is the only place the partial-sum mass formula is
+computed; `sigma_f_ct` and every chain target in `chains` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .action import Word
-from .chains import _block, _prefix_sums, mu_star
+from .action import Word, _form, _int_rows, family_matrix
+from .cartan import ConsecutiveSet
 from .errors import DomainError, SymmetryError
+
+HALF = Fraction(1, 2)
+
+
+def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
+    """J's elements, which must not cover the whole index set; only
+    affine A has wrap-around blocks."""
+    if J.wrap and spec.family != AFFINE_A:
+        raise DomainError("affine Ct has no wrap-around blocks")
+    idx = J.indices(spec.n)
+    if len(idx) >= spec.size:
+        raise DomainError("block must be a proper subset of the index set")
+    return idx
+
+
+def mu_star(v: MassVector) -> list[LinForm]:
+    """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
+    k = family_matrix(v.spec)
+    return [LinForm.combine([(1, LinForm.weight(s))]
+                            + [(-HALF * c, e)
+                               for c, e in zip(k.entries[s - 1], v.entries)])
+            for s in v.spec.indices]
 
 
 @dataclass(frozen=True)
@@ -79,6 +106,10 @@ class FinitePermutation:
         return len(self.values) - 1
 
 
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x + y for x, y in zip(a, b)]
+
+
 def finite_a_mass(f: FinitePermutation,
                   weights: Sequence[LinForm]) -> list[LinForm]:
     """Partial-sum masses of a finite A system from a permutation.
@@ -86,21 +117,22 @@ def finite_a_mass(f: FinitePermutation,
     With f on {0..m} and weights w_1..w_m, entry i (1-based) is
 
         2 * sum_{l=0}^{i-1} ( sum_{j<=f(l)} w_j  -  sum_{j<=l} w_j ).
+
+    The prefix sums run on the weights' integer rows, read once.
     """
     m = len(weights)
     if f.top != m:
         raise DomainError("permutation must act on 0..%d" % m)
-
-    P = _prefix_sums(weights)
-    return _prefix_sums([LinForm.combine(((2, P[f(j)]), (-2, P[j])))
-                         for j in range(m)])[1:]
+    layout, rows, _ = _int_rows(weights)
+    zero = [0] * (1 + len(layout[1]) + len(layout[2]))
+    P = list(accumulate(rows, _add, initial=zero))
+    steps = ([2 * (a - b) for a, b in zip(P[f(j)], P[j])] for j in range(m))
+    return [_form(row, layout) for row in accumulate(steps, _add)]
 
 
 @dataclass(frozen=True)
-class SPermC:
+class SPermC(FinitePermutation):
     """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1."""
-
-    values: tuple[int, ...]
 
     def __post_init__(self):
         top = len(self.values) - 1
@@ -110,9 +142,6 @@ class SPermC:
         for j in range(top + 1):
             if self.values[j] + self.values[top - j] != top:
                 raise DomainError("palindromic constraint fails at j=%d" % j)
-
-    def __call__(self, j: int) -> int:
-        return self.values[j]
 
     @property
     def l(self) -> int:
@@ -143,11 +172,11 @@ def sc_simple(i: int, l: int) -> SPermC:
     return SPermC(tuple(vals))
 
 
-def sigma_f_ct(v: MassVector, f: SPermC, J) -> MassVector:
+def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:
     """Permutation masses on a boundary block of affine Ct.
 
     Entries inside the head block {1..l0+1} (or tail block {i0..n+1})
-    are rewritten via partial sums of the shifted weights
+    gain the `finite_a_mass` of f over the shifted weights
     mu-bar_t = mu_t - (1/2) sum_s k_{ts} sigma_s, read through the
     block's mirror extension; entries outside J are unchanged.
     """
@@ -159,23 +188,19 @@ def sigma_f_ct(v: MassVector, f: SPermC, J) -> MassVector:
     if f.l != l0:
         raise DomainError("permutation acts on 0..%d, block needs 0..%d"
                           % (2 * f.l + 1, 2 * l0 + 1))
-    bar = mu_star(v)
     # the block's shifted weights read through its mirror extension:
     # hats[r-1] is mu-bar-hat_r for r = 1..2*l0+1
-    block = bar[J.start - 1:J.start + l0]
+    block = mu_star(v)[J.start - 1:J.start + l0]
     if J.is_head(spec.n):
         hats, lo, span = block[::-1] + block[1:], 1, lambda i: l0 + 1 - i
     elif J.is_tail(spec.n):
         hats, lo, span = block + block[-2::-1], J.start, lambda i: i - J.start
     else:
         raise DomainError("interior blocks have no boundary mass formula")
-    P = _prefix_sums(hats)
-    # T[k] = 2 sum_{j<k} (P[f(j)] - P[j])
-    T = _prefix_sums([LinForm.combine(((2, P[f(j)]), (-2, P[j])))
-                      for j in range(l0 + 1)])
+    T = finite_a_mass(f, hats)
     out = v
     for i in range(lo, lo + l0 + 1):
-        out = out.replace(i, v.entry(i) + T[span(i) + 1])
+        out = out.replace(i, v.entry(i) + T[span(i)])
     return out
 
 

@@ -7,6 +7,7 @@ from todamass.chains import (Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
                              closed_form_ct, mu_star)
 from todamass.errors import DecompositionError, DomainError
+from todamass.perms import SPermC, sigma_f_ct
 
 
 def a_spec(n):
@@ -256,6 +257,22 @@ def test_closed_form_ct_rejects_interior():
         closed_form_ct(MassVector.zero(ct_spec(4)), ConsecutiveSet(2, 1))
     with pytest.raises(DomainError):
         closed_form_a(MassVector.zero(ct_spec(4)), ConsecutiveSet(1, 1))
+
+
+def test_ct_wrap_blocks_are_rejected_as_wrap_blocks():
+    # {5, 1} is a valid wrap set at rank 4, but affine Ct has none: every
+    # Ct entry point says so, not that the block is boundary or interior
+    spec = ct_spec(4)
+    z = MassVector.zero(spec)
+    J = ConsecutiveSet(5, 1, wrap=True)
+    assert J.indices(4) == [5, 1]
+    for call in (lambda: chain_word_ct(J, spec),
+                 lambda: closed_form_ct(z, J),
+                 lambda: closed_form_a(z, J),
+                 lambda: sigma_f_ct(z, SPermC.identity(1), J)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "affine Ct has no wrap-around blocks"
 
 
 def test_decomposition_valid_cases():

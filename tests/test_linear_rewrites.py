@@ -2,10 +2,12 @@
 
 `LinForm.combine` normalises a whole linear combination once, and
 `QuadPoly.of_products` a whole sum of products, on integers over one
-common denominator.  The oracles below are the implementations that
-folded every sum one binary `+`/`-`/`scale` at a time, including the
-triple-loop `closed_form_ct` and the per-call prefix closures of
-`finite_a_mass` and `sigma_f_ct`, the residuals that built one
+common denominator.  `finite_a_mass` sums prefix rows on integers, and
+every chain target reads it as the mass of the longest element.  The
+oracles below are the implementations that folded every sum one binary
+`+`/`-`/`scale` at a time, including the triple-loop `closed_form_ct`
+and the per-call prefix closures of `finite_a_mass` and `sigma_f_ct`,
+the inverse-matrix `closed_form_a`, the residuals that built one
 `QuadPoly` per product before merging them, and the Fraction loop that
 summed every product term by term before the integer kernel.
 """
@@ -15,16 +17,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_chains import closed_form_a_blocks
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
                              family_matrix, linform_product,
                              pohozaev_residual,
                              pohozaev_residual_cyclic_difference)
-from todamass.cartan import ConsecutiveSet
+from todamass.cartan import ConsecutiveSet, inverse_finite_a
 from todamass.errors import EvaluationError
-from todamass.chains import HALF, closed_form_ct, mu_star
-from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
+from todamass.chains import closed_form_a, closed_form_ct, mu_star
+from todamass.perms import (HALF, FinitePermutation, SPermC, finite_a_mass,
                             sc_simple, sigma_f_ct)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -97,6 +100,22 @@ def old_closed_form_ct(v, J):
                     acc = acc - LinForm.weight(t + i - 1, 2)
             acc = acc - v.entry(s) + v.entry(i - 1).scale(2)
             out = out.replace(s, acc)
+    return out
+
+
+def old_closed_form_a(v, J, stars):
+    """sigma_{s_p} + 2 sum_q (K[p,q] + K[p,m+1-q]) mu*_{s_q} on J, where
+    K inverts the finite A Cartan matrix of size m = |J| and stars are
+    v's shifted weights."""
+    idx = J.indices(v.spec.n)
+    m = len(idx)
+    K = inverse_finite_a(m)
+    out = v
+    for p, s_p in enumerate(idx, 1):
+        out = out.replace(s_p, LinForm.combine(
+            [(1, v.entry(s_p))]
+            + [(2 * (K[p, q] + K[p, m + 1 - q]), stars[s_q - 1])
+               for q, s_q in enumerate(idx, 1)]))
     return out
 
 
@@ -376,19 +395,73 @@ def test_closed_form_ct_matches_triple_loop(n):
         assert closed_form_ct(g, J) == old_closed_form_ct(g, J), (n, J)
 
 
+def test_closed_form_a_matches_the_inverse_matrix():
+    # every block closed_form_a accepts at ranks 2..12: 1,012 in all
+    rng = random.Random(11)
+    blocks = 0
+    for n in range(2, 13):
+        vectors = {}
+        for spec, J in closed_form_a_blocks(n):
+            if spec not in vectors:
+                vectors[spec] = [(v, mu_star(v)) for v in (
+                    MassVector.generic(spec), random_vector(spec, rng))]
+            for v, stars in vectors[spec]:
+                assert closed_form_a(v, J) == \
+                    old_closed_form_a(v, J, stars), (spec, J)
+            blocks += 1
+    assert blocks == 1012
+
+
+def cancelling_weights(rng, m):
+    """m weights with fractional mu coefficients, some of which cancel:
+    a zero weight, and weights that undo the one before them."""
+    weights = [LinForm.make(rng.randint(-2, 2),
+                            {j: Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                             rng.randint(1, 9): 1},
+                            {j: Fraction(1, rng.randint(1, 4))})
+               for j in range(1, m + 1)]
+    for k in range(1, m):
+        if rng.random() < 0.3:
+            weights[k] = weights[k - 1].scale(-1)
+    if m and rng.random() < 0.5:
+        weights[rng.randrange(m)] = LinForm.zero()
+    return weights
+
+
 def test_finite_a_mass_matches_prefix_recompute():
     rng = random.Random(5)
     for size in range(1, 10):
         m = size - 1
-        weights = [LinForm.make(rng.randint(-2, 2),
-                                {j: rng.randint(-3, 3), rng.randint(1, 9): 1},
-                                {j: Fraction(1, rng.randint(1, 4))})
-                   for j in range(1, m + 1)]
-        for _ in range(6):
-            values = list(range(size))
-            rng.shuffle(values)
-            f = FinitePermutation(tuple(values))
-            assert finite_a_mass(f, weights) == old_finite_a_mass(f, weights)
+        plain = [LinForm.make(rng.randint(-2, 2),
+                              {j: rng.randint(-3, 3), rng.randint(1, 9): 1},
+                              {j: Fraction(1, rng.randint(1, 4))})
+                 for j in range(1, m + 1)]
+        for weights in (plain, cancelling_weights(rng, m),
+                        cancelling_weights(rng, m)):
+            for _ in range(6):
+                values = list(range(size))
+                rng.shuffle(values)
+                f = FinitePermutation(tuple(values))
+                assert finite_a_mass(f, weights) == \
+                    old_finite_a_mass(f, weights)
+    # a permutation whose steps cancel: the masses are all zero forms
+    w = [LinForm.weight(1, Fraction(2, 3)), LinForm.weight(1, Fraction(-2, 3))]
+    assert finite_a_mass(FinitePermutation((2, 1, 0)), w) == \
+        old_finite_a_mass(FinitePermutation((2, 1, 0)), w) == \
+        [LinForm.zero(), LinForm.zero()]
+
+
+def test_finite_a_mass_reads_palindromic_permutations():
+    # SPermC is a FinitePermutation, so sigma_f_ct passes f on as it is
+    rng = random.Random(7)
+    for l in range(6):
+        f = SPermC.reversal(l)
+        assert isinstance(f, FinitePermutation) and f.top == 2 * l + 1
+        for _ in range(3):
+            w = cancelling_weights(rng, 2 * l + 1)
+            assert finite_a_mass(f, w) == old_finite_a_mass(f, w)
+            g = f.compose(sc_simple(rng.randint(0, l), l))
+            assert finite_a_mass(g, w) == old_finite_a_mass(g, w)
 
 
 @settings(max_examples=60, deadline=None)
