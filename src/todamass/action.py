@@ -221,9 +221,15 @@ def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
     return rels
 
 
+@cache
+def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
+    """The generic vector's `_kernel_rows`, read once per spec (tuples)."""
+    return _kernel_rows(MassVector.generic(spec))
+
+
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
-    _, rows, lifts = _kernel_rows(MassVector.generic(spec))
+    _, rows, lifts = _generic_rows(spec)
     return _fold(w, rows, spec, lifts) == rows
 
 

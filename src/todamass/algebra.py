@@ -70,14 +70,12 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 def _clean(items: Iterable[tuple[int, Scalar]]) -> tuple[tuple[int, Fraction], ...]:
+    """One nonzero coefficient per index, sorted; adds only on a repeat."""
     acc: dict[int, Fraction] = {}
     for idx, coeff in items:
-        c = acc.get(idx, Fraction(0)) + _as_fraction(coeff)
-        if c:
-            acc[idx] = c
-        elif idx in acc:
-            del acc[idx]
-    return tuple(sorted(acc.items()))
+        c = _as_fraction(coeff)
+        acc[idx] = acc[idx] + c if idx in acc else c
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 @dataclass(frozen=True)

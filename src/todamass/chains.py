@@ -7,7 +7,7 @@ blow-up.  For affine A the word on a block of size l+1 has length
 sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
 
 A chain's target is the permutation mass of the longest element (the
-reversal), read from `perms.finite_a_mass`; no inverse matrix is needed.
+reversal), summed on integer rows by `perms._block_rows`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
-from .action import Word, apply_word
-from .perms import (FinitePermutation, SPermC, _block, finite_a_mass, mu_star,
+from .action import Word, _kernel_rows, apply_word
+from .perms import (SPermC, _block, _block_rows, _written, mu_star,
                     sigma_f_ct)
 
 
@@ -87,16 +87,11 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
     is a finite A system of size m.
     """
     spec = v.spec
-    idx = _block(J, spec)
+    _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         raise DomainError("boundary blocks of affine Ct use closed_form_ct")
-    stars = mu_star(v)
-    gains = finite_a_mass(FinitePermutation(tuple(range(len(idx), -1, -1))),
-                          [stars[s - 1] for s in idx])
-    out = v
-    for s, gain in zip(idx, gains):
-        out = out.replace(s, v.entry(s) + gain)
-    return out
+    layout, rows, lifts = _kernel_rows(v)
+    return _written(v, layout, _block_rows(rows, lifts, spec, J))
 
 
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:

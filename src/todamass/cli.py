@@ -13,15 +13,14 @@ from functools import cache
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
-from .action import (Word, apply_word, pohozaev_residual,
+from .action import (Word, _fold, _generic_rows, pohozaev_residual,
                      presentation_relations, verify_relation)
-from .chains import (Decomposition, blowup_step, chain_word_a, chain_word_ct,
-                     closed_form_a, closed_form_ct)
+from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, descend_to_zero, enumerate_orbit,
                     export_graph)
-from .perms import (CyclicRotation, SPermC, fold_ct_to_a, rotate_vector,
-                    sc_simple)
+from .perms import (CyclicRotation, SPermC, _block_rows, _written,
+                    fold_ct_to_a, rotate_vector, sc_simple)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
 WORD_SLICE = 4096  # letters per piece of a written word
@@ -123,13 +122,13 @@ def _cmd_chain(args, out) -> int:
     _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
-        g = MassVector.generic(spec)
-        if spec.family == AFFINE_CT and not J.is_interior(spec.n):
-            target = closed_form_ct(g, J)
-        else:
-            target = closed_form_a(g, J)
-        out.write("target %s\n" % target)
-        equal = apply_word(plan.word, g) == target
+        # the word folds on the generic rows its target was computed from
+        layout, rows, lifts = _generic_rows(spec)
+        new = _block_rows(rows, lifts, spec, J)
+        out.write("target %s\n"
+                  % _written(MassVector.generic(spec), layout, new))
+        want = tuple(tuple(new.get(s, row)) for s, row in enumerate(rows, 1))
+        equal = _fold(plan.word, rows, spec, lifts) == want
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0

@@ -5,23 +5,21 @@ index cycle, arbitrary permutations of {0..m} feeding the finite A
 partial-sum mass formula, and palindromic permutations of {0..2l+1}
 classifying the boundary-block masses of affine Ct.
 
-`finite_a_mass` is the only place the partial-sum mass formula is
-computed; `sigma_f_ct` and every chain target in `chains` read it.
+`_half_masses` is the only place the partial-sum mass formula is summed;
+`finite_a_mass`, `sigma_f_ct` and every chain target in `chains` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .action import Word, _form, _int_rows, family_matrix
+from .action import (Word, _form, _int_rows, _kernel_rows, _Layout, _Lifts,
+                     _minus, _neighbours, _reflect, _Rows)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, SymmetryError
-
-HALF = Fraction(1, 2)
 
 
 def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
@@ -35,13 +33,20 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     return idx
 
 
+def _star_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
+               idx: Sequence[int]) -> list[list[int]]:
+    """Per s in idx, the row of 2 mu*_s = 2 w_s - sum_t k_st sigma_t over
+    the entry rows' denominator: what R_s adds to entry s."""
+    nbrs = _neighbours(spec)
+    return [_minus(_reflect(rows, s - 1, nbrs, lifts[s - 1])[s - 1],
+                   rows[s - 1]) for s in idx]
+
+
 def mu_star(v: MassVector) -> list[LinForm]:
     """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
-    k = family_matrix(v.spec)
-    return [LinForm.combine([(1, LinForm.weight(s))]
-                            + [(-HALF * c, e)
-                               for c, e in zip(k.entries[s - 1], v.entries)])
-            for s in v.spec.indices]
+    (d, mu, s), rows, lifts = _kernel_rows(v)
+    return [_form(row, (2 * d, mu, s))
+            for row in _star_rows(rows, lifts, v.spec, v.spec.indices)]
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,16 @@ def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)]
 
 
+def _half_masses(f: FinitePermutation, rows: Sequence[Sequence[int]],
+                 count: int) -> list[list[int]]:
+    """Half the first ``count`` partial-sum masses of f over weight rows:
+    row i-1 is sum_{l<i} (P[f(l)] - P[l]), P[j] the sum of rows[:j]."""
+    zero = [0] * len(rows[0]) if rows else []
+    P = list(accumulate(rows, _add, initial=zero))
+    return list(accumulate((_minus(P[f(j)], P[j]) for j in range(count)),
+                           _add))
+
+
 def finite_a_mass(f: FinitePermutation,
                   weights: Sequence[LinForm]) -> list[LinForm]:
     """Partial-sum masses of a finite A system from a permutation.
@@ -124,10 +139,33 @@ def finite_a_mass(f: FinitePermutation,
     if f.top != m:
         raise DomainError("permutation must act on 0..%d" % m)
     layout, rows, _ = _int_rows(weights)
-    zero = [0] * (1 + len(layout[1]) + len(layout[2]))
-    P = list(accumulate(rows, _add, initial=zero))
-    steps = ([2 * (a - b) for a, b in zip(P[f(j)], P[j])] for j in range(m))
-    return [_form(row, layout) for row in accumulate(steps, _add)]
+    return [_form([2 * x for x in row], layout)
+            for row in _half_masses(f, rows, m)]
+
+
+def _block_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
+                J: ConsecutiveSet, f: Optional[FinitePermutation] = None
+                ) -> dict[int, list[int]]:
+    """{s: entry row s plus its gain} for s in J, over the entry rows' d:
+    the partial-sum masses of f (by default the longest element) over
+    J's shifted weights, mirror-extended on a head or tail block of
+    affine Ct.  Only J's shifted weights and masses are summed."""
+    order = ext = _block(J, spec)
+    if spec.family == AFFINE_CT and not J.is_interior(spec.n):
+        # J in the order its entries take the masses, then mirrored
+        order = order[::-1] if J.is_head(spec.n) else order
+        ext = order + order[-2::-1]
+    stars = dict(zip(order, _star_rows(rows, lifts, spec, order)))
+    f = f or FinitePermutation(tuple(range(len(ext), -1, -1)))
+    gains = _half_masses(f, [stars[s] for s in ext], len(order))
+    return {s: _add(rows[s - 1], g) for s, g in zip(order, gains)}
+
+
+def _written(v: MassVector, layout: _Layout,
+             new: dict[int, list[int]]) -> MassVector:
+    """v with each entry s in ``new`` written once from its row."""
+    return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
+                                    for s, e in enumerate(v.entries, 1)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +214,7 @@ def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:
     """Permutation masses on a boundary block of affine Ct.
 
     Entries inside the head block {1..l0+1} (or tail block {i0..n+1})
-    gain the `finite_a_mass` of f over the shifted weights
+    gain the partial-sum masses of f over the shifted weights
     mu-bar_t = mu_t - (1/2) sum_s k_{ts} sigma_s, read through the
     block's mirror extension; entries outside J are unchanged.
     """
@@ -184,24 +222,13 @@ def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:
     if spec.family != AFFINE_CT:
         raise DomainError("sigma_f_ct needs an affine Ct spec")
     _block(J, spec)
-    l0 = J.length
-    if f.l != l0:
+    if f.l != J.length:
         raise DomainError("permutation acts on 0..%d, block needs 0..%d"
-                          % (2 * f.l + 1, 2 * l0 + 1))
-    # the block's shifted weights read through its mirror extension:
-    # hats[r-1] is mu-bar-hat_r for r = 1..2*l0+1
-    block = mu_star(v)[J.start - 1:J.start + l0]
-    if J.is_head(spec.n):
-        hats, lo, span = block[::-1] + block[1:], 1, lambda i: l0 + 1 - i
-    elif J.is_tail(spec.n):
-        hats, lo, span = block + block[-2::-1], J.start, lambda i: i - J.start
-    else:
+                          % (2 * f.l + 1, 2 * J.length + 1))
+    if J.is_interior(spec.n):
         raise DomainError("interior blocks have no boundary mass formula")
-    T = finite_a_mass(f, hats)
-    out = v
-    for i in range(lo, lo + l0 + 1):
-        out = out.replace(i, v.entry(i) + T[span(i)])
-    return out
+    layout, rows, lifts = _kernel_rows(v)
+    return _written(v, layout, _block_rows(rows, lifts, spec, J, f))
 
 
 def fold_ct_to_a(v: MassVector,

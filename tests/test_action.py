@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import (Word, apply_generator, apply_word,
+from todamass.action import (Word, _generic_rows, _kernel_rows,
+                             apply_generator, apply_word,
                              linform_product, pohozaev_residual,
                              pohozaev_residual_cyclic_difference,
                              presentation_relations, verify_relation)
@@ -101,6 +102,38 @@ def test_verify_relation_rejects_wrong_order():
     assert verify_relation(Word.of(1, 1), a_spec(3))
     assert verify_relation(Word.of(1, 3).power(2), a_spec(3))
     assert not verify_relation(Word.of(1, 2).power(2), a_spec(3))
+
+
+def test_verify_relation_rejects_non_relations():
+    for spec in (a_spec(3), ct_spec(3)):
+        assert not verify_relation(Word.of(1, 2), spec)
+    # braid(1,2) holds on A, but the bond 1-2 of Ct is doubled
+    braid = Word.of(1, 2, 1) * Word.of(2, 1, 2)
+    assert verify_relation(braid, a_spec(3))
+    assert not verify_relation(braid, ct_spec(3))
+
+
+def test_verify_relation_agrees_across_interleaved_calls():
+    # the oracle rebuilds the generic vector on every call
+    def fresh(word, spec):
+        g = MassVector.generic(spec)
+        return apply_word(word, g) == g
+
+    rng = random.Random(17)
+    calls = []
+    for spec in [make(n) for make in (a_spec, ct_spec) for n in (2, 3, 5)]:
+        calls += [(spec, w) for _, w in presentation_relations(spec)]
+        calls += [(spec, Word(tuple(rng.choices(spec.indices,
+                                                k=rng.randint(1, 6)))))
+                  for _ in range(20)]
+    rng.shuffle(calls)
+    verdicts = [verify_relation(w, spec) for spec, w in calls]
+    assert verdicts == [fresh(w, spec) for spec, w in calls]
+    assert any(verdicts) and not all(verdicts)
+    # a verdict cannot see rows moved along the orbit, so compare the
+    # shared rows themselves with a fresh read
+    for spec, _ in calls:
+        assert _generic_rows(spec) == _kernel_rows(MassVector.generic(spec))
 
 
 def test_linform_product_rejects_seeds():

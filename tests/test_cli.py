@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -155,6 +156,39 @@ def test_word_written_in_slices_equals_its_string():
                                    str(l + 3), "--set", "2:%d" % l])
             assert code == 0
             assert out == "word %s\nlength %d\n" % (plan.word, len(plan.word))
+
+
+# sha256 over one JSON line [exit code, stdout, stderr] per call of
+# chain_and_relations_argvs(), taken from the implementation before chain
+# targets and relation checks moved onto integer rows
+CHAIN_RELATIONS_SHA256 = \
+    "427da533019fbdaa169a269d22597bb20e1d2bf5d0023385cdd3a224e49f026e"
+
+
+def chain_and_relations_argvs():
+    """chain --verify for every --set j:l (j 0..n+2, l -1..n+1) and every
+    --wrap r2,r1 (0..n+2) of A and Ct at ranks 2-8, invalid ones included,
+    and relations at ranks 2, 3, 4, 8, 12 and 16: 1,916 calls."""
+    for flag in ("a", "ct"):
+        for n in range(2, 9):
+            base = ["chain", "--family", flag, "--rank", str(n), "--verify"]
+            for j in range(n + 3):
+                for l in range(-1, n + 2):
+                    yield base + ["--set", "%d:%d" % (j, l)]
+            for r2 in range(n + 3):
+                for r1 in range(n + 3):
+                    yield base + ["--wrap", "%d,%d" % (r2, r1)]
+        for n in (2, 3, 4, 8, 12, 16):
+            yield ["relations", "--family", flag, "--rank", str(n)]
+
+
+def test_chain_and_relations_output_is_byte_identical():
+    digest, calls = hashlib.sha256(), 0
+    for argv in chain_and_relations_argvs():
+        digest.update(json.dumps(invoke(argv)).encode() + b"\n")
+        calls += 1
+    assert calls == 1916
+    assert digest.hexdigest() == CHAIN_RELATIONS_SHA256
 
 
 def test_orbit_mu_needs_csv():

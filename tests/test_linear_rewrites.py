@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_chains import closed_form_a_blocks
 
-from todamass.algebra import AlgebraSpec, LinForm, MassVector
+from todamass.algebra import AlgebraSpec, LinForm, MassVector, _clean
 from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
                              family_matrix, linform_product,
                              pohozaev_residual,
@@ -27,7 +27,7 @@ from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
 from todamass.cartan import ConsecutiveSet, inverse_finite_a
 from todamass.errors import EvaluationError
 from todamass.chains import closed_form_a, closed_form_ct, mu_star
-from todamass.perms import (HALF, FinitePermutation, SPermC, finite_a_mass,
+from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
                             sc_simple, sigma_f_ct)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -66,7 +66,7 @@ def old_mu_star(v):
         for t in v.spec.indices:
             c = k[s, t]
             if c:
-                f = f - v.entry(t).scale(HALF * c)
+                f = f - v.entry(t).scale(Fraction(c, 2))
         out.append(f)
     return out
 
@@ -170,6 +170,34 @@ def old_sigma_f_ct(v, f, J):
             acc = acc + (prefix(f(j)) - prefix(j)).scale(2)
         out = out.replace(i, acc)
     return out
+
+
+def full_sigma_f_ct(v, f, J):
+    """sigma_f_ct as it summed all 2 l0 + 1 masses of f over the mirror
+    extension, of which the block reads only the first l0 + 1."""
+    spec, l0 = v.spec, J.length
+    block = old_mu_star(v)[J.start - 1:J.start + l0]
+    if J.is_head(spec.n):
+        hats, lo, span = block[::-1] + block[1:], 1, lambda i: l0 + 1 - i
+    else:
+        hats, lo, span = block + block[-2::-1], J.start, lambda i: i - J.start
+    T = finite_a_mass(f, hats)
+    assert len(T) == 2 * l0 + 1
+    out = v
+    for i in range(lo, lo + l0 + 1):
+        out = out.replace(i, v.entry(i) + T[span(i)])
+    return out
+
+
+def old_clean(items):
+    acc = {}
+    for idx, coeff in items:
+        c = acc.get(idx, Fraction(0)) + Fraction(coeff)
+        if c:
+            acc[idx] = c
+        elif idx in acc:
+            del acc[idx]
+    return tuple(sorted(acc.items()))
 
 
 def qadd(a, b, k=1):
@@ -352,6 +380,16 @@ def test_combine_equals_binary_fold(pairs):
         sum((k * f.evaluate(mu, s) for k, f in pairs), Fraction(0))
 
 
+@settings(max_examples=80)
+@given(st.lists(st.tuples(st.integers(1, 4),
+                          st.one_of(st.integers(-3, 3), rationals)),
+                max_size=10))
+def test_clean_matches_the_zero_seeded_sum(items):
+    # few indices and small integers: repeats and cancellations are common
+    assert _clean(items) == old_clean(items)
+    assert all(type(c) is Fraction for _, c in _clean(items))
+
+
 def test_combine_of_nothing_is_zero():
     assert LinForm.combine([]) == LinForm.zero()
     f = LinForm.make(3, {1: 2}, {2: -1})
@@ -478,6 +516,23 @@ def test_sigma_f_ct_matches_prefix_recompute(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     for v in (MassVector.generic(spec), random_vector(spec, rng)):
         assert sigma_f_ct(v, f, J) == old_sigma_f_ct(v, f, J)
+
+
+def test_sigma_f_ct_matches_the_full_length_sum():
+    # every head and tail block at ranks 2..12, two random f on each
+    rng = random.Random(13)
+    for n in range(2, 13):
+        spec = AlgebraSpec("affine_ct", n)
+        vectors = (MassVector.generic(spec), random_vector(spec, rng))
+        for J in boundary_blocks(n):
+            l0 = J.length
+            for _ in range(2):
+                f = SPermC.identity(l0)
+                for _ in range(3 * l0 + 3):
+                    f = f.compose(sc_simple(rng.randint(0, l0), l0))
+                for v in vectors:
+                    assert sigma_f_ct(v, f, J) == full_sigma_f_ct(v, f, J), \
+                        (n, J, f)
 
 
 # -- Pohozaev residuals ----------------------------------------------------
