@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from math import lcm
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar
+from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
+                      _form, _int_rows, _Layout, _Row, _Rows)
 from .cartan import CartanMatrix, build
 from .errors import DomainError, EvaluationError
 
@@ -54,74 +54,10 @@ def family_matrix(spec: AlgebraSpec) -> CartanMatrix:
     return build(spec.family, spec.size)
 
 
-# Forms are read as integer rows over one common denominator d.  A
-# layout (d, mu, s) names the columns: column 0 holds d times the
-# constant, then come d times the coefficients of the mu_i with i in mu,
-# then of the s_i with i in s, each index tuple sorted.
-_Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
-_Row = tuple[int, ...]
-_Rows = tuple[_Row, ...]
 # per generator i (0-based), the (t, k_it) with t != i and k_it != 0
 _Neighbours = tuple[tuple[tuple[int, int], ...], ...]
 # per generator i, the nonzero (column, value) pairs of the row of 2 w_i
 _Lifts = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _int_rows(forms: Sequence[LinForm],
-              weights: Optional[Sequence[LinForm]] = (),
-              scalars: Iterable[Scalar] = ()
-              ) -> tuple[_Layout, list[_Row], list[_Row]]:
-    """(layout, form rows, weight rows), every form read once.
-
-    The layout has a column for each mu_i and s_i that occurs, and d is
-    the lcm of every denominator among the forms, the weights and the
-    scalars.  Weight t stands for mu_{t+1}, and only the first m =
-    len(forms) weights are read; ``weights`` None stands for the plain
-    weights mu_1..mu_m.
-    """
-    m = len(forms)
-    read = [(f.const, f.mu, f.s) for f in
-            list(forms) + ([] if weights is None else list(weights)[:m])]
-    if weights is None:
-        read += [(0, ((i, 1),), ()) for i in range(1, m + 1)]
-    dens = {Fraction(k).denominator for k in scalars}
-    mu, s = set(), set()
-    for const, f_mu, f_s in read:
-        dens.add(const.denominator)
-        for i, c in f_mu:
-            mu.add(i)
-            dens.add(c.denominator)
-        for i, c in f_s:
-            s.add(i)
-            dens.add(c.denominator)
-    d, mu, s = layout = (lcm(*dens), tuple(sorted(mu)), tuple(sorted(s)))
-    at = {i: p for p, i in enumerate(mu, 1)}
-    s_at = {i: p for p, i in enumerate(s, len(mu) + 1)}
-    rows = []
-    for const, f_mu, f_s in read:
-        row = [0] * (len(mu) + len(s) + 1)
-        row[0] = const.numerator * (d // const.denominator)
-        for i, c in f_mu:
-            row[at[i]] = c.numerator * (d // c.denominator)
-        for i, c in f_s:
-            row[s_at[i]] = c.numerator * (d // c.denominator)
-        rows.append(tuple(row))
-    return layout, rows[:m], rows[m:]
-
-
-@lru_cache(maxsize=4096)
-def _frac(c: int, d: int) -> Fraction:
-    """Fraction(c, d), shared: rows repeat a few small coefficients."""
-    return Fraction(c, d)
-
-
-def _form(row: _Row, layout: _Layout) -> LinForm:
-    """The form a row stands for in the layout."""
-    d, mu, s = layout
-    m = len(mu) + 1
-    return LinForm(_frac(row[0], d),
-                   tuple((i, _frac(c, d)) for i, c in zip(mu, row[1:m]) if c),
-                   tuple((i, _frac(c, d)) for i, c in zip(s, row[m:]) if c))
 
 
 @cache
@@ -330,8 +266,12 @@ def pohozaev_residual(v: MassVector,
     as integer rows over their common denominator, as in
     `QuadPoly.of_products`.
     """
-    spec = v.spec
-    layout, e, w = _int_rows(v.entries, weights)
+    return _residual(v.spec, *_int_rows(v.entries, weights))
+
+
+def _residual(spec: AlgebraSpec, layout: _Layout, e: Sequence[_Row],
+              w: Sequence[_Row]) -> QuadPoly:
+    """`pohozaev_residual` on entry rows e and weight rows w."""
     if spec.family == AFFINE_A:
         # s_i^2 - s_i s_{i+1} = s_i (s_i - s_{i+1})
         products = [(1, a, _minus(a, b)) for a, b in zip(e, e[1:] + e[:1])]

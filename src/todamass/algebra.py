@@ -7,16 +7,19 @@ package is exact.  A `LinForm` is an affine-linear expression
 
 in the weight indeterminates mu_1..mu_{n+1} and the generic seed
 indeterminates s_1..s_{n+1}.  A `MassVector` is a tuple of n+1 such
-forms attached to an `AlgebraSpec`.
+forms attached to an `AlgebraSpec`.  Vector JSON is read by one reader,
+straight into the integer rows the kernels run on.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from functools import cache, cached_property, lru_cache
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, EvaluationError, FormatError, RankError
 
@@ -190,43 +193,147 @@ class LinForm:
         return json.dumps(_linform_to_json(self), sort_keys=True, indent=2)
 
 
-def _frac_from_str(text) -> Fraction:
-    if not isinstance(text, str):
-        raise FormatError("rational must be a string, got %r" % (text,))
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad rational %r" % (text,)) from exc
-
-
 def _linform_to_json(f: LinForm) -> dict:
     return {"const": str(f.const),
             "mu": {str(i): str(c) for i, c in f.mu},
             "s": {str(i): str(c) for i, c in f.s}}
 
 
-def _linform_from_json(obj, size: int) -> LinForm:
+# Forms are read as integer rows over one common denominator d.  A
+# layout (d, mu, s) names the columns: column 0 holds d times the
+# constant, then come d times the coefficients of the mu_i with i in mu,
+# then of the s_i with i in s, each index tuple sorted.
+_Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
+_Row = tuple[int, ...]
+_Rows = tuple[_Row, ...]
+
+
+def _int_rows(forms: Sequence[LinForm],
+              weights: Optional[Sequence[LinForm]] = (),
+              scalars: Iterable[Scalar] = ()
+              ) -> tuple[_Layout, list[_Row], list[_Row]]:
+    """(layout, form rows, weight rows), every form read once.
+
+    The layout has a column for each mu_i and s_i that occurs, and d is
+    the lcm of every denominator among the forms, the weights and the
+    scalars.  Weight t stands for mu_{t+1}, and only the first m =
+    len(forms) weights are read; ``weights`` None stands for the plain
+    weights mu_1..mu_m.  A form is read through its const, mu and s
+    fields, so anything with those fields reads as one.
+    """
+    m = len(forms)
+    read = [(f.const, f.mu, f.s) for f in
+            list(forms) + ([] if weights is None else list(weights)[:m])]
+    if weights is None:
+        read += [(0, ((i, 1),), ()) for i in range(1, m + 1)]
+    dens = {Fraction(k).denominator for k in scalars}
+    mu, s = set(), set()
+    for const, f_mu, f_s in read:
+        dens.add(const.denominator)
+        for i, c in f_mu:
+            mu.add(i)
+            dens.add(c.denominator)
+        for i, c in f_s:
+            s.add(i)
+            dens.add(c.denominator)
+    d, mu, s = layout = (lcm(*dens), tuple(sorted(mu)), tuple(sorted(s)))
+    at = {i: p for p, i in enumerate(mu, 1)}
+    s_at = {i: p for p, i in enumerate(s, len(mu) + 1)}
+    rows = []
+    for const, f_mu, f_s in read:
+        row = [0] * (len(mu) + len(s) + 1)
+        row[0] = const.numerator * (d // const.denominator)
+        for i, c in f_mu:
+            row[at[i]] = c.numerator * (d // c.denominator)
+        for i, c in f_s:
+            row[s_at[i]] = c.numerator * (d // c.denominator)
+        rows.append(tuple(row))
+    return layout, rows[:m], rows[m:]
+
+
+@lru_cache(maxsize=4096)
+def _frac(c: int, d: int) -> Fraction:
+    """Fraction(c, d), shared: rows repeat a few small coefficients."""
+    return Fraction(c, d)
+
+
+def _form(row: _Row, layout: _Layout) -> LinForm:
+    """The form a row stands for in the layout."""
+    d, mu, s = layout
+    m = len(mu) + 1
+    return LinForm(_frac(row[0], d),
+                   tuple((i, _frac(c, d)) for i, c in zip(mu, row[1:m]) if c),
+                   tuple((i, _frac(c, d)) for i, c in zip(s, row[m:]) if c))
+
+
+def _rational(text) -> Scalar:
+    if not isinstance(text, str):
+        raise FormatError("rational must be a string, got %r" % (text,))
+    try:
+        # int() reads ASCII digits after minus signs as Fraction() would
+        # (more than one sign fails in both); all else goes to Fraction()
+        if text.isascii() and text.lstrip("-").isdigit():
+            return int(text)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError("bad rational %r" % (text,)) from exc
+
+
+def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Scalar]]:
+    """An entry's nonzero mu or s coefficients by index; a repeated index
+    (as "1" and "01") keeps its later value."""
+    raw = entry.get(key, {})
+    if not isinstance(raw, dict):
+        raise FormatError("%r must be an object" % (key,))
+    out = {}
+    for k, v in raw.items():
+        try:
+            idx = int(k)
+        except (TypeError, ValueError) as exc:
+            raise FormatError("bad index %r" % (k,)) from exc
+        if not 1 <= idx <= size:
+            raise FormatError("index %d outside 1..%d" % (idx, size))
+        out[idx] = _rational(v)
+    return [(i, c) for i, c in out.items() if c]
+
+
+# an entry as read, shaped like a `LinForm` for `_int_rows`
+_Entry = namedtuple("_Entry", "const mu s")
+
+
+def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],
+                                   list[_Row]]:
+    """Vector JSON as (spec, layout, entry rows, weight rows), the rows
+    `_int_rows(entries, None)` reads, checked field by field.  Integral
+    coefficient strings are read by int(), with no Fraction built."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError("invalid JSON: %s" % exc) from exc
     if not isinstance(obj, dict):
-        raise FormatError("entry must be an object, got %r" % (obj,))
-    const = _frac_from_str(obj.get("const", "0"))
-
-    def coeffs(key):
-        raw = obj.get(key, {})
-        if not isinstance(raw, dict):
-            raise FormatError("%r must be an object" % (key,))
-        out = {}
-        for k, v in raw.items():
-            try:
-                idx = int(k)
-            except (TypeError, ValueError) as exc:
-                raise FormatError("bad index %r" % (k,)) from exc
-            if not 1 <= idx <= size:
-                raise FormatError("index %d outside 1..%d" % (idx, size))
-            out[idx] = _frac_from_str(v)
-        # one value per index: drop the zeros and sort, as LinForm.make would
-        return tuple(sorted((i, c) for i, c in out.items() if c))
-
-    return LinForm(const, coeffs("mu"), coeffs("s"))
+        raise FormatError("top-level JSON must be an object")
+    for key in ("family", "n", "entries"):
+        if key not in obj:
+            raise FormatError("missing field %r" % key)
+    if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
+        raise FormatError("field 'n' must be an integer")
+    if obj["family"] not in FAMILIES:
+        raise FormatError("unknown family %r" % (obj["family"],))
+    spec = AlgebraSpec(obj["family"], obj["n"])
+    raw = obj["entries"]
+    if not isinstance(raw, list):
+        raise FormatError("field 'entries' must be a list")
+    if len(raw) != spec.size:
+        raise FormatError("expected %d entries, got %d"
+                          % (spec.size, len(raw)))
+    entries = []
+    for e in raw:
+        if not isinstance(e, dict):
+            raise FormatError("entry must be an object, got %r" % (e,))
+        entries.append(_Entry(_rational(e.get("const", "0")),
+                              _coeffs(e, "mu", spec.size),
+                              _coeffs(e, "s", spec.size)))
+    return (spec, *_int_rows(entries, None))
 
 
 def _weight_map(spec: AlgebraSpec, mu_values) -> dict[int, Fraction]:
@@ -254,8 +361,10 @@ class MassVector:
         return MassVector(spec, (LinForm.zero(),) * spec.size)
 
     @staticmethod
+    @cache
     def generic(spec: AlgebraSpec) -> "MassVector":
-        """Vector with fresh seed indeterminates: entry i equals s_i."""
+        """Vector with fresh seed indeterminates: entry i equals s_i; built
+        once per spec and shared."""
         return MassVector(spec, tuple(LinForm.seed(i) for i in spec.indices))
 
     def entry(self, i: int) -> LinForm:
@@ -309,33 +418,9 @@ class MassVector:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     @staticmethod
-    def from_json_dict(obj) -> "MassVector":
-        if not isinstance(obj, dict):
-            raise FormatError("top-level JSON must be an object")
-        for key in ("family", "n", "entries"):
-            if key not in obj:
-                raise FormatError("missing field %r" % key)
-        if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
-            raise FormatError("field 'n' must be an integer")
-        if obj["family"] not in FAMILIES:
-            raise FormatError("unknown family %r" % (obj["family"],))
-        spec = AlgebraSpec(obj["family"], obj["n"])
-        raw = obj["entries"]
-        if not isinstance(raw, list):
-            raise FormatError("field 'entries' must be a list")
-        if len(raw) != spec.size:
-            raise FormatError("expected %d entries, got %d"
-                              % (spec.size, len(raw)))
-        return MassVector(spec, tuple(_linform_from_json(e, spec.size)
-                                      for e in raw))
-
-    @staticmethod
     def from_json(text: str) -> "MassVector":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError("invalid JSON: %s" % exc) from exc
-        return MassVector.from_json_dict(obj)
+        spec, layout, rows, _ = _read_rows(text)
+        return MassVector(spec, tuple(_form(row, layout) for row in rows))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

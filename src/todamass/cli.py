@@ -11,13 +11,14 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
+from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
+                      _read_rows)
 from .cartan import ConsecutiveSet
-from .action import (Word, _fold, _generic_rows, pohozaev_residual,
+from .action import (Word, _fold, _generic_rows, _residual,
                      presentation_relations, verify_relation)
 from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
-from .orbit import (DESCENT_STALLED, MEMBER, descend_to_zero, enumerate_orbit,
+from .orbit import (DESCENT_STALLED, MEMBER, _membership, enumerate_orbit,
                     export_graph)
 from .perms import (CyclicRotation, SPermC, _block_rows, _written,
                     fold_ct_to_a, rotate_vector, sc_simple)
@@ -84,9 +85,9 @@ def _parse_mu(text: str, size: int) -> list[Fraction]:
     return values
 
 
-def _load_vector(path: str) -> MassVector:
+def _read(path: str) -> str:
     with open(path) as fh:
-        return MassVector.from_json(fh.read())
+        return fh.read()
 
 
 def _cmd_relations(args, out) -> int:
@@ -152,9 +153,9 @@ def _cmd_orbit(args, out) -> int:
 
 def _cmd_member(args, out) -> int:
     _require("--max-steps", args.max_steps, 0)
-    v = _load_vector(args.input)
+    rows = _read_rows(_read(args.input))
     try:
-        report = descend_to_zero(v, max_steps=args.max_steps)
+        report = _membership(*rows, args.max_steps)
     except NotMassForm as exc:
         out.write("NotInGammaN: %s\n" % exc)
         return 2
@@ -169,21 +170,19 @@ def _cmd_member(args, out) -> int:
 
 
 def _cmd_pohozaev(args, out) -> int:
-    v = _load_vector(args.input)
-    residual = pohozaev_residual(v)
+    residual = _residual(*_read_rows(_read(args.input)))
     out.write("residual %s\n" % residual)
     return 0 if residual.is_zero else 2
 
 
 def _cmd_fold(args, out) -> int:
-    v = _load_vector(args.input)
-    folded, _ = fold_ct_to_a(v)
+    folded, _ = fold_ct_to_a(MassVector.from_json(_read(args.input)))
     out.write(folded.to_json(indent=2) + "\n")
     return 0
 
 
 def _cmd_rotate(args, out) -> int:
-    v = _load_vector(args.input)
+    v = MassVector.from_json(_read(args.input))
     out.write(rotate_vector(v, CyclicRotation(args.r)).to_json(indent=2) + "\n")
     return 0
 
@@ -209,7 +208,8 @@ def _cmd_blowup_step(args, out) -> int:
     null_set = frozenset(spec.indices).difference(
         *(b.indices(spec.n) for b in blocks))
     d = Decomposition(spec, args.case, tuple(blocks), null_set)
-    v = _load_vector(args.input) if args.input else MassVector.zero(spec)
+    v = (MassVector.from_json(_read(args.input)) if args.input
+         else MassVector.zero(spec))
     result = blowup_step(v, d)
     out.write("word %s\n" % result.word)
     out.write(result.vector.to_json(indent=2) + "\n")

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgebraSpec, MassVector, _weight_map
-from .action import (Word, _columns, _int_rows, _form, _kernel_rows,
-                     _neighbours, _reflect, _Rows, pohozaev_residual)
+from .algebra import (AlgebraSpec, MassVector, _form, _int_rows, _Layout,
+                      _Rows, _weight_map)
+from .action import (Word, _columns, _kernel_rows, _neighbours, _reflect,
+                     _residual)
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -82,18 +83,19 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     return nodes
 
 
-def _mass_rows(v: MassVector) -> tuple[int, _Rows, bool]:
-    """(d, rows, stray): each entry times d, d the lcm of their
-    denominators, as a row of the layout of orbit vectors, column 0 the
-    constant 0 and column j the coefficient of mu_j; stray says whether
-    some entry mentions a mu index outside 1..n+1, which no row holds."""
-    for i, e in enumerate(v.entries, 1):
-        if e.const:
-            raise NotMassForm("entry %d has constant term %s" % (i, e.const))
-        if e.s:
+def _mass_rows(layout: _Layout, rows: _Rows,
+               size: int) -> tuple[int, _Rows, bool]:
+    """(d, rows, stray) from entry rows read with the plain weights: each
+    row cut to the orbit layout, column 0 the constant 0 and column j d
+    times the coefficient of mu_j; stray says whether some entry mentions
+    a mu index outside 1..size, which no cut row holds."""
+    d, mu, _ = layout
+    for i, row in enumerate(rows, 1):
+        if row[0]:
+            raise NotMassForm("entry %d has constant term %s"
+                              % (i, Fraction(row[0], d)))
+        if any(row[len(mu) + 1:]):
             raise NotMassForm("entry %d has generic s-indeterminates" % i)
-    (d, mu, _), rows, _ = _int_rows(v.entries, None)
-    size = v.spec.size
     first = mu.index(1) + 1
     return d, tuple((0,) + row[first:first + size] for row in rows), \
         len(mu) > size
@@ -101,14 +103,15 @@ def _mass_rows(v: MassVector) -> tuple[int, _Rows, bool]:
 
 def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
     """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
-    d, rows, _ = _mass_rows(v)
+    d, rows, _ = _mass_rows(*_int_rows(v.entries, None)[:2], v.spec.size)
     return CoefficientMatrix(tuple(tuple(Fraction(c, 2 * d) for c in row[1:])
                                    for row in rows))
 
 
-def _verdict(v: MassVector, coeffs_ok: bool) -> MembershipReport:
+def _verdict(spec: AlgebraSpec, layout: _Layout, rows: _Rows, w: _Rows,
+             coeffs_ok: bool) -> MembershipReport:
     """The two-condition report, the Pohozaev residual computed here."""
-    pohozaev_ok = pohozaev_residual(v).is_zero
+    pohozaev_ok = _residual(spec, layout, rows, w).is_zero
     reason = ("coefficient matrix is not nonnegative-integral" if not coeffs_ok
               else "" if pohozaev_ok else "Pohozaev residual is nonzero")
     return MembershipReport(NOT_IN_GAMMA_N if reason else MEMBER,
@@ -121,7 +124,8 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
     Both are always evaluated.  `descend_to_zero` decides in a cheaper
     order and returns this same report whenever it rejects a vector.
     """
-    return _verdict(v, coefficient_matrix(v).is_nonneg_integral())
+    return _verdict(v.spec, *_int_rows(v.entries, None),
+                    coefficient_matrix(v).is_nonneg_integral())
 
 
 def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
@@ -135,12 +139,18 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     unless an entry mentions a mu index outside 1..n+1, which the descent
     does not read.
     """
-    d, rows, stray = _mass_rows(v)
-    if not all(c >= 0 and not c % (2 * d) for row in rows for c in row):
-        return _verdict(v, False)
-    applied, stall = _descend(rows, d, v.spec, max_steps)
+    return _membership(v.spec, *_int_rows(v.entries, None), max_steps)
+
+
+def _membership(spec: AlgebraSpec, layout: _Layout, rows: _Rows, w: _Rows,
+                max_steps: int) -> MembershipReport:
+    """`descend_to_zero` on the rows `_int_rows(entries, None)` reads."""
+    d, mass, stray = _mass_rows(layout, rows, spec.size)
+    if not all(c >= 0 and not c % (2 * d) for row in mass for c in row):
+        return _verdict(spec, layout, rows, w, False)
+    applied, stall = _descend(mass, d, spec, max_steps)
     if stall or stray:
-        base = _verdict(v, True)
+        base = _verdict(spec, layout, rows, w, True)
         if base.verdict != MEMBER:
             return base
     if stall:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector
-from .action import (Word, _form, _int_rows, _kernel_rows, _Layout, _Lifts,
-                     _minus, _neighbours, _reflect, _Rows)
+from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
+                      _form, _int_rows, _Layout, _Rows)
+from .action import Word, _kernel_rows, _Lifts, _minus, _neighbours, _reflect
 from .cartan import ConsecutiveSet
 from .errors import DomainError, SymmetryError
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -101,33 +102,66 @@ def test_json_round_trip():
     assert MassVector.from_json(v.to_json()) == v
 
 
-@pytest.mark.parametrize("text", [
-    "not json",
-    "[]",
-    '{"family":"affine_a","n":2}',
-    '{"family":"nope","n":2,"entries":[{},{},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{"const":"x"},{},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{"mu":{"0":"1"}},{},{}]}',
-    '{"family":"affine_a","n":"2","entries":[{},{},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{"mu":{"99":"2"}},{},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{},{"mu":{"4":"2"}},{}]}',
-    '{"family":"affine_a","n":2,"entries":[{},{},{"s":{"4":"1"}}]}',
-])
-def test_malformed_json_rejected(text):
-    with pytest.raises(FormatError):
-        MassVector.from_json(text)
+# each malformed vector text with the message its FormatError (or, for
+# a rank below 2, RankError) carries; the CLI prints it as one line
+MALFORMED = [
+    ("not json", FormatError,
+     "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", FormatError, "top-level JSON must be an object"),
+    ('{"family":"affine_a","n":2}', FormatError, "missing field 'entries'"),
+    ('{"n":2,"entries":[]}', FormatError, "missing field 'family'"),
+    ('{"family":"nope","n":2,"entries":[{},{},{}]}', FormatError,
+     "unknown family 'nope'"),
+    ('{"family":"affine_a","n":2,"entries":[{},{}]}', FormatError,
+     "expected 3 entries, got 2"),
+    ('{"family":"affine_a","n":2,"entries":{}}', FormatError,
+     "field 'entries' must be a list"),
+    ('{"family":"affine_a","n":2,"entries":[{"const":"x"},{},{}]}',
+     FormatError, "bad rational 'x'"),
+    ('{"family":"affine_a","n":2,"entries":[{"const":"1/0"},{},{}]}',
+     FormatError, "bad rational '1/0'"),
+    ('{"family":"affine_a","n":2,"entries":[{"const":2},{},{}]}',
+     FormatError, "rational must be a string, got 2"),
+    ('{"family":"affine_a","n":2,"entries":[{"mu":{"1":"\u00b2"}},{},{}]}',
+     FormatError, "bad rational '\u00b2'"),
+    ('{"family":"affine_a","n":2,"entries":[{"mu":{"0":"1"}},{},{}]}',
+     FormatError, "index 0 outside 1..3"),
+    ('{"family":"affine_a","n":2,"entries":[{"mu":{"x":"1"}},{},{}]}',
+     FormatError, "bad index 'x'"),
+    ('{"family":"affine_a","n":"2","entries":[{},{},{}]}', FormatError,
+     "field 'n' must be an integer"),
+    ('{"family":"affine_a","n":true,"entries":[{},{}]}', FormatError,
+     "field 'n' must be an integer"),
+    ('{"family":"affine_a","n":1,"entries":[{},{}]}', RankError,
+     "rank must be at least 2, got 1"),
+    ('{"family":"affine_a","n":2,"entries":[{"mu":{"99":"2"}},{},{}]}',
+     FormatError, "index 99 outside 1..3"),
+    ('{"family":"affine_a","n":2,"entries":[{},{"mu":{"4":"2"}},{}]}',
+     FormatError, "index 4 outside 1..3"),
+    ('{"family":"affine_a","n":2,"entries":[{},{},{"s":{"4":"1"}}]}',
+     FormatError, "index 4 outside 1..3"),
+    ('{"family":"affine_a","n":2,"entries":[{},[],{}]}', FormatError,
+     "entry must be an object, got []"),
+    ('{"family":"affine_a","n":2,"entries":[{"mu":[]},{},{}]}', FormatError,
+     "'mu' must be an object"),
+]
 
+
+@pytest.mark.parametrize("text,error,message", MALFORMED,
+                         ids=[text for text, _, _ in MALFORMED])
+def test_malformed_json_rejected(text, error, message):
+    with pytest.raises(error) as info:
+        MassVector.from_json(text)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def make_path_from_json(obj, size):
     """Entry parsing as it was: the parsed maps through `LinForm.make`."""
-    from todamass.algebra import _frac_from_str
 
     def coeffs(key):
-        return {int(k): _frac_from_str(v) for k, v in obj.get(key, {}).items()}
+        return {int(k): Fraction(v) for k, v in obj.get(key, {}).items()}
 
-    return LinForm.make(_frac_from_str(obj.get("const", "0")), coeffs("mu"),
+    return LinForm.make(Fraction(obj.get("const", "0")), coeffs("mu"),
                         coeffs("s"))
 
 
@@ -144,8 +178,9 @@ json_entries = st.fixed_dictionaries(
 
 @given(json_entries)
 def test_entry_parsing_matches_make_path(obj):
-    from todamass.algebra import _linform_from_json
-    got = _linform_from_json(obj, 5)
+    text = json.dumps({"family": "affine_a", "n": 4,
+                       "entries": [obj, {}, {}, {}, {}]})
+    got = MassVector.from_json(text).entries[0]
     assert got == make_path_from_json(obj, 5)
     assert all(c for _, c in got.mu + got.s)
     assert [i for i, _ in got.mu] == sorted({i for i, _ in got.mu})

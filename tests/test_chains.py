@@ -7,6 +7,7 @@ from todamass.chains import (Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
                              closed_form_ct, mu_star)
 from todamass.errors import DecompositionError, DomainError
+from todamass.orbit import MEMBER, descend_to_zero
 from todamass.perms import SPermC, sigma_f_ct
 
 
@@ -100,6 +101,34 @@ def test_closed_form_inverse_applies_to_every_accepted_block():
     # (n+1)(n+2)/2 - 1 proper A blocks, n(n-1)/2 wrap blocks and as many
     # Ct interior blocks at each rank: 1,012 in all
     assert kinds == {"a": 440, "wrap": 286, "ct": 286}
+
+
+def test_every_chain_word_is_reduced():
+    # the orbit of 0 has trivial stabiliser, so a word's Coxeter length is
+    # the level of R_w(0): w is reduced exactly when the descent takes
+    # R_w(0) to zero in len(w) steps
+    blocks = 0
+    for n in range(2, 11):
+        for spec, builder in ((a_spec(n), chain_word_a),
+                              (ct_spec(n), chain_word_ct)):
+            zero = MassVector.zero(spec)
+            for start in range(1, n + 2):
+                for length in range(n + 1):
+                    for wrap in (False, True):
+                        try:
+                            word = builder(ConsecutiveSet(start, length, wrap),
+                                           spec).word
+                        except DomainError:
+                            continue
+                        report = descend_to_zero(apply_word(word, zero),
+                                                 max_steps=len(word))
+                        assert report.verdict == MEMBER, (spec, start, length)
+                        assert report.steps == len(word), (spec, start, length)
+                        blocks += 1
+    # at each rank, (n+1)(n+2)/2 - 1 proper blocks in each family and
+    # n(n-1)/2 wrap blocks of affine A: 711 in all
+    assert blocks == sum(2 * ((n + 1) * (n + 2) // 2 - 1) + n * (n - 1) // 2
+                         for n in range(2, 11)) == 711
 
 
 def test_chain_word_shapes():

@@ -5,12 +5,14 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_algebra import MALFORMED
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
 from todamass.cartan import ConsecutiveSet
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.cli import WORD_SLICE, _write_word, build_parser, run
+from todamass.errors import TodamassError
 
 
 def invoke(argv):
@@ -55,7 +57,7 @@ def test_orbit_json_round_trips():
     assert code == 0
     payload = json.loads(out)
     for item in payload["nodes"]:
-        MassVector.from_json_dict(item["vector"])
+        MassVector.from_json(json.dumps(item["vector"]))
 
 
 def test_orbit_csv_ones():
@@ -88,6 +90,19 @@ def test_member_malformed_json(tmp_path):
     path.write_text("{not json")
     code, _, err = invoke(["member", "--input", str(path)])
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("text", [text for text, _, _ in MALFORMED])
+def test_member_and_pohozaev_reject_malformed_files_as_from_json(tmp_path,
+                                                                  text):
+    with pytest.raises(TodamassError) as info:
+        MassVector.from_json(text)
+    exc = info.value
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    for verb in ("member", "pohozaev"):
+        assert invoke([verb, "--input", str(path)]) == \
+            (exc.exit_code, "", "%s: %s\n" % (type(exc).__name__, exc))
 
 
 def test_pohozaev(tmp_path):

@@ -150,7 +150,7 @@ def test_export_json_round_trip():
     payload = json.loads(export_graph(nodes, "json"))
     assert len(payload["nodes"]) == len(nodes)
     for item in payload["nodes"]:
-        MassVector.from_json_dict(item["vector"])
+        MassVector.from_json(json.dumps(item["vector"]))
 
 
 def test_export_csv():
