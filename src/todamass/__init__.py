@@ -12,7 +12,7 @@ from .cartan import (CartanMatrix, ConsecutiveSet, build, inverse,
                      inverse_finite_a, inverse_submatrix, principal_submatrix)
 from .chains import (BlowupResult, ChainPlan, Decomposition, blowup_step,
                      chain_word_a, chain_word_ct, closed_form_a,
-                     closed_form_ct, mu_star)
+                     closed_form_ct)
 from .errors import (DecompositionError, DomainError, EvaluationError,
                      FormatError, NotMassForm, RankError, SingularError,
                      SymmetryError, TodamassError)
@@ -20,7 +20,7 @@ from .orbit import (CoefficientMatrix, MembershipReport, OrbitNode,
                     coefficient_matrix, descend_to_zero, enumerate_orbit,
                     export_graph, gamma_n_test)
 from .perms import (CyclicRotation, FinitePermutation, SPermC,
-                    fold_ct_to_a, finite_a_mass, rotate_vector,
+                    fold_ct_to_a, finite_a_mass, mu_star, rotate_vector,
                     rotated_weights, rotation_covariance, sc_simple,
                     sigma_f_ct, unfold_a_to_ct)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
                       _form, _int_rows, _Layout, _Row, _Rows)
@@ -182,27 +182,9 @@ class QuadPoly:
     def from_dict(d: dict[Monomial, Fraction]) -> "QuadPoly":
         return QuadPoly(tuple(sorted((m, c) for m, c in d.items() if c)))
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @staticmethod
-    def of_products(
-            terms: Iterable[tuple[Scalar, LinForm, LinForm]]) -> "QuadPoly":
-        """The sum of k * a * b over (k, a, b) triples of mu-only forms.
-
-        The products are summed on integers over one common denominator,
-        the lcm of every coefficient's and every k's, and divided once.
-        """
-        terms = list(terms)
-        layout, rows, _ = _int_rows([f for _, a, b in terms for f in (a, b)],
-                                    scalars=[k for k, _, _ in terms])
-        d = layout[0]
-        return _quad([(int(k * d), rows[2 * t], rows[2 * t + 1])
-                      for t, (k, _, _) in enumerate(terms)], layout, d ** 3)
 
     def scale(self, k: Scalar) -> "QuadPoly":
         return QuadPoly.from_dict({m: c * k for m, c in self.terms})
@@ -217,13 +199,13 @@ class QuadPoly:
         return " + ".join(bits)
 
 
-def _quad(products: Sequence[tuple[int, _Row, _Row]], layout: _Layout,
-          denom: int) -> QuadPoly:
-    """The sum of k * a * b over integer-row (k, a, b), divided by denom."""
+def _quad(products: Sequence[tuple[int, _Row, _Row]],
+          layout: _Layout) -> QuadPoly:
+    """The sum of k * a * b over integer-row (k, a, b), divided by d^2."""
     if layout[2]:
         raise EvaluationError("generic s-indeterminates present; "
                               "evaluate them before forming residuals")
-    width = len(layout[1]) + 1
+    width, denom = len(layout[1]) + 1, layout[0] ** 2
     acc = [[0] * width for _ in range(width)]
     for k, a, b in products:
         nz = [(q, y) for q, y in enumerate(b) if y]
@@ -244,11 +226,6 @@ def _quad(products: Sequence[tuple[int, _Row, _Row]], layout: _Layout,
     return QuadPoly.from_dict(terms)
 
 
-def linform_product(a: LinForm, b: LinForm) -> QuadPoly:
-    """Exact product of two mu-only linear forms."""
-    return QuadPoly.of_products([(1, a, b)])
-
-
 def _minus(a: _Row, b: _Row) -> list[int]:
     return [x - y for x, y in zip(a, b)]
 
@@ -262,9 +239,8 @@ def pohozaev_residual(v: MassVector,
                - 2 (mu_1 s_1 + 2 sum_{2<=i<=n} mu_i s_i + mu_{n+1} s_{n+1})
 
     ``weights`` optionally substitutes forms for the plain mu_i, which is
-    what the folding map needs.  The entries and weights are read once
-    as integer rows over their common denominator, as in
-    `QuadPoly.of_products`.
+    what the folding map needs.  Entries and weights are read once as
+    integer rows, and `_quad`, the one product kernel, sums their products.
     """
     return _residual(v.spec, *_int_rows(v.entries, weights))
 
@@ -281,7 +257,7 @@ def _residual(spec: AlgebraSpec, layout: _Layout, e: Sequence[_Row],
         # the pairing weighs the two end entries once and the others twice
         products += [(-2 if i in (0, spec.n) else -4, w[i], e[i])
                      for i in range(spec.size)]
-    return _quad(products, layout, layout[0] ** 2)
+    return _quad(products, layout)
 
 
 def pohozaev_residual_cyclic_difference(
@@ -289,14 +265,10 @@ def pohozaev_residual_cyclic_difference(
         weights: Optional[Sequence[LinForm]] = None) -> QuadPoly:
     """Affine A residual in the squared-difference form.
 
-    sum_i (s_i - s_{i+1})^2 - 4 sum_i mu_i s_i, cyclic in i.  This equals
-    exactly twice the band-form residual and is the shape the folding
-    argument compares against.
+    sum_i (s_i - s_{i+1})^2 - 4 sum_i mu_i s_i, cyclic in i: the shape
+    the folding argument compares against.  Expanding the squares shows it
+    is exactly twice the band-form residual, which is how it is computed.
     """
-    spec = v.spec
-    if spec.family != AFFINE_A:
+    if v.spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")
-    layout, e, w = _int_rows(v.entries, weights)
-    products = [(1, diff, diff) for diff in map(_minus, e, e[1:] + e[:1])]
-    products += [(-4, w[i], e[i]) for i in range(spec.size)]
-    return _quad(products, layout, layout[0] ** 2)
+    return pohozaev_residual(v, weights).scale(2)

@@ -128,11 +128,7 @@ class LinForm:
         s: list[tuple[int, Fraction]] = []
         for k, f in terms:
             k = _as_fraction(k)
-            if k == 1:  # the common case: skip the Fraction products
-                const += f.const
-                mu += f.mu
-                s += f.s
-            elif k:
+            if k:
                 const += f.const * k
                 mu += [(i, c * k) for i, c in f.mu]
                 s += [(i, c * k) for i, c in f.s]
@@ -209,25 +205,22 @@ _Rows = tuple[_Row, ...]
 
 
 def _int_rows(forms: Sequence[LinForm],
-              weights: Optional[Sequence[LinForm]] = (),
-              scalars: Iterable[Scalar] = ()
+              weights: Optional[Sequence[LinForm]] = ()
               ) -> tuple[_Layout, list[_Row], list[_Row]]:
     """(layout, form rows, weight rows), every form read once.
 
     The layout has a column for each mu_i and s_i that occurs, and d is
-    the lcm of every denominator among the forms, the weights and the
-    scalars.  Weight t stands for mu_{t+1}, and only the first m =
-    len(forms) weights are read; ``weights`` None stands for the plain
-    weights mu_1..mu_m.  A form is read through its const, mu and s
-    fields, so anything with those fields reads as one.
+    the lcm of every denominator among the forms and the weights.  Weight
+    t stands for mu_{t+1}, and only the first m = len(forms) weights are
+    read; None stands for mu_1..mu_m.  A form is read through its const,
+    mu and s fields, so anything with those fields reads as one.
     """
     m = len(forms)
     read = [(f.const, f.mu, f.s) for f in
             list(forms) + ([] if weights is None else list(weights)[:m])]
     if weights is None:
         read += [(0, ((i, 1),), ()) for i in range(1, m + 1)]
-    dens = {Fraction(k).denominator for k in scalars}
-    mu, s = set(), set()
+    dens, mu, s = set(), set(), set()
     for const, f_mu, f_s in read:
         dens.add(const.denominator)
         for i, c in f_mu:
@@ -308,7 +301,8 @@ def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],
     coefficient strings are read by int(), with no Fraction built."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise FormatError("invalid JSON: %s" % exc) from exc
     if not isinstance(obj, dict):
         raise FormatError("top-level JSON must be an object")

@@ -18,8 +18,7 @@ from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
 from .action import Word, _kernel_rows, apply_word
-from .perms import (SPermC, _block, _block_rows, _written, mu_star,
-                    sigma_f_ct)
+from .perms import SPermC, _block, _block_rows, _written, sigma_f_ct
 
 
 @dataclass(frozen=True)

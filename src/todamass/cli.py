@@ -211,7 +211,7 @@ def _cmd_blowup_step(args, out) -> int:
     v = (MassVector.from_json(_read(args.input)) if args.input
          else MassVector.zero(spec))
     result = blowup_step(v, d)
-    out.write("word %s\n" % result.word)
+    _write_word(out, result.word)
     out.write(result.vector.to_json(indent=2) + "\n")
     return 0
 

@@ -101,6 +101,11 @@ def _mass_rows(layout: _Layout, rows: _Rows,
         len(mu) > size
 
 
+def _nonneg_integral(d: int, mass: _Rows) -> bool:
+    """`CoefficientMatrix.is_nonneg_integral` on `_mass_rows`' rows over d."""
+    return all(c >= 0 and not c % (2 * d) for row in mass for c in row)
+
+
 def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
     """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
     d, rows, _ = _mass_rows(*_int_rows(v.entries, None)[:2], v.spec.size)
@@ -124,8 +129,9 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
     Both are always evaluated.  `descend_to_zero` decides in a cheaper
     order and returns this same report whenever it rejects a vector.
     """
-    return _verdict(v.spec, *_int_rows(v.entries, None),
-                    coefficient_matrix(v).is_nonneg_integral())
+    layout, rows, w = _int_rows(v.entries, None)
+    d, mass, _ = _mass_rows(layout, rows, v.spec.size)
+    return _verdict(v.spec, layout, rows, w, _nonneg_integral(d, mass))
 
 
 def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
@@ -146,7 +152,7 @@ def _membership(spec: AlgebraSpec, layout: _Layout, rows: _Rows, w: _Rows,
                 max_steps: int) -> MembershipReport:
     """`descend_to_zero` on the rows `_int_rows(entries, None)` reads."""
     d, mass, stray = _mass_rows(layout, rows, spec.size)
-    if not all(c >= 0 and not c % (2 * d) for row in mass for c in row):
+    if not _nonneg_integral(d, mass):
         return _verdict(spec, layout, rows, w, False)
     applied, stall = _descend(mass, d, spec, max_steps)
     if stall or stray:

@@ -5,8 +5,7 @@ import pytest
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import (Word, _generic_rows, _kernel_rows,
-                             apply_generator, apply_word,
-                             linform_product, pohozaev_residual,
+                             apply_generator, apply_word, pohozaev_residual,
                              pohozaev_residual_cyclic_difference,
                              presentation_relations, verify_relation)
 from todamass.errors import DomainError, EvaluationError
@@ -136,11 +135,6 @@ def test_verify_relation_agrees_across_interleaved_calls():
         assert _generic_rows(spec) == _kernel_rows(MassVector.generic(spec))
 
 
-def test_linform_product_rejects_seeds():
-    with pytest.raises(EvaluationError):
-        linform_product(LinForm.seed(1), LinForm.weight(1))
-
-
 def test_pohozaev_zero_vector():
     assert pohozaev_residual(MassVector.zero(a_spec())).is_zero
     assert pohozaev_residual(MassVector.zero(ct_spec(4))).is_zero
@@ -156,7 +150,7 @@ def test_pohozaev_constant_example():
     v = MassVector(a_spec(), (LinForm.make(1), LinForm.zero(),
                               LinForm.zero()))
     r = pohozaev_residual(v)
-    assert r.as_dict() == {(): Fraction(1), (1,): Fraction(-2)}
+    assert dict(r.terms) == {(): Fraction(1), (1,): Fraction(-2)}
 
 
 def test_pohozaev_rejects_seeds():
@@ -188,3 +182,12 @@ def test_difference_form_is_double():
         v = MassVector(spec, entries)
         band = pohozaev_residual(v)
         assert pohozaev_residual_cyclic_difference(v) == band.scale(2)
+
+
+def test_difference_form_is_specific_to_affine_a():
+    # the family is checked before the entries are read, so a seeded Ct
+    # vector gets the family message too
+    for v in (MassVector.zero(ct_spec(3)), MassVector.generic(ct_spec(2))):
+        with pytest.raises(EvaluationError) as exc:
+            pohozaev_residual_cyclic_difference(v)
+        assert str(exc.value) == "difference form is specific to affine A"

@@ -5,10 +5,10 @@ from todamass.action import Word, apply_word, family_matrix
 from todamass.cartan import ConsecutiveSet, inverse_finite_a, inverse_submatrix
 from todamass.chains import (Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
-                             closed_form_ct, mu_star)
+                             closed_form_ct)
 from todamass.errors import DecompositionError, DomainError
 from todamass.orbit import MEMBER, descend_to_zero
-from todamass.perms import SPermC, sigma_f_ct
+from todamass.perms import SPermC, mu_star, sigma_f_ct
 
 
 def a_spec(n):

@@ -146,6 +146,53 @@ def test_blowup_step():
     assert code == 2 and "DecompositionError" in err
 
 
+# (family, rank, case tag, --blocks): valid decompositions of every case
+# tag; the A-I block 1:100 has a chain of 5,151 letters, which
+# `_write_word` writes in slices
+BLOWUP_CASES = (
+    ("a", 4, "A-I", "1:2"), ("a", 4, "A-I", "2:1"),
+    ("a", 5, "A-I", "1:1,4:1"), ("a", 102, "A-I", "1:100"),
+    ("a", 4, "A-II", "w:5:1,3:0"), ("a", 4, "A-II", "w:4:2"),
+    ("a", 6, "A-II", "w:6:1,4:0"),
+    ("ct", 4, "Ct-I", "1:2"), ("ct", 4, "Ct-I", "1:1,4:0"),
+    ("ct", 4, "Ct-II", "3:2"), ("ct", 4, "Ct-II", "2:3"),
+    ("ct", 4, "Ct-III", "1:0,3:2"), ("ct", 5, "Ct-III", "1:1,4:2"),
+    ("ct", 4, "Ct-IV", "2:0,4:0"), ("ct", 5, "Ct-IV", "3:1"),
+)
+# sha256 over one JSON line [exit code, stdout, stderr] per blowup-step
+# call below, taken when the verb wrote "word %s\n" % result.word
+BLOWUP_SHA256 = \
+    "15978d16539ab6ff68117c4f5ef1b18af1abffebb33c7e1a455ea6782874c267"
+
+
+def test_blowup_step_writes_its_word_as_chain_does(tmp_path):
+    digest = hashlib.sha256()
+    for flag, n, case, blocks in BLOWUP_CASES:
+        spec = AlgebraSpec({"a": "affine_a", "ct": "affine_ct"}[flag], n)
+        path = write_vector(tmp_path, "v.json",
+                            apply_word(Word.of(2, 1, 3), MassVector.zero(spec)))
+        argv = ["blowup-step", "--family", flag, "--rank", str(n),
+                "--case", case, "--blocks", blocks]
+        for extra in ([], ["--input", path]):
+            result = invoke(argv + extra)
+            assert result[0] == 0 and result[2] == ""
+            digest.update(json.dumps(result).encode() + b"\n")
+    assert digest.hexdigest() == BLOWUP_SHA256
+
+
+@pytest.mark.parametrize("opener", ["[", '{"n": '])
+def test_deeply_nested_json_is_a_format_error(tmp_path, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 200000)
+    for argv in (["member"], ["pohozaev"], ["fold"], ["rotate", "--r", "1"],
+                 ["blowup-step", "--family", "a", "--rank", "4",
+                  "--case", "A-I", "--blocks", "1:2"]):
+        code, out, err = invoke(argv + ["--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("FormatError: invalid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_byte_identical_repeat_runs():
     args = ["orbit", "--family", "ct", "--rank", "3", "--depth", "3",
             "--out", "json"]

@@ -1,15 +1,19 @@
-"""Differential tests: n-ary combinations against binary folds.
+"""Differential tests: integer-row kernels against symbolic oracles.
 
-`LinForm.combine` normalises a whole linear combination once, and
-`QuadPoly.of_products` a whole sum of products, on integers over one
-common denominator.  `finite_a_mass` sums prefix rows on integers, and
-every chain target reads it as the mass of the longest element.  The
-oracles below are the implementations that folded every sum one binary
-`+`/`-`/`scale` at a time, including the triple-loop `closed_form_ct`
-and the per-call prefix closures of `finite_a_mass` and `sigma_f_ct`,
-the inverse-matrix `closed_form_a`, the residuals that built one
-`QuadPoly` per product before merging them, and the Fraction loop that
-summed every product term by term before the integer kernel.
+`LinForm.combine` normalises a whole linear combination once, and the
+oracle folds it one binary `+`/`-`/`scale` at a time.  `finite_a_mass`
+sums prefix rows on integers, and every chain target reads it as the
+mass of the longest element.  Their oracles are the implementations
+that folded every sum one binary step at a time, including the
+triple-loop `closed_form_ct`, the per-call prefix closures of
+`finite_a_mass` and `sigma_f_ct`, and the inverse-matrix
+`closed_form_a`.
+
+Both Pohozaev residual forms come from one integer kernel,
+`action._quad`: the cyclic-difference form is twice the band form.
+Each form has one oracle, which sums its products term by term in
+Fractions: `fraction_residual` and `fraction_cyclic_difference`, both
+through `fraction_of_products`.
 """
 
 import random
@@ -21,14 +25,13 @@ from test_chains import closed_form_a_blocks
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _clean
 from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
-                             family_matrix, linform_product,
-                             pohozaev_residual,
+                             family_matrix, pohozaev_residual,
                              pohozaev_residual_cyclic_difference)
 from todamass.cartan import ConsecutiveSet, inverse_finite_a
 from todamass.errors import EvaluationError
-from todamass.chains import closed_form_a, closed_form_ct, mu_star
+from todamass.chains import closed_form_a, closed_form_ct
 from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
-                            sc_simple, sigma_f_ct)
+                            mu_star, sc_simple, sigma_f_ct)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 coeff_maps = st.dictionaries(st.integers(min_value=1, max_value=6), rationals,
@@ -200,101 +203,6 @@ def old_clean(items):
     return tuple(sorted(acc.items()))
 
 
-def qadd(a, b, k=1):
-    """a + k * b, the binary QuadPoly step the residuals used to fold."""
-    d = a.as_dict()
-    for m, c in b.terms:
-        d[m] = d.get(m, Fraction(0)) + k * c
-    return QuadPoly.from_dict(d)
-
-
-def old_residual(v, w):
-    spec = v.spec
-    total = QuadPoly()
-    if spec.family == "affine_a":
-        for i in spec.indices:
-            e = v.entry(i)
-            total = qadd(total, linform_product(e, e))
-            total = qadd(total, linform_product(e, v.entry(i + 1)), -1)
-            total = qadd(total, linform_product(w[i - 1], e), -2)
-    else:
-        for i in range(1, spec.n + 1):
-            diff = v.entry(i) - v.entry(i + 1)
-            total = qadd(total, linform_product(diff, diff))
-        pairing = linform_product(w[0], v.entry(1))
-        for i in range(2, spec.n + 1):
-            pairing = qadd(pairing, linform_product(w[i - 1], v.entry(i)), 2)
-        pairing = qadd(pairing, linform_product(w[spec.n], v.entry(spec.n + 1)))
-        total = qadd(total, pairing, -2)
-    return total
-
-
-def old_cyclic_difference(v, w):
-    total = QuadPoly()
-    for i in v.spec.indices:
-        diff = v.entry(i) - v.entry(i + 1)
-        total = qadd(total, linform_product(diff, diff))
-        total = qadd(total, linform_product(w[i - 1], v.entry(i)), -4)
-    return total
-
-
-def product_poly(a, b):
-    """One product as its own sorted `QuadPoly`, term by term."""
-    assert not a.s and not b.s
-    d = {}
-
-    def bump(m, c):
-        if c:
-            d[m] = d.get(m, Fraction(0)) + c
-
-    bump((), a.const * b.const)
-    for i, c in a.mu:
-        bump((i,), c * b.const)
-    for j, c in b.mu:
-        bump((j,), c * a.const)
-    for i, ci in a.mu:
-        for j, cj in b.mu:
-            bump((i, j) if i <= j else (j, i), ci * cj)
-    return QuadPoly.from_dict(d)
-
-
-def combine_polys(pairs):
-    """The sum of k * poly over (k, poly) pairs, normalised once."""
-    d = {}
-    for k, p in pairs:
-        for m, c in p.terms:
-            d[m] = d.get(m, 0) + Fraction(k) * c
-    return QuadPoly.from_dict(d)
-
-
-def per_product_residual(v, w):
-    """`pohozaev_residual` with one polynomial per product, then a merge."""
-    spec = v.spec
-    if spec.family == "affine_a":
-        terms = []
-        for i in spec.indices:
-            e = v.entry(i)
-            terms += [(1, product_poly(e, e)),
-                      (-1, product_poly(e, v.entry(i + 1))),
-                      (-2, product_poly(w[i - 1], e))]
-        return combine_polys(terms)
-    e = v.entries
-    diffs = [e[i] - e[i + 1] for i in range(spec.n)]
-    return combine_polys(
-        [(1, product_poly(d, d)) for d in diffs]
-        + [(-2 if i in (0, spec.n) else -4, product_poly(w[i], e[i]))
-           for i in range(spec.size)])
-
-
-def per_product_cyclic_difference(v, w):
-    terms = []
-    for i in v.spec.indices:
-        diff = v.entry(i) - v.entry(i + 1)
-        terms += [(1, product_poly(diff, diff)),
-                  (-4, product_poly(w[i - 1], v.entry(i)))]
-    return combine_polys(terms)
-
-
 def fraction_factors(f):
     """The nonzero (monomial, coefficient) terms of a mu-only form."""
     if f.s:
@@ -307,7 +215,8 @@ def fraction_factors(f):
 
 
 def fraction_of_products(terms):
-    """`QuadPoly.of_products` as a Fraction loop over the forms' terms."""
+    """The sum of k * a * b over (k, a, b) triples of forms, as a Fraction
+    loop over the forms' terms."""
     d = {}
     for k, a, b in terms:
         fb = fraction_factors(b)
@@ -352,15 +261,6 @@ def outcome(call):
         return EvaluationError, str(exc)
 
 
-def evaluate_poly(p, mu):
-    total = Fraction(0)
-    for m, c in p.terms:
-        for i in m:
-            c *= mu[i]
-        total += c
-    return total
-
-
 # -- LinForm.combine -------------------------------------------------------
 
 def is_canonical(items):
@@ -397,11 +297,11 @@ def test_combine_of_nothing_is_zero():
     assert LinForm.combine([(1, f), (-1, f)]).is_zero
 
 
-def random_vector(spec, rng, seeds=True):
+def random_vector(spec, rng):
     def form():
         mu = {i: Fraction(rng.randint(-6, 6), rng.randint(1, 3))
               for i in rng.sample(list(spec.indices), 2)}
-        s = {rng.choice(list(spec.indices)): rng.randint(-3, 3)} if seeds else {}
+        s = {rng.choice(list(spec.indices)): rng.randint(-3, 3)}
         return LinForm.make(rng.randint(-2, 2), mu, s)
     return MassVector(spec, tuple(form() for _ in spec.indices))
 
@@ -537,88 +437,12 @@ def test_sigma_f_ct_matches_the_full_length_sum():
 
 # -- Pohozaev residuals ----------------------------------------------------
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 6),
-       st.data())
-def test_residuals_match_binary_folds(family, n, data):
-    spec = AlgebraSpec(family, n)
-    word = data.draw(st.lists(st.sampled_from(list(spec.indices)),
-                              max_size=10))
-    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    orbit = apply_word(Word(tuple(word)), MassVector.zero(spec))
-    off_orbit = random_vector(spec, rng, seeds=False)
-    overlay = [LinForm.make(rng.randint(-1, 1), {rng.randint(1, n + 1): 1})
-               for _ in spec.indices]
-    plain = [LinForm.weight(i) for i in spec.indices]
-    for v in (orbit, off_orbit):
-        for w in (plain, overlay):
-            assert pohozaev_residual(v, weights=w) == old_residual(v, w)
-            if family == "affine_a":
-                assert pohozaev_residual_cyclic_difference(v, weights=w) == \
-                    old_cyclic_difference(v, w)
-    assert pohozaev_residual(orbit).is_zero
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 6),
-       st.data())
-def test_residuals_match_per_product_polynomials(family, n, data):
-    spec = AlgebraSpec(family, n)
-    word = data.draw(st.lists(st.sampled_from(list(spec.indices)),
-                              max_size=10))
-    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    orbit = apply_word(Word(tuple(word)), MassVector.zero(spec))
-    off_orbit = random_vector(spec, rng, seeds=False)
-    overlay = [LinForm.make(rng.randint(-1, 1), {rng.randint(1, n + 1): 1})
-               for _ in spec.indices]
-    plain = [LinForm.weight(i) for i in spec.indices]
-    for v in (orbit, off_orbit):
-        for w in (plain, overlay):
-            assert pohozaev_residual(v, weights=w) == \
-                per_product_residual(v, w)
-            if family == "affine_a":
-                assert pohozaev_residual_cyclic_difference(v, weights=w) == \
-                    per_product_cyclic_difference(v, w)
-
-
-# mu-only forms up to rank 10: indices 1..11, constants, negative and
-# fractional coefficients
-mu_maps = st.dictionaries(st.integers(min_value=1, max_value=11), rationals,
-                          max_size=6)
-mu_forms = st.builds(LinForm.make, rationals, mu_maps)
-mu_points = st.lists(rationals, min_size=11, max_size=11).map(
-    lambda xs: dict(enumerate(xs, 1)))
-
-
-@settings(max_examples=80, deadline=None)
-@given(mu_forms, mu_forms, mu_points)
-def test_linform_product_evaluates_to_the_product(a, b, mu):
-    p = linform_product(a, b)
-    assert evaluate_poly(p, mu) == a.evaluate(mu) * b.evaluate(mu)
-    assert p == product_poly(a, b)
-    assert all(c for _, c in p.terms)
-    assert [m for m, _ in p.terms] == sorted({m for m, _ in p.terms})
-    assert all(list(m) == sorted(m) for m, _ in p.terms)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), rationals),
-                          mu_forms, mu_forms), max_size=6), mu_points)
-def test_of_products_evaluates_to_the_sum(triples, mu):
-    got = QuadPoly.of_products(triples)
-    assert evaluate_poly(got, mu) == sum(
-        (k * a.evaluate(mu) * b.evaluate(mu) for k, a, b in triples),
-        Fraction(0))
-    assert got == combine_polys([(k, product_poly(a, b))
-                                 for k, a, b in triples])
-
-
 def test_products_with_seeds_raise_the_same_error():
-    g = MassVector.generic(AlgebraSpec("affine_ct", 3))
-    for call in (lambda: linform_product(LinForm.weight(1), LinForm.seed(2)),
-                 lambda: QuadPoly.of_products([(0, LinForm.seed(1),
-                                                LinForm.weight(1))]),
-                 lambda: pohozaev_residual(g)):
+    ct = MassVector.generic(AlgebraSpec("affine_ct", 3))
+    a = MassVector.generic(AlgebraSpec("affine_a", 3))
+    for call in (lambda: pohozaev_residual(ct),
+                 lambda: pohozaev_residual(a),
+                 lambda: pohozaev_residual_cyclic_difference(a)):
         with pytest.raises(EvaluationError) as exc:
             call()
         assert str(exc.value) == ("generic s-indeterminates present; "
@@ -636,10 +460,11 @@ def random_form(rng, size, seeded=False):
     return LinForm.make(coeff() if rng.random() < 0.5 else 0, mu, s)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 10),
        st.sampled_from(["orbit", "random", "seeded entry"]),
-       st.sampled_from(["plain", "overlay", "seeded overlay"]),
+       st.sampled_from(["plain", "single weights", "overlay",
+                        "seeded overlay"]),
        st.integers(0, 10 ** 6))
 def test_integer_kernel_matches_the_fraction_loop(family, n, vector, weights,
                                                   seed):
@@ -655,26 +480,24 @@ def test_integer_kernel_matches_the_fraction_loop(family, n, vector, weights,
             v = v.replace(rng.randint(1, size), random_form(rng, size, True))
     overlay = None
     w = [LinForm.weight(i) for i in spec.indices]
-    if weights != "plain":
+    if weights == "single weights":
+        # a constant plus one plain weight each
+        overlay = [LinForm.make(rng.randint(-1, 1), {rng.randint(1, size): 1})
+                   for _ in range(size)]
+        w = overlay
+    elif weights != "plain":
         overlay = [random_form(rng, size) for _ in range(size)]
         if weights == "seeded overlay":
             overlay[rng.randrange(size)] = random_form(rng, size, True)
         w = overlay
     assert outcome(lambda: pohozaev_residual(v, weights=overlay)) == \
         outcome(lambda: fraction_residual(v, w))
+    if vector == "orbit" and weights == "plain":
+        assert pohozaev_residual(v).is_zero
     if family == "affine_a":
         assert outcome(lambda: pohozaev_residual_cyclic_difference(
             v, weights=overlay)) == \
             outcome(lambda: fraction_cyclic_difference(v, w))
-    # Fraction and integer k, k = 0 included, and now and then a seed
-    # term, also under k = 0
-    triples = [(rng.choice([0, 1, -2, Fraction(rng.randint(-9, 9),
-                                               rng.randint(1, 7))]),
-                random_form(rng, size, rng.random() < 0.05),
-                random_form(rng, size, rng.random() < 0.05))
-               for _ in range(rng.randint(0, 8))]
-    assert outcome(lambda: QuadPoly.of_products(triples)) == \
-        outcome(lambda: fraction_of_products(triples))
 
 
 def test_seed_terms_raise_the_fraction_loop_message():
@@ -683,12 +506,6 @@ def test_seed_terms_raise_the_fraction_loop_message():
     v = MassVector(spec, (LinForm.weight(1, 2),) * 4)
     weights = [LinForm.weight(i) for i in spec.indices]
     calls = [
-        (lambda: QuadPoly.of_products([(0, seeded, LinForm.weight(1))]),
-         lambda: fraction_of_products([(0, seeded, LinForm.weight(1))])),
-        (lambda: QuadPoly.of_products([(Fraction(1, 3), LinForm.weight(2),
-                                        seeded)]),
-         lambda: fraction_of_products([(Fraction(1, 3), LinForm.weight(2),
-                                        seeded)])),
         (lambda: pohozaev_residual(v.replace(3, seeded)),
          lambda: fraction_residual(v.replace(3, seeded), weights)),
         (lambda: pohozaev_residual(v, weights=weights[:2] + [seeded] * 2),

@@ -17,15 +17,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todamass.algebra import AlgebraSpec, LinForm, MassVector
+from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (Word, _form, _kernel_rows, _neighbours,
                              _reflect, apply_generator, apply_word,
                              family_matrix, verify_relation)
-from todamass.errors import DomainError, NotMassForm
+from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
-                            MembershipReport, OrbitNode, coefficient_matrix,
-                            descend_to_zero, enumerate_orbit, export_graph,
-                            gamma_n_test)
+                            MembershipReport, OrbitNode, _verdict,
+                            coefficient_matrix, descend_to_zero,
+                            enumerate_orbit, export_graph, gamma_n_test)
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -235,12 +235,12 @@ def test_integer_step_matches_apply_generator(family, n, data):
         assert apply_generator(i, v) == linform_generator(i, v)
 
 
-def outcome(call):
+def outcome(call, errors=DomainError):
     """A call's result, or its error type and message."""
     try:
         return call()
-    except DomainError as exc:
-        return DomainError, str(exc)
+    except errors as exc:
+        return type(exc), str(exc)
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -386,6 +386,34 @@ def test_membership_matches_gamma_first_order(family, n, level, defect, seed):
     for budget in sorted(budgets):
         report = descend_to_zero(v, max_steps=budget)
         assert report == gamma_first_descent(v, max_steps=budget), budget
+
+
+def coefficient_matrix_gamma_n_test(v):
+    """`gamma_n_test` as it decided the coefficients before: on the
+    Fraction matrix of a second read of v."""
+    return _verdict(v.spec, *_int_rows(v.entries, None),
+                    coefficient_matrix(v).is_nonneg_integral())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 7), st.integers(0, 20),
+       st.sampled_from(sorted(DEFECTS) + ["random"]), st.data())
+def test_gamma_n_test_matches_the_coefficient_matrix(family, n, level, kind,
+                                                     data):
+    spec = AlgebraSpec(family, n)
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if kind == "random":
+        # constants, Fractions, s-terms and stray mu indices: NotMassForm
+        # comes before any residual is formed
+        v = MassVector(spec, tuple(data.draw(st.lists(
+            forms(spec.size), min_size=spec.size, max_size=spec.size))))
+    else:
+        v = ascent(spec, level, rng)
+        if kind != "member":
+            stray = spec.size + 1 if kind == "stray" else None
+            v = bumped(v, rng, DEFECTS[kind], stray)
+    assert outcome(lambda: gamma_n_test(v), TodamassError) == \
+        outcome(lambda: coefficient_matrix_gamma_n_test(v), TodamassError)
 
 
 def test_membership_reports_on_each_path():
