@@ -202,20 +202,27 @@ def _linform_to_json(f: LinForm) -> dict:
 _Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
 _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]
+# the default weights of `_int_rows`: none read
+_UNWEIGHTED: Sequence = range(0)
 
 
 def _int_rows(forms: Sequence[LinForm],
-              weights: Optional[Sequence[LinForm]] = ()
+              weights: Optional[Sequence[LinForm]] = _UNWEIGHTED
               ) -> tuple[_Layout, list[_Row], list[_Row]]:
     """(layout, form rows, weight rows), every form read once.
 
     The layout has a column for each mu_i and s_i that occurs, and d is
     the lcm of every denominator among the forms and the weights.  Weight
     t stands for mu_{t+1}, and only the first m = len(forms) weights are
-    read; None stands for mu_1..mu_m.  A form is read through its const,
-    mu and s fields, so anything with those fields reads as one.
+    read, fewer being an EvaluationError; None stands for mu_1..mu_m.  A
+    form is read through its const, mu and s fields, so anything with
+    those fields reads as one.
     """
     m = len(forms)
+    if weights is not None and weights is not _UNWEIGHTED \
+            and len(weights) < m:
+        raise EvaluationError("expected %d weights, got %d"
+                              % (m, len(weights)))
     read = [(f.const, f.mu, f.s) for f in
             list(forms) + ([] if weights is None else list(weights)[:m])]
     if weights is None:
@@ -365,12 +372,6 @@ class MassVector:
         """Entry at 1-based index i (cyclic for affine A)."""
         return self.entries[self.spec.wrap(i) - 1]
 
-    def replace(self, i: int, form: LinForm) -> "MassVector":
-        i = self.spec.wrap(i)
-        entries = list(self.entries)
-        entries[i - 1] = form
-        return MassVector(self.spec, tuple(entries))
-
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
@@ -392,16 +393,11 @@ class MassVector:
 
     def canonical_key(self) -> str:
         """Deterministic string key; equal vectors get equal keys."""
-        # vectors are immutable, so the key is computed once per instance;
-        # it equals json.dumps(self.to_json_dict(), sort_keys=True,
+        # json.dumps(self.to_json_dict(), sort_keys=True,
         # separators=(",", ":")) byte for byte
-        key = self.__dict__.get("_canonical_key")
-        if key is None:
-            key = '{"entries":[%s],"family":"%s","n":%d}' % (
-                ",".join([e.json_compact for e in self.entries]),
-                self.spec.family, self.spec.n)
-            object.__setattr__(self, "_canonical_key", key)
-        return key
+        return '{"entries":[%s],"family":"%s","n":%d}' % (
+            ",".join([e.json_compact for e in self.entries]),
+            self.spec.family, self.spec.n)
 
     def to_json_dict(self) -> dict:
         return {"family": self.spec.family,

@@ -143,66 +143,45 @@ class Decomposition:
             raise DecompositionError("blocks meet the null set")
         if seen | self.null_set != set(spec.indices):
             raise DecompositionError("blocks and null set do not cover I")
-        for b, idx in zip(self.blocks, block_idx):
-            lo, hi = idx[0], idx[-1]
-            before = spec.wrap(lo - 1) if spec.family == AFFINE_A else lo - 1
-            after = spec.wrap(hi + 1) if spec.family == AFFINE_A else hi + 1
-            for nb in (before, after):
+        for idx in block_idx:
+            for nb in (idx[0] - 1, idx[-1] + 1):
+                nb = spec.wrap(nb) if spec.family == AFFINE_A else nb
                 if 1 <= nb <= n + 1 and nb not in self.null_set:
                     raise DecompositionError(
                         "block {%s} is not maximal: neighbor %d is not "
                         "in the null set" % (",".join(map(str, idx)), nb))
-        N = self.null_set
-        tag = self.case_tag
-        first, last = self.blocks[0], self.blocks[-1]
-        if tag == "A-I":
-            if not N:
-                raise DecompositionError("A-I needs a nonempty null set")
-            if not ({1, n + 1} & N):
-                raise DecompositionError("A-I needs 1 or n+1 in the null set")
-            if any(b.wrap for b in self.blocks):
-                raise DecompositionError("A-I blocks must not wrap")
-        elif tag == "A-II":
-            if {1, n + 1} & N:
-                raise DecompositionError("A-II forbids 1 and n+1 in the null set")
-            if not first.wrap:
-                raise DecompositionError("A-II needs a wrap-around first block")
-            if any(b.wrap for b in self.blocks[1:]):
-                raise DecompositionError("only the first block may wrap")
-        elif tag == "Ct-I":
-            if {1, 2} & N:
-                raise DecompositionError("Ct-I forbids 1 and 2 in the null set")
-            if not ({n, n + 1} & N):
-                raise DecompositionError("Ct-I needs n or n+1 in the null set")
-            if not first.is_head(n):
-                raise DecompositionError("Ct-I first block must start at 1")
-            if not all(b.is_interior(n) for b in self.blocks[1:]):
-                raise DecompositionError("Ct-I later blocks must be interior")
-        elif tag == "Ct-II":
-            if not ({1, 2} & N):
-                raise DecompositionError("Ct-II needs 1 or 2 in the null set")
-            if not first.is_tail(n):
-                raise DecompositionError("Ct-II first block must end at n+1")
-            if not all(b.is_interior(n) for b in self.blocks[1:]):
-                raise DecompositionError("Ct-II later blocks must be interior")
-        elif tag == "Ct-III":
-            if n < 4:
-                raise DecompositionError("Ct-III needs rank at least 4")
-            if len(self.blocks) < 2:
-                raise DecompositionError("Ct-III needs head and tail blocks")
-            if not first.is_head(n):
-                raise DecompositionError("Ct-III first block must start at 1")
-            if not last.is_tail(n):
-                raise DecompositionError("Ct-III last block must end at n+1")
-            if not all(b.is_interior(n) for b in self.blocks[1:-1]):
-                raise DecompositionError("Ct-III middle blocks must be interior")
-        elif tag == "Ct-IV":
-            if not ({1, 2} & N):
-                raise DecompositionError("Ct-IV needs 1 or 2 in the null set")
-            if not ({n, n + 1} & N):
-                raise DecompositionError("Ct-IV needs n or n+1 in the null set")
-            if not all(b.is_interior(n) for b in self.blocks):
-                raise DecompositionError("Ct-IV blocks must all be interior")
+        N, first, last = self.null_set, self.blocks[0], self.blocks[-1]
+        ends, starts = {n, n + 1} & N, {1, 2} & N
+        inner = [b.is_interior(n) for b in self.blocks]
+        wraps = [b.wrap for b in self.blocks]
+        # per case, (condition, message if it fails) in the order checked
+        rules = {
+            "A-I": ((N, "A-I needs a nonempty null set"),
+                    ({1, n + 1} & N, "A-I needs 1 or n+1 in the null set"),
+                    (not any(wraps), "A-I blocks must not wrap")),
+            "A-II": (
+                (not {1, n + 1} & N, "A-II forbids 1 and n+1 in the null set"),
+                (first.wrap, "A-II needs a wrap-around first block"),
+                (not any(wraps[1:]), "only the first block may wrap")),
+            "Ct-I": ((not starts, "Ct-I forbids 1 and 2 in the null set"),
+                     (ends, "Ct-I needs n or n+1 in the null set"),
+                     (first.is_head(n), "Ct-I first block must start at 1"),
+                     (all(inner[1:]), "Ct-I later blocks must be interior")),
+            "Ct-II": ((starts, "Ct-II needs 1 or 2 in the null set"),
+                      (first.is_tail(n), "Ct-II first block must end at n+1"),
+                      (all(inner[1:]), "Ct-II later blocks must be interior")),
+            "Ct-III": (
+                (n >= 4, "Ct-III needs rank at least 4"),
+                (len(self.blocks) >= 2, "Ct-III needs head and tail blocks"),
+                (first.is_head(n), "Ct-III first block must start at 1"),
+                (last.is_tail(n), "Ct-III last block must end at n+1"),
+                (all(inner[1:-1]), "Ct-III middle blocks must be interior")),
+            "Ct-IV": ((starts, "Ct-IV needs 1 or 2 in the null set"),
+                      (ends, "Ct-IV needs n or n+1 in the null set"),
+                      (all(inner), "Ct-IV blocks must all be interior"))}
+        for holds, message in rules[self.case_tag]:
+            if not holds:
+                raise DecompositionError(message)
 
 
 @dataclass(frozen=True)

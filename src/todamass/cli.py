@@ -18,8 +18,8 @@ from .action import (Word, _fold, _generic_rows, _residual,
                      presentation_relations, verify_relation)
 from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
-from .orbit import (DESCENT_STALLED, MEMBER, _membership, enumerate_orbit,
-                    export_graph)
+from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
+                    _write_graph)
 from .perms import (CyclicRotation, SPermC, _block_rows, _written,
                     fold_ct_to_a, rotate_vector, sc_simple)
 
@@ -141,9 +141,8 @@ def _cmd_orbit(args, out) -> int:
     if args.mu is not None and args.out != "csv":
         raise UsageError("--mu needs --out csv")
     spec = _spec(args)
-    nodes = enumerate_orbit(spec, args.depth, workers=args.workers)
     mu = _parse_mu(args.mu, spec.size) if args.mu else None
-    data = export_graph(nodes, args.out, mu=mu)
+    data = _write_graph(*_ranked_orbit(spec, args.depth), args.out, mu)
     if hasattr(out, "buffer"):
         out.buffer.write(data)
     else:

@@ -5,20 +5,18 @@ smallest i whose phi delta, the change R_i makes to the mass at weights
 (1,...,1), is negative.  Enumeration walks the rule back from zero by
 reverse search (Avis & Fukuda, 1996), to a bounded depth and with no
 visited set.  Orbit entries are 2 sum_j n_ij mu_j with integers n_ij, so
-both run on the integer rows and reflection rule of `action`, and build
-symbolic vectors only for the nodes they return.
+both run on the integer rows and reflection rule of `action`; enumeration
+writes one form per distinct entry and sorts and exports by its rank.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import (AlgebraSpec, MassVector, _form, _int_rows, _Layout,
-                      _Rows, _weight_map)
+from .algebra import (AlgebraSpec, LinForm, MassVector, _form, _int_rows,
+                      _Layout, _Rows, _weight_map)
 from .action import (Word, _columns, _kernel_rows, _neighbours, _reflect,
                      _residual)
 from .errors import FormatError, NotMassForm
@@ -64,23 +62,38 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     its lexicographically smallest shortest word, of length its level.
     Sorted by (level, canonical key); ``workers`` is accepted and ignored.
     """
+    forms, nodes = _ranked_orbit(spec, depth)
+    return [OrbitNode(MassVector(spec, tuple(map(forms.__getitem__, ranks))),
+                      Word(word), level) for level, ranks, word, _ in nodes]
+
+
+def _ranked_orbit(spec: AlgebraSpec,
+                  depth: int) -> tuple[list[LinForm], list[tuple]]:
+    """`enumerate_orbit` with no vector built: (forms, ranked nodes), forms
+    every distinct entry once in compact JSON order, a ranked node (level,
+    entry ranks, witness letters, spec) with entry k forms[ranks[k]]."""
     nbrs, cols = _neighbours(spec), _columns(spec)
+    col_maps = [dict(col) for col in cols]
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
     level = [(zero, (), _deltas(zero, 1, spec))]
     tree = list(level)
     for _ in range(depth):
-        level = [(_reflect(rows, i, nbrs, lifts[i]), (i + 1,) + word, child)
+        level = [(_reflect(rows, i, nbrs, lifts[i]), (i + 1,) + word,
+                  _stepped(deltas, i, cols))
                  for rows, word, deltas in level
-                 for i, delta in enumerate(deltas) if delta > 0
-                 if _first_descent(child := _stepped(deltas, i, cols)) == i]
+                 for i in _children(deltas, col_maps)]
         tree += level
     # one form per distinct row, shared by every vector that has it
     forms = {row: _form(row, layout)
              for row in {row for rows, _, _ in tree for row in rows}}
-    nodes = [OrbitNode(MassVector(spec, tuple(forms[row] for row in rows)),
-                       Word(word), len(word)) for rows, word, _ in tree]
-    nodes.sort(key=lambda nd: (nd.level, nd.vector.canonical_key()))
-    return nodes
+    # (level, entry ranks) is the canonical key's order in one spec: keys
+    # join compact JSON objects, none a proper prefix of another, so they
+    # compare as their first differing entries; distinct vectors never tie
+    order = sorted(forms, key=lambda row: forms[row].json_compact)
+    rank = {row: k for k, row in enumerate(order)}
+    nodes = sorted((len(word), tuple(map(rank.__getitem__, rows)), word, spec)
+                   for rows, word, _ in tree)
+    return [forms[row] for row in order], nodes
 
 
 def _mass_rows(layout: _Layout, rows: _Rows,
@@ -179,6 +192,24 @@ def _first_descent(deltas: Sequence[int]) -> int:
     return next((i for i, delta in enumerate(deltas) if delta < 0), -1)
 
 
+def _children(deltas: Sequence[int], cols: Sequence[dict]) -> list[int]:
+    """The i for which R_{i+1} gives a child, ``cols[i]`` a dict of
+    `_columns`' pairs: delta_i > 0 and, the child's delta_t being delta_t
+    - k_ti delta_i, delta_t >= k_ti delta_i for all t < i (k_ti <= 0)."""
+    kept, below = [], []
+    for i, delta in enumerate(deltas):
+        if delta > 0:
+            col = cols[i]
+            for t, d in below:
+                if d < col.get(t, 0) * delta:
+                    break
+            else:
+                kept.append(i)
+        elif delta < 0:
+            below.append((i, delta))
+    return kept
+
+
 def _stepped(deltas: Sequence[int], i: int, cols) -> list[int]:
     """The deltas after R_{i+1}, with ``cols`` from `_columns`: delta_i
     changes sign and each delta_t moves by -k_ti delta_i."""
@@ -209,24 +240,6 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
         deltas = _stepped(deltas, i, cols)
         applied.append(i + 1)
     return applied, ""
-
-
-def _render(nodes: Sequence[OrbitNode], render) -> dict[int, str]:
-    """render(form) for each distinct entry of the nodes, by id(form).
-
-    Keyed by identity: hashing a form hashes every Fraction in it, and
-    enumerated vectors share one form per distinct entry anyway.
-    """
-    out: dict[int, str] = {}
-    for nd in nodes:
-        for e in nd.vector.entries:
-            if id(e) not in out:
-                out[id(e)] = render(e)
-    return out
-
-
-def _joined(texts: dict[int, str], v: MassVector, sep: str) -> str:
-    return sep.join(map(texts.__getitem__, map(id, v.entries)))
 
 
 # one node of the JSON export, at the depth json.dumps(..., indent=2)
@@ -263,55 +276,68 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
     each distinct entry's cached rendering.  CSV rows hold every entry's
     value at ``mu`` or, without ``mu``, the vector as text.
     """
-    nodes = sorted(nodes, key=lambda nd: (nd.level, nd.vector.canonical_key()))
-    if fmt == "dot":
-        texts = _render(nodes, str)
-        lines = ["digraph orbit {"]
-        for k, nd in enumerate(nodes):
-            lines.append('  v%d [label="(%s)"];'
-                         % (k, _joined(texts, nd.vector, ", ")))
-        # discovery-tree edges: a node's parent has its witness minus the
-        # first letter
-        ids = {nd.witness.letters: k for k, nd in enumerate(nodes)}
-        for k, nd in enumerate(nodes):
-            word = nd.witness.letters
-            if word:
-                lines.append("  v%d -> v%d [label=%d];"
-                             % (ids[word[1:]], k, word[0]))
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
+    return _write_graph(*_rank(nodes), fmt, mu)
+
+
+def _rank(nodes: Sequence[OrbitNode]) -> tuple[list[LinForm], list[tuple]]:
+    """The nodes ranked as by `_ranked_orbit`, sorted by (level, canonical
+    key), ties in the order given: keys compare as entry ranks up to the
+    shorter vector's end, where its key goes on with "]" and the longer
+    with "," (so a rank past all others ends each tuple), and equal
+    entries leave the tail 'family","n":N}' to decide."""
+    first = {e.json_compact: e for nd in nodes for e in nd.vector.entries}
+    rank = {text: k for k, text in enumerate(sorted(first))}
+    ranked = [(nd.level, tuple([rank[e.json_compact]
+                                for e in nd.vector.entries]),
+               nd.witness.letters, nd.vector.spec) for nd in nodes]
+    ranked.sort(key=lambda nd: (nd[0], nd[1] + (len(rank),),
+                                '%s","n":%d}' % (nd[3].family, nd[3].n)))
+    return [first[text] for text in rank], ranked
+
+
+def _write_graph(forms: Sequence[LinForm], nodes: Sequence[tuple], fmt: str,
+                 mu: Optional[Sequence] = None) -> bytes:
+    """`export_graph`'s bytes for ranked nodes, in the order given, each
+    entry of ``forms`` rendered once into a list indexed by rank."""
     if fmt == "json":
         if not nodes:
             return b'{\n  "nodes": []\n}\n'
-        texts = _render(nodes,
-                        lambda e: e.json_indented.replace("\n", _ENTRY_PAD))
+        texts = [e.json_indented.replace("\n", _ENTRY_PAD) for e in forms]
+        sep = "," + _ENTRY_PAD
         items = ",\n".join(
-            _JSON_NODE % (nd.level, _joined(texts, nd.vector, "," + _ENTRY_PAD),
-                          nd.vector.spec.family, nd.vector.spec.n,
-                          _json_witness(nd.witness.letters))
-            for nd in nodes)
+            _JSON_NODE % (level, sep.join(map(texts.__getitem__, ranks)),
+                          spec.family, spec.n, _json_witness(word))
+            for level, ranks, word, spec in nodes)
         return ('{\n  "nodes": [\n' + items + "\n  ]\n}\n").encode()
+    if fmt not in ("dot", "csv"):
+        raise FormatError("unknown export format %r" % (fmt,))
+    if fmt == "csv" and mu is not None:
+        # each distinct entry is evaluated once, in the order the entries
+        # come, so the first failure is the one per-node evaluation raises
+        values: list[Optional[str]] = [None] * len(forms)
+        lines, at = ["index,mass"], None
+        for k, (_, ranks, _, spec) in enumerate(nodes):
+            if at is None or len(ranks) != len(mu):
+                at = _weight_map(spec, mu)
+            for r in ranks:
+                if values[r] is None:
+                    values[r] = str(forms[r].evaluate(at))
+            lines.append("%d,%s" % (k, " ".join(map(values.__getitem__,
+                                                    ranks))))
+        return ("\n".join(lines) + "\n").encode()
+    texts = [str(e) for e in forms]
+    labels = ["(%s)" % ", ".join(map(texts.__getitem__, nd[1]))
+              for nd in nodes]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "mass"])
-        if mu is None:
-            texts = _render(nodes, str)
-            for k, nd in enumerate(nodes):
-                writer.writerow([k, "(%s)" % _joined(texts, nd.vector, ", ")])
-            return buf.getvalue().encode()
-        # each distinct entry is evaluated once, in the order the
-        # entries come, so the first failure is the one a per-node
-        # evaluation would raise
-        values: dict[int, str] = {}
-        at = None
-        for k, nd in enumerate(nodes):
-            entries = nd.vector.entries
-            if at is None or len(entries) != len(mu):
-                at = _weight_map(nd.vector.spec, mu)
-            for e in entries:
-                if id(e) not in values:
-                    values[id(e)] = str(e.evaluate(at))
-            writer.writerow([k, _joined(values, nd.vector, " ")])
-        return buf.getvalue().encode()
-    raise FormatError("unknown export format %r" % (fmt,))
+        # the csv module's quoting: a comma in the field, and no quote
+        lines = ["index,mass"] + ['%d,"%s"' % kl for kl in enumerate(labels)]
+    else:
+        # discovery-tree edges: a node's parent has its witness minus the
+        # first letter
+        ids = {nd[2]: k for k, nd in enumerate(nodes)}
+        lines = (["digraph orbit {"]
+                 + ['  v%d [label="%s"];' % kl for kl in enumerate(labels)]
+                 + ["  v%d -> v%d [label=%d];" % (ids[word[1:]], k, word[0])
+                    for k, (_, _, word, _) in enumerate(nodes) if word]
+                 + ["}"])
+    return ("\n".join(lines) + "\n").encode()

@@ -191,3 +191,19 @@ def test_difference_form_is_specific_to_affine_a():
         with pytest.raises(EvaluationError) as exc:
             pohozaev_residual_cyclic_difference(v)
         assert str(exc.value) == "difference form is specific to affine A"
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, w: apply_word(Word.of(1, 2), v, w),
+    lambda v, w: apply_generator(3, v, w),
+    pohozaev_residual, pohozaev_residual_cyclic_difference])
+def test_too_few_weights_is_an_evaluation_error(call):
+    v = MassVector.zero(a_spec(2))
+    for weights in ([LinForm.weight(1)], [LinForm.weight(1)] * 2, [], ()):
+        with pytest.raises(EvaluationError) as exc:
+            call(v, weights)
+        assert str(exc.value) == "expected 3 weights, got %d" % len(weights)
+    # weights past the n+1 that are read are ignored, as before
+    plain = [LinForm.weight(i) for i in range(1, 4)]
+    extra = plain + [LinForm.seed(1)]
+    assert call(v, extra) == call(v, plain) == call(v, None)

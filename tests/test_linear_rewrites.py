@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_algebra import replaced
 from test_chains import closed_form_a_blocks
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _clean
@@ -58,7 +59,7 @@ def old_apply_generator(i, v):
         if c:
             new = new - v.entry(t).scale(c)
     new = new + v.entry(i)
-    return v.replace(i, new)
+    return replaced(v, i, new)
 
 
 def old_mu_star(v):
@@ -89,7 +90,7 @@ def old_closed_form_ct(v, J):
                 for t in range(1, q + 1):
                     acc = acc - LinForm.weight(l + 2 - t, 2)
             acc = acc - v.entry(s) + v.entry(l + 2).scale(2)
-            out = out.replace(s, acc)
+            out = replaced(out, s, acc)
     else:
         i = J.start
         for s in range(i, spec.n + 2):
@@ -102,7 +103,7 @@ def old_closed_form_ct(v, J):
                 for t in range(1, q + 1):
                     acc = acc - LinForm.weight(t + i - 1, 2)
             acc = acc - v.entry(s) + v.entry(i - 1).scale(2)
-            out = out.replace(s, acc)
+            out = replaced(out, s, acc)
     return out
 
 
@@ -115,7 +116,7 @@ def old_closed_form_a(v, J, stars):
     K = inverse_finite_a(m)
     out = v
     for p, s_p in enumerate(idx, 1):
-        out = out.replace(s_p, LinForm.combine(
+        out = replaced(out, s_p, LinForm.combine(
             [(1, v.entry(s_p))]
             + [(2 * (K[p, q] + K[p, m + 1 - q]), stars[s_q - 1])
                for q, s_q in enumerate(idx, 1)]))
@@ -171,7 +172,7 @@ def old_sigma_f_ct(v, f, J):
         acc = v.entry(i)
         for j in range(0, span(i) + 1):
             acc = acc + (prefix(f(j)) - prefix(j)).scale(2)
-        out = out.replace(i, acc)
+        out = replaced(out, i, acc)
     return out
 
 
@@ -188,7 +189,7 @@ def full_sigma_f_ct(v, f, J):
     assert len(T) == 2 * l0 + 1
     out = v
     for i in range(lo, lo + l0 + 1):
-        out = out.replace(i, v.entry(i) + T[span(i)])
+        out = replaced(out, i, v.entry(i) + T[span(i)])
     return out
 
 
@@ -477,7 +478,7 @@ def test_integer_kernel_matches_the_fraction_loop(family, n, vector, weights,
     else:
         v = MassVector(spec, tuple(random_form(rng, size) for _ in range(size)))
         if vector == "seeded entry":
-            v = v.replace(rng.randint(1, size), random_form(rng, size, True))
+            v = replaced(v, rng.randint(1, size), random_form(rng, size, True))
     overlay = None
     w = [LinForm.weight(i) for i in spec.indices]
     if weights == "single weights":
@@ -506,12 +507,12 @@ def test_seed_terms_raise_the_fraction_loop_message():
     v = MassVector(spec, (LinForm.weight(1, 2),) * 4)
     weights = [LinForm.weight(i) for i in spec.indices]
     calls = [
-        (lambda: pohozaev_residual(v.replace(3, seeded)),
-         lambda: fraction_residual(v.replace(3, seeded), weights)),
+        (lambda: pohozaev_residual(replaced(v, 3, seeded)),
+         lambda: fraction_residual(replaced(v, 3, seeded), weights)),
         (lambda: pohozaev_residual(v, weights=weights[:2] + [seeded] * 2),
          lambda: fraction_residual(v, weights[:2] + [seeded] * 2)),
-        (lambda: pohozaev_residual_cyclic_difference(v.replace(1, seeded)),
-         lambda: fraction_cyclic_difference(v.replace(1, seeded), weights)),
+        (lambda: pohozaev_residual_cyclic_difference(replaced(v, 1, seeded)),
+         lambda: fraction_cyclic_difference(replaced(v, 1, seeded), weights)),
     ]
     for new, old in calls:
         got = outcome(new)

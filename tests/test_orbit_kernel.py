@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (Word, _form, _kernel_rows, _neighbours,
@@ -52,7 +53,7 @@ def linform_generator(i, v, weights=None):
         raise DomainError("generator index %d outside 1..%d" % (i, spec.size))
     row = family_matrix(spec).entries[i - 1]
     w_i = weights[i - 1] if weights is not None else LinForm.weight(i)
-    return v.replace(i, LinForm.combine(
+    return replaced(v, i, LinForm.combine(
         [(2, w_i), (1, v.entries[i - 1])]
         + [(-c, e) for c, e in zip(row, v.entries)]))
 
@@ -364,7 +365,7 @@ def bumped(v, rng, amount, index=None):
     """v with amount * mu_index added to one entry."""
     i = rng.randint(1, v.spec.size)
     j = index if index is not None else rng.randint(1, v.spec.size)
-    return v.replace(i, v.entry(i) + LinForm.weight(j, amount))
+    return replaced(v, i, v.entry(i) + LinForm.weight(j, amount))
 
 
 DEFECTS = {"member": None, "half": 1, "third": Fraction(2, 3),

@@ -1,0 +1,170 @@
+"""The orbit verb on ranked nodes against the node-list API.
+
+`todamass orbit` runs `_ranked_orbit` and `_write_graph` and builds no
+vector; `enumerate_orbit` and `export_graph` wrap the same two functions.
+These tests check that both paths give the same bytes, that sorting by
+entry ranks is sorting by canonical key, and that the reverse search's
+child test agrees with stepping the deltas and finding the first descent.
+"""
+
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
+from todamass.action import Word, _columns
+from todamass.cli import run
+from todamass.orbit import (OrbitNode, _children, _deltas, _first_descent,
+                            _rank, _stepped, enumerate_orbit, export_graph)
+
+FAMILIES = {"a": "affine_a", "ct": "affine_ct"}
+# (rank, depths): two-digit indices from rank 9 on, depth 0 to 3 and more
+CLI_SWEEP = ((2, (0, 1, 3, 7)), (3, (0, 2, 3, 5)), (4, (0, 3, 4)),
+             (5, (0, 3)), (6, (1, 3)), (7, (0, 3)), (8, (2, 3)),
+             (9, (0, 3)), (10, (0, 1, 3)))
+CHILD_SWEEP = ((2, 14), (3, 9), (4, 6), (5, 5), (6, 4), (7, 4))
+
+
+def cli_bytes(argv):
+    """stdout of one `run`, through the binary buffer as from a terminal."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    err = io.StringIO()
+    assert run(argv, out, err) == 0, err.getvalue()
+    out.flush()
+    return out.buffer.getvalue()
+
+
+@pytest.mark.parametrize("flag", sorted(FAMILIES))
+@pytest.mark.parametrize("rank,depths", CLI_SWEEP)
+def test_orbit_verb_equals_export_of_enumerated_nodes(flag, rank, depths):
+    spec = AlgebraSpec(FAMILIES[flag], rank)
+    mu = [Fraction(k % 3 + 1, k % 4 + 1) for k in range(spec.size)]
+    mu_text = ",".join(map(str, mu))
+    for depth in depths:
+        nodes = enumerate_orbit(spec, depth)
+        argv = ["orbit", "--family", flag, "--rank", str(rank),
+                "--depth", str(depth)]
+        for fmt in ("json", "dot", "csv"):
+            assert (cli_bytes(argv + ["--out", fmt])
+                    == export_graph(nodes, fmt)), (depth, fmt)
+        assert (cli_bytes(argv + ["--out", "csv", "--mu", mu_text])
+                == export_graph(nodes, "csv", mu)), depth
+        # the text path of `run`, for an out with no binary buffer
+        text = io.StringIO()
+        assert run(argv + ["--out", "dot"], text, io.StringIO()) == 0
+        assert text.getvalue().encode() == export_graph(nodes, "dot")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES.values()))
+@pytest.mark.parametrize("rank,depths", CLI_SWEEP)
+def test_enumerated_nodes_come_in_strict_canonical_key_order(family, rank,
+                                                             depths):
+    nodes = enumerate_orbit(AlgebraSpec(family, rank), max(depths))
+    keys = [(nd.level, nd.vector.canonical_key()) for nd in nodes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(nd.level == len(nd.witness) for nd in nodes)
+
+
+coefficients = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@st.composite
+def small_forms(draw, size):
+    idx = st.integers(1, size)
+    return LinForm.make(draw(coefficients),
+                        draw(st.dictionaries(idx, coefficients, max_size=2)),
+                        draw(st.dictionaries(idx, coefficients, max_size=1)))
+
+
+@st.composite
+def node_lists(draw, mixed):
+    """Nodes over one spec, or over several of both families and ranks 2-10,
+    their entries drawn from a small pool so that vectors share entries,
+    repeat, and run one into another's prefix."""
+    specs = [AlgebraSpec(draw(st.sampled_from(sorted(FAMILIES.values()))),
+                         draw(st.integers(2, 10)))]
+    if mixed:
+        specs += [AlgebraSpec(family, n) for family, n in draw(st.lists(
+            st.tuples(st.sampled_from(sorted(FAMILIES.values())),
+                      st.integers(2, 10)), min_size=1, max_size=3))]
+    pool = draw(st.lists(small_forms(11), min_size=1, max_size=4))
+    nodes = []
+    for k in range(draw(st.integers(0, 14))):
+        spec = draw(st.sampled_from(specs))
+        entries = tuple(draw(st.sampled_from(pool)) for _ in spec.indices)
+        # distinct witnesses tell apart nodes with equal keys
+        nodes.append(OrbitNode(MassVector(spec, entries), Word((k + 1,)),
+                               draw(st.integers(0, 2))))
+    return nodes
+
+
+def assert_ranked_in_key_order(nodes):
+    forms, ranked = _rank(nodes)
+    assert all(a.json_compact < b.json_compact
+               for a, b in zip(forms, forms[1:]))
+    got = [(level, MassVector(spec, tuple(forms[r] for r in ranks))
+            .canonical_key(), word) for level, ranks, word, spec in ranked]
+    want = sorted(nodes, key=lambda nd: (nd.level, nd.vector.canonical_key()))
+    assert got == [(nd.level, nd.vector.canonical_key(), nd.witness.letters)
+                   for nd in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_lists(mixed=False))
+def test_rank_order_is_canonical_key_order_in_one_spec(nodes):
+    assert_ranked_in_key_order(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_lists(mixed=True))
+def test_rank_order_is_canonical_key_order_across_specs(nodes):
+    assert_ranked_in_key_order(nodes)
+
+
+def test_a_longer_vector_with_a_shorter_as_prefix_sorts_first():
+    """The rank past every other: '{...}],' after the shorter's entries
+    against '{...},{' after the longer's, and ',' < ']'."""
+    small, large = AlgebraSpec("affine_a", 2), AlgebraSpec("affine_a", 3)
+    pool = (LinForm.weight(1), LinForm.zero())
+    nodes = [OrbitNode(MassVector(small, pool + (pool[0],)), Word((1,)), 0),
+             OrbitNode(MassVector(large, pool + (pool[0],) * 2), Word((2,)),
+                       0),
+             OrbitNode(MassVector(AlgebraSpec("affine_ct", 2),
+                                  pool + (pool[0],)), Word((3,)), 0)]
+    assert_ranked_in_key_order(nodes)
+    assert [word for _, _, word, _ in _rank(nodes)[1]] == [(2,), (1,), (3,)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES.values()))
+@pytest.mark.parametrize("rank,depth", CHILD_SWEEP)
+def test_child_test_matches_stepping_the_deltas(family, rank, depth):
+    spec = AlgebraSpec(family, rank)
+    cols = _columns(spec)
+    maps = [dict(col) for col in cols]
+    nodes = enumerate_orbit(spec, depth)
+    kept = 0
+    for nd in nodes:
+        (d, _, _), rows, _ = _int_rows(nd.vector.entries, None)
+        deltas = _deltas(rows, d, spec)
+        want = [i for i, delta in enumerate(deltas) if delta > 0
+                and _first_descent(_stepped(deltas, i, cols)) == i]
+        assert _children(deltas, maps) == want, nd.witness
+        kept += len(want) if nd.level < depth else 0
+    # every node but the root is the kept child of one node above it
+    assert kept == len(nodes) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES.values())), st.integers(2, 7),
+       st.data())
+def test_child_test_matches_stepping_any_deltas(family, rank, data):
+    """Also off the orbit, where a delta may be 0 or k_ti delta_i exactly."""
+    spec = AlgebraSpec(family, rank)
+    cols = _columns(spec)
+    deltas = data.draw(st.lists(st.integers(-4, 4), min_size=spec.size,
+                                max_size=spec.size))
+    want = [i for i, delta in enumerate(deltas) if delta > 0
+            and _first_descent(_stepped(deltas, i, cols)) == i]
+    assert _children(deltas, [dict(col) for col in cols]) == want
