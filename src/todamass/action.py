@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
                       _form, _int_rows, _Layout, _Row, _Rows)
-from .cartan import CartanMatrix, build
+from .cartan import build
 from .errors import DomainError, EvaluationError
 
 
@@ -49,11 +49,6 @@ class Word:
         return "[" + " ".join(str(i) for i in self.letters) + "]"
 
 
-@cache
-def family_matrix(spec: AlgebraSpec) -> CartanMatrix:
-    return build(spec.family, spec.size)
-
-
 # per generator i (0-based), the (t, k_it) with t != i and k_it != 0
 _Neighbours = tuple[tuple[tuple[int, int], ...], ...]
 # per generator i, the nonzero (column, value) pairs of the row of 2 w_i
@@ -62,18 +57,18 @@ _Lifts = tuple[tuple[tuple[int, int], ...], ...]
 
 @cache
 def _neighbours(spec: AlgebraSpec) -> _Neighbours:
-    k = family_matrix(spec)
+    k = build(spec.family, spec.size)
     return tuple(tuple((t - 1, int(k[i, t])) for t in spec.indices
                        if t != i and k[i, t])
                  for i in spec.indices)
 
 
 @cache
-def _columns(spec: AlgebraSpec) -> _Neighbours:
-    """Per generator i, the (t, k_ti) with t != i and k_ti != 0: column i
-    of the Cartan matrix, which in Ct differs from row i."""
-    return tuple(tuple((t, k) for t, nb in enumerate(_neighbours(spec))
-                       for j, k in nb if j == i) for i in range(spec.size))
+def _columns(spec: AlgebraSpec) -> tuple[dict[int, int], ...]:
+    """Per generator i, {t: k_ti} over t != i with k_ti != 0: column i of
+    the Cartan matrix, which in Ct differs from row i."""
+    return tuple({t: k for t, nb in enumerate(_neighbours(spec))
+                  for j, k in nb if j == i} for i in range(spec.size))
 
 
 def _kernel_rows(v: MassVector, weights: Optional[Sequence[LinForm]] = None

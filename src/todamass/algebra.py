@@ -202,12 +202,10 @@ def _linform_to_json(f: LinForm) -> dict:
 _Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
 _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]
-# the default weights of `_int_rows`: none read
-_UNWEIGHTED: Sequence = range(0)
 
 
 def _int_rows(forms: Sequence[LinForm],
-              weights: Optional[Sequence[LinForm]] = _UNWEIGHTED
+              weights: Optional[Sequence[LinForm]] = None
               ) -> tuple[_Layout, list[_Row], list[_Row]]:
     """(layout, form rows, weight rows), every form read once.
 
@@ -219,8 +217,7 @@ def _int_rows(forms: Sequence[LinForm],
     those fields reads as one.
     """
     m = len(forms)
-    if weights is not None and weights is not _UNWEIGHTED \
-            and len(weights) < m:
+    if weights is not None and len(weights) < m:
         raise EvaluationError("expected %d weights, got %d"
                               % (m, len(weights)))
     read = [(f.const, f.mu, f.s) for f in

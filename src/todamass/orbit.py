@@ -73,7 +73,6 @@ def _ranked_orbit(spec: AlgebraSpec,
     every distinct entry once in compact JSON order, a ranked node (level,
     entry ranks, witness letters, spec) with entry k forms[ranks[k]]."""
     nbrs, cols = _neighbours(spec), _columns(spec)
-    col_maps = [dict(col) for col in cols]
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
     level = [(zero, (), _deltas(zero, 1, spec))]
     tree = list(level)
@@ -81,7 +80,7 @@ def _ranked_orbit(spec: AlgebraSpec,
         level = [(_reflect(rows, i, nbrs, lifts[i]), (i + 1,) + word,
                   _stepped(deltas, i, cols))
                  for rows, word, deltas in level
-                 for i in _children(deltas, col_maps)]
+                 for i in _children(deltas, cols)]
         tree += level
     # one form per distinct row, shared by every vector that has it
     forms = {row: _form(row, layout)
@@ -193,8 +192,8 @@ def _first_descent(deltas: Sequence[int]) -> int:
 
 
 def _children(deltas: Sequence[int], cols: Sequence[dict]) -> list[int]:
-    """The i for which R_{i+1} gives a child, ``cols[i]`` a dict of
-    `_columns`' pairs: delta_i > 0 and, the child's delta_t being delta_t
+    """The i for which R_{i+1} gives a child, with ``cols`` from
+    `_columns`: delta_i > 0 and, the child's delta_t being delta_t
     - k_ti delta_i, delta_t >= k_ti delta_i for all t < i (k_ti <= 0)."""
     kept, below = [], []
     for i, delta in enumerate(deltas):
@@ -214,9 +213,9 @@ def _stepped(deltas: Sequence[int], i: int, cols) -> list[int]:
     """The deltas after R_{i+1}, with ``cols`` from `_columns`: delta_i
     changes sign and each delta_t moves by -k_ti delta_i."""
     out = list(deltas)
-    out[i] = -deltas[i]
-    for t, k in cols[i]:
-        out[t] -= k * deltas[i]
+    delta = out[i] = -deltas[i]
+    for t, k in cols[i].items():
+        out[t] += k * delta
     return out
 
 
@@ -269,36 +268,28 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
                  mu: Optional[Sequence] = None) -> bytes:
     """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
 
-    Nodes come out sorted by (level, canonical key).  The JSON equals
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` byte for
-    byte, where payload is ``{"nodes": [{"vector": v.to_json_dict(),
-    "witness": [letters], "level": level}, ...]}``; it is assembled from
-    each distinct entry's cached rendering.  CSV rows hold every entry's
-    value at ``mu`` or, without ``mu``, the vector as text.
+    Nodes come out sorted by (level, canonical key), ties in the order
+    given.  The JSON equals ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"`` byte for byte, where payload is ``{"nodes":
+    [{"vector": v.to_json_dict(), "witness": [letters], "level": level},
+    ...]}``; it is assembled from each distinct entry's cached rendering.
+    CSV rows hold every entry's value at ``mu`` or, without ``mu``, the
+    vector as text.
     """
-    return _write_graph(*_rank(nodes), fmt, mu)
-
-
-def _rank(nodes: Sequence[OrbitNode]) -> tuple[list[LinForm], list[tuple]]:
-    """The nodes ranked as by `_ranked_orbit`, sorted by (level, canonical
-    key), ties in the order given: keys compare as entry ranks up to the
-    shorter vector's end, where its key goes on with "]" and the longer
-    with "," (so a rank past all others ends each tuple), and equal
-    entries leave the tail 'family","n":N}' to decide."""
+    nodes = sorted(nodes, key=lambda nd: (nd.level,
+                                          nd.vector.canonical_key()))
+    # each distinct entry numbered by its first appearance
     first = {e.json_compact: e for nd in nodes for e in nd.vector.entries}
-    rank = {text: k for k, text in enumerate(sorted(first))}
-    ranked = [(nd.level, tuple([rank[e.json_compact]
-                                for e in nd.vector.entries]),
-               nd.witness.letters, nd.vector.spec) for nd in nodes]
-    ranked.sort(key=lambda nd: (nd[0], nd[1] + (len(rank),),
-                                '%s","n":%d}' % (nd[3].family, nd[3].n)))
-    return [first[text] for text in rank], ranked
+    number = {text: k for k, text in enumerate(first)}
+    return _write_graph(list(first.values()), [
+        (nd.level, tuple([number[e.json_compact] for e in nd.vector.entries]),
+         nd.witness.letters, nd.vector.spec) for nd in nodes], fmt, mu)
 
 
 def _write_graph(forms: Sequence[LinForm], nodes: Sequence[tuple], fmt: str,
                  mu: Optional[Sequence] = None) -> bytes:
-    """`export_graph`'s bytes for ranked nodes, in the order given, each
-    entry of ``forms`` rendered once into a list indexed by rank."""
+    """`export_graph`'s bytes for numbered nodes, in the order given, each
+    entry of ``forms`` rendered once into a list indexed by number."""
     if fmt == "json":
         if not nodes:
             return b'{\n  "nodes": []\n}\n'

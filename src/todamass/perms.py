@@ -19,7 +19,7 @@ from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
                       _form, _int_rows, _Layout, _Rows)
 from .action import Word, _kernel_rows, _Lifts, _minus, _neighbours, _reflect
 from .cartan import ConsecutiveSet
-from .errors import DomainError, SymmetryError
+from .errors import DomainError, EvaluationError, SymmetryError
 
 
 def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
@@ -62,15 +62,20 @@ class CyclicRotation:
         return (i - self.r) % (n + 1) + 1
 
 
-def rotate_vector(v: MassVector, rot: CyclicRotation) -> MassVector:
-    """Entry i of the output is entry f(i) of the input."""
-    if v.spec.family != AFFINE_A:
+def _rotation(rot: CyclicRotation, spec: AlgebraSpec) -> list[int]:
+    """f(1), ..., f(n+1), once rot is checked to rotate spec's cycle."""
+    if spec.family != AFFINE_A:
         raise DomainError("rotations are an affine A diagram symmetry")
-    n = v.spec.n
+    n = spec.n
     if not 1 <= rot.r <= n + 1:
         raise DomainError("rotation offset %d outside 1..%d" % (rot.r, n + 1))
+    return [rot.apply(i, n) for i in spec.indices]
+
+
+def rotate_vector(v: MassVector, rot: CyclicRotation) -> MassVector:
+    """Entry i of the output is entry f(i) of the input."""
     return MassVector(v.spec,
-                      tuple(v.entry(rot.apply(i, n)) for i in v.spec.indices))
+                      tuple(v.entry(j) for j in _rotation(rot, v.spec)))
 
 
 def rotation_covariance(word: Word, rot: CyclicRotation,
@@ -81,14 +86,17 @@ def rotation_covariance(word: Word, rot: CyclicRotation,
     mu'_i = mu_{f(i)}, reproduces the rotation of the original word's
     result.
     """
-    if spec.family != AFFINE_A:
-        raise DomainError("rotations are an affine A diagram symmetry")
+    _rotation(rot, spec)
+    for i in word.letters:
+        if not 1 <= i <= spec.size:
+            raise DomainError("generator index %d outside 1..%d"
+                              % (i, spec.size))
     return Word(tuple(rot.invert(i, spec.n) for i in word.letters))
 
 
 def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
     """The weight overlay mu'_i = mu_{f(i)} as forms."""
-    return [LinForm.weight(rot.apply(i, spec.n)) for i in spec.indices]
+    return [LinForm.weight(j) for j in _rotation(rot, spec)]
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,9 @@ class SPermC(FinitePermutation):
 
     def compose(self, other: "SPermC") -> "SPermC":
         """self after other: (self . other)(j) = self(other(j))."""
+        if self.l != other.l:
+            raise DomainError("cannot compose permutations of 0..%d and 0..%d"
+                              % (self.top, other.top))
         return SPermC(tuple(self.values[other.values[j]]
                             for j in range(len(self.values))))
 
@@ -245,6 +256,9 @@ def fold_ct_to_a(v: MassVector,
     n = v.spec.n
     if weights is None:
         weights = [LinForm.weight(i) for i in v.spec.indices]
+    elif len(weights) < v.spec.size:
+        raise EvaluationError("expected %d weights, got %d"
+                              % (v.spec.size, len(weights)))
     src = [min(i, 2 * n + 2 - i) for i in range(1, 2 * n + 1)]
     return (MassVector(AlgebraSpec(AFFINE_A, 2 * n - 1),
                        tuple(v.entry(i) for i in src)),

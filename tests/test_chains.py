@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import Word, apply_word, family_matrix
-from todamass.cartan import ConsecutiveSet, inverse_finite_a, inverse_submatrix
-from todamass.chains import (Decomposition, _std_chain, blowup_step,
+from todamass.action import Word, apply_word
+from todamass.cartan import (ConsecutiveSet, build, inverse_finite_a,
+                             inverse_submatrix)
+from todamass.chains import (CASE_TAGS, Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
                              closed_form_ct)
 from todamass.errors import DecompositionError, DomainError
@@ -94,7 +97,7 @@ def test_closed_form_inverse_applies_to_every_accepted_block():
     kinds = {"a": 0, "wrap": 0, "ct": 0}
     for n in range(2, 13):
         for spec, J in closed_form_a_blocks(n):
-            K = inverse_submatrix(family_matrix(spec), J)
+            K = inverse_submatrix(build(spec.family, spec.size), J)
             assert K.entries == \
                 inverse_finite_a(len(J.indices(n))).entries, (spec, J)
             kinds["ct" if spec.family == "affine_ct" else
@@ -382,32 +385,58 @@ def test_blowup_ct_two_commuting_generators():
                                      LinForm.zero())
 
 
+def all_decompositions(n):
+    """Every 1- and 2-block decomposition `Decomposition.validate` accepts
+    at rank n, in both families, the null set the blocks' complement."""
+    blocks = []
+    for start in range(1, n + 2):
+        for length in range(n + 1):
+            for wrap in (False, True):
+                J = ConsecutiveSet(start, length, wrap)
+                try:
+                    if len(J.indices(n)) <= n:
+                        blocks.append(J)
+                except DomainError:
+                    continue
+    choices = [(J,) for J in blocks] + [(J, K) for J in blocks
+                                        for K in blocks if J != K]
+    for spec in (a_spec(n), ct_spec(n)):
+        for tag in CASE_TAGS:
+            for chosen in choices:
+                null_set = frozenset(spec.indices).difference(
+                    *(J.indices(n) for J in chosen))
+                d = Decomposition(spec, tag, chosen, null_set)
+                try:
+                    d.validate()
+                except DecompositionError:
+                    continue
+                yield d
+
+
 def test_blowup_matches_per_block_closed_forms():
     # block chains act on disjoint supports: the word result must agree
-    # with the closed-form updates taken against the initial vector
-    spec = a_spec(5)
-    g = MassVector.generic(spec)
-    blocks = (ConsecutiveSet(6, 1, wrap=True), ConsecutiveSet(3, 1))
-    d = Decomposition(spec, "A-II", blocks, frozenset({2, 5}))
-    result = blowup_step(g, d)
-    expect = g
-    for b in blocks:
-        target = closed_form_a(g, b)
-        for i in b.indices(spec.n):
-            expect = replaced(expect, i, target.entry(i))
-    assert result.vector == expect
-
-    ct = ct_spec(5)
-    gc = MassVector.generic(ct)
-    blocks = (ConsecutiveSet(1, 1), ConsecutiveSet(5, 1))
-    d = Decomposition(ct, "Ct-III", blocks, frozenset({3, 4}))
-    result = blowup_step(gc, d)
-    expect = gc
-    for b in blocks:
-        target = closed_form_ct(gc, b)
-        for i in b.indices(ct.n):
-            expect = replaced(expect, i, target.entry(i))
-    assert result.vector == expect
+    # with the closed-form updates taken against the initial vector, and
+    # the word is reduced, its length the level of its result on zero
+    tags = Counter()
+    for n in range(2, 7):
+        for d in all_decompositions(n):
+            spec = d.spec
+            g = MassVector.generic(spec)
+            expect = g
+            for J in d.blocks:
+                target = (closed_form_ct(g, J) if spec.family == "affine_ct"
+                          and not J.is_interior(n) else closed_form_a(g, J))
+                for i in J.indices(n):
+                    expect = replaced(expect, i, target.entry(i))
+            assert blowup_step(g, d).vector == expect, d
+            result = blowup_step(MassVector.zero(spec), d)
+            report = descend_to_zero(result.vector,
+                                     max_steps=len(result.word))
+            assert report.verdict == MEMBER, d
+            assert report.steps == len(result.word), d
+            tags[d.case_tag] += 1
+    assert set(tags) == set(CASE_TAGS)
+    assert sum(tags.values()) == 506
 
 
 def test_blowup_rejects_invalid():

@@ -26,9 +26,9 @@ from test_chains import closed_form_a_blocks
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _clean
 from todamass.action import (QuadPoly, Word, apply_generator, apply_word,
-                             family_matrix, pohozaev_residual,
+                             pohozaev_residual,
                              pohozaev_residual_cyclic_difference)
-from todamass.cartan import ConsecutiveSet, inverse_finite_a
+from todamass.cartan import ConsecutiveSet, build, inverse_finite_a
 from todamass.errors import EvaluationError
 from todamass.chains import closed_form_a, closed_form_ct
 from todamass.perms import (FinitePermutation, SPermC, finite_a_mass,
@@ -52,7 +52,7 @@ def fold_combine(pairs):
 
 
 def old_apply_generator(i, v):
-    k = family_matrix(v.spec)
+    k = build(v.spec.family, v.spec.size)
     new = LinForm.weight(i).scale(2)
     for t in v.spec.indices:
         c = k[i, t]
@@ -63,7 +63,7 @@ def old_apply_generator(i, v):
 
 
 def old_mu_star(v):
-    k = family_matrix(v.spec)
+    k = build(v.spec.family, v.spec.size)
     out = []
     for s in v.spec.indices:
         f = LinForm.weight(s)

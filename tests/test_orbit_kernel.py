@@ -21,7 +21,8 @@ from test_algebra import replaced
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (Word, _form, _kernel_rows, _neighbours,
                              _reflect, apply_generator, apply_word,
-                             family_matrix, verify_relation)
+                             verify_relation)
+from todamass.cartan import build
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             MembershipReport, OrbitNode, _verdict,
@@ -51,7 +52,7 @@ def linform_generator(i, v, weights=None):
     spec = v.spec
     if not 1 <= i <= spec.size:
         raise DomainError("generator index %d outside 1..%d" % (i, spec.size))
-    row = family_matrix(spec).entries[i - 1]
+    row = build(spec.family, spec.size).entries[i - 1]
     w_i = weights[i - 1] if weights is not None else LinForm.weight(i)
     return replaced(v, i, LinForm.combine(
         [(2, w_i), (1, v.entries[i - 1])]

@@ -8,7 +8,7 @@ from todamass.action import (Word, apply_generator, apply_word,
                              pohozaev_residual_cyclic_difference)
 from todamass.cartan import ConsecutiveSet
 from todamass.chains import closed_form_ct
-from todamass.errors import DomainError, SymmetryError
+from todamass.errors import DomainError, EvaluationError, SymmetryError
 from todamass.perms import (CyclicRotation, FinitePermutation, SPermC,
                             finite_a_mass, fold_ct_to_a, rotate_vector,
                             rotated_weights, rotation_covariance, sc_simple,
@@ -44,8 +44,14 @@ def test_rotate_vector_example():
 
 
 def test_rotate_rejects_ct():
-    with pytest.raises(DomainError):
-        rotate_vector(MassVector.zero(ct_spec()), CyclicRotation(2))
+    spec, rot = ct_spec(), CyclicRotation(2)
+    calls = (lambda: rotate_vector(MassVector.zero(spec), rot),
+             lambda: rotation_covariance(Word.of(1), rot, spec),
+             lambda: rotated_weights(rot, spec))
+    for call in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "rotations are an affine A diagram symmetry"
 
 
 def test_rotation_covariance_single_letter():
@@ -72,6 +78,30 @@ def test_rotation_covariance_random():
                          weights=rotated_weights(rot, spec))
         rhs = rotate_vector(apply_word(word, MassVector.zero(spec)), rot)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("r", (-1, 0, 4, 9))
+def test_rotation_functions_share_one_offset_check(r):
+    spec, rot = a_spec(), CyclicRotation(r)
+    calls = (lambda: rotate_vector(MassVector.zero(spec), rot),
+             lambda: rotation_covariance(Word.of(1), rot, spec),
+             lambda: rotated_weights(rot, spec))
+    for call in calls:
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "rotation offset %d outside 1..3" % r
+
+
+@pytest.mark.parametrize("letter", (-1, 0, 4, 9))
+def test_rotation_covariance_rejects_a_letter_outside_the_index_set(letter):
+    spec = a_spec()
+    with pytest.raises(DomainError) as exc:
+        rotation_covariance(Word.of(1, letter), CyclicRotation(2), spec)
+    # the message applying the word gives
+    with pytest.raises(DomainError) as applied:
+        apply_word(Word.of(1, letter), MassVector.zero(spec))
+    assert str(exc.value) == str(applied.value) \
+        == "generator index %d outside 1..3" % letter
 
 
 def test_finite_permutation_validation():
@@ -127,6 +157,14 @@ def test_sperm_closure_under_products():
             f = f.compose(sc_simple(random.randint(0, l), l))
             top = 2 * l + 1
             assert all(f(j) + f(top - j) == top for j in range(top + 1))
+
+
+@pytest.mark.parametrize("l,m", ((1, 2), (2, 1), (0, 3)))
+def test_compose_rejects_permutations_of_different_sizes(l, m):
+    with pytest.raises(DomainError) as exc:
+        SPermC.identity(l).compose(SPermC.identity(m))
+    assert str(exc.value) == ("cannot compose permutations of 0..%d and 0..%d"
+                              % (2 * l + 1, 2 * m + 1))
 
 
 def test_sigma_f_identity_permutation():
@@ -222,6 +260,17 @@ def test_fold_intertwines_generators():
                     i, apply_generator(2 * n + 2 - i, base, weights=weights),
                     weights=weights)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("count", (0, 1, 3))
+def test_fold_rejects_too_few_weights(count):
+    v = MassVector.generic(ct_spec(3))
+    with pytest.raises(EvaluationError) as exc:
+        fold_ct_to_a(v, [LinForm.weight(i) for i in range(1, count + 1)])
+    assert str(exc.value) == "expected 4 weights, got %d" % count
+    # weights past the first n+1 are not read
+    extra = [LinForm.weight(i) for i in range(1, 6)]
+    assert fold_ct_to_a(v, extra) == fold_ct_to_a(v)
 
 
 def test_unfold_round_trip():

@@ -2,22 +2,25 @@
 
 `todamass orbit` runs `_ranked_orbit` and `_write_graph` and builds no
 vector; `enumerate_orbit` and `export_graph` wrap the same two functions.
-These tests check that both paths give the same bytes, that sorting by
-entry ranks is sorting by canonical key, and that the reverse search's
-child test agrees with stepping the deltas and finding the first descent.
+These tests check that both paths give the same bytes, that `export_graph`
+on any node list gives the bytes of the per-node export it replaced, and
+that the reverse search's child test agrees with stepping the deltas and
+finding the first descent.
 """
 
 import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_export_fragments import old_export
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import Word, _columns
 from todamass.cli import run
 from todamass.orbit import (OrbitNode, _children, _deltas, _first_descent,
-                            _rank, _stepped, enumerate_orbit, export_graph)
+                            _stepped, enumerate_orbit, export_graph)
 
 FAMILIES = {"a": "affine_a", "ct": "affine_ct"}
 # (rank, depths): two-digit indices from rank 9 on, depth 0 to 3 and more
@@ -94,47 +97,44 @@ def node_lists(draw, mixed):
     for k in range(draw(st.integers(0, 14))):
         spec = draw(st.sampled_from(specs))
         entries = tuple(draw(st.sampled_from(pool)) for _ in spec.indices)
-        # distinct witnesses tell apart nodes with equal keys
-        nodes.append(OrbitNode(MassVector(spec, entries), Word((k + 1,)),
+        # distinct witnesses tell apart nodes with equal keys, and the
+        # first node's empty word is the parent of all others in DOT
+        nodes.append(OrbitNode(MassVector(spec, entries),
+                               Word((k,) if k else ()),
                                draw(st.integers(0, 2))))
     return nodes
 
 
-def assert_ranked_in_key_order(nodes):
-    forms, ranked = _rank(nodes)
-    assert all(a.json_compact < b.json_compact
-               for a, b in zip(forms, forms[1:]))
-    got = [(level, MassVector(spec, tuple(forms[r] for r in ranks))
-            .canonical_key(), word) for level, ranks, word, spec in ranked]
-    want = sorted(nodes, key=lambda nd: (nd.level, nd.vector.canonical_key()))
-    assert got == [(nd.level, nd.vector.canonical_key(), nd.witness.letters)
-                   for nd in want]
+def assert_exports_match_the_old_export(nodes):
+    for fmt in ("json", "dot", "csv"):
+        assert export_graph(nodes, fmt) == old_export(nodes, fmt), fmt
 
 
 @settings(max_examples=200, deadline=None)
 @given(node_lists(mixed=False))
-def test_rank_order_is_canonical_key_order_in_one_spec(nodes):
-    assert_ranked_in_key_order(nodes)
+def test_export_order_is_canonical_key_order_in_one_spec(nodes):
+    assert_exports_match_the_old_export(nodes)
 
 
 @settings(max_examples=300, deadline=None)
 @given(node_lists(mixed=True))
-def test_rank_order_is_canonical_key_order_across_specs(nodes):
-    assert_ranked_in_key_order(nodes)
+def test_export_order_is_canonical_key_order_across_specs(nodes):
+    assert_exports_match_the_old_export(nodes)
 
 
 def test_a_longer_vector_with_a_shorter_as_prefix_sorts_first():
-    """The rank past every other: '{...}],' after the shorter's entries
-    against '{...},{' after the longer's, and ',' < ']'."""
+    """Keys '{...}],' after the shorter's entries against '{...},{' after
+    the longer's, and ',' < ']'."""
     small, large = AlgebraSpec("affine_a", 2), AlgebraSpec("affine_a", 3)
     pool = (LinForm.weight(1), LinForm.zero())
-    nodes = [OrbitNode(MassVector(small, pool + (pool[0],)), Word((1,)), 0),
+    nodes = [OrbitNode(MassVector(small, pool + (pool[0],)), Word(()), 0),
              OrbitNode(MassVector(large, pool + (pool[0],) * 2), Word((2,)),
                        0),
              OrbitNode(MassVector(AlgebraSpec("affine_ct", 2),
                                   pool + (pool[0],)), Word((3,)), 0)]
-    assert_ranked_in_key_order(nodes)
-    assert [word for _, _, word, _ in _rank(nodes)[1]] == [(2,), (1,), (3,)]
+    assert_exports_match_the_old_export(nodes)
+    payload = json.loads(export_graph(nodes, "json"))
+    assert [nd["witness"] for nd in payload["nodes"]] == [[2], [], [3]]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES.values()))
@@ -142,7 +142,6 @@ def test_a_longer_vector_with_a_shorter_as_prefix_sorts_first():
 def test_child_test_matches_stepping_the_deltas(family, rank, depth):
     spec = AlgebraSpec(family, rank)
     cols = _columns(spec)
-    maps = [dict(col) for col in cols]
     nodes = enumerate_orbit(spec, depth)
     kept = 0
     for nd in nodes:
@@ -150,7 +149,7 @@ def test_child_test_matches_stepping_the_deltas(family, rank, depth):
         deltas = _deltas(rows, d, spec)
         want = [i for i, delta in enumerate(deltas) if delta > 0
                 and _first_descent(_stepped(deltas, i, cols)) == i]
-        assert _children(deltas, maps) == want, nd.witness
+        assert _children(deltas, cols) == want, nd.witness
         kept += len(want) if nd.level < depth else 0
     # every node but the root is the kept child of one node above it
     assert kept == len(nodes) - 1
@@ -167,4 +166,4 @@ def test_child_test_matches_stepping_any_deltas(family, rank, data):
                                 max_size=spec.size))
     want = [i for i, delta in enumerate(deltas) if delta > 0
             and _first_descent(_stepped(deltas, i, cols)) == i]
-    assert _children(deltas, [dict(col) for col in cols]) == want
+    assert _children(deltas, cols) == want
