@@ -82,12 +82,16 @@ def _kernel_rows(v: MassVector, weights: Optional[Sequence[LinForm]] = None
 def _reflect(rows: _Rows, i: int, nbrs: _Neighbours,
              lift: tuple[tuple[int, int], ...]) -> _Rows:
     """R_{i+1} on rows: row_i <- 2 w_i - row_i - sum_{t != i} k_it row_t,
-    where ``lift`` is the sparse row of 2 w_i.  Every generator has a
-    neighbour, so the first neighbour's pass also negates row_i."""
-    row, sign = rows[i], -1
-    for t, k in nbrs[i]:
-        row = [sign * a - k * b for a, b in zip(row, rows[t])]
-        sign = 1
+    where ``lift`` is the sparse row of 2 w_i.  A generator has two
+    neighbours, or one at an end of Ct, so the new row is one pass."""
+    nb = nbrs[i]
+    if len(nb) == 2:
+        (t, k), (u, l) = nb
+        row = [-a - k * b - l * c
+               for a, b, c in zip(rows[i], rows[t], rows[u])]
+    else:
+        (t, k), = nb
+        row = [-a - k * b for a, b in zip(rows[i], rows[t])]
     for p, c in lift:
         row[p] += c
     return rows[:i] + (tuple(row),) + rows[i + 1:]

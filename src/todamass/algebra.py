@@ -81,6 +81,46 @@ def _clean(items: Iterable[tuple[int, Scalar]]) -> tuple[tuple[int, Fraction], .
     return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
+# The form writer reads any object with const, mu and s fields: a `LinForm`
+# or an `_Entry` of ints, as str(int) == str(Fraction(int)).  JSON keys come
+# in string order ("10" before "2"), as json.dumps(..., sort_keys=True).
+def _members(pairs, item: str) -> str:
+    return ",".join([item % kv for kv in
+                     sorted([(str(i), str(c)) for i, c in pairs])])
+
+
+def _json_compact(f) -> str:
+    """This form's JSON object, sorted keys, no whitespace."""
+    return '{"const":"%s","mu":{%s},"s":{%s}}' % (
+        f.const, _members(f.mu, '"%s":"%s"'), _members(f.s, '"%s":"%s"'))
+
+
+def _json_indented(f) -> str:
+    """This form's JSON object, sorted keys, indent 2."""
+    mu, s = ["{%s\n  }" % _members(p, '\n    "%s": "%s"') if p else "{}"
+             for p in (f.mu, f.s)]
+    return '{\n  "const": "%s",\n  "mu": %s,\n  "s": %s\n}' % (f.const, mu, s)
+
+
+def _form_text(f) -> str:
+    parts = (["%s*mu_%d" % (c, i) for i, c in f.mu]
+             + ["%s*s_%d" % (c, i) for i, c in f.s])
+    return " + ".join([str(f.const)] + parts if f.const else parts) or "0"
+
+
+def _form_value(f, mu: Optional[Mapping[int, Scalar]] = None,
+                s: Optional[Mapping[int, Scalar]] = None) -> Fraction:
+    """Evaluate at the given indeterminate values; EvaluationError unless
+    every indeterminate that actually occurs has one."""
+    total = f.const
+    for name, pairs, at in (("mu", f.mu, mu or {}), ("s", f.s, s or {})):
+        for i, c in pairs:
+            if i not in at:
+                raise EvaluationError("no value for %s_%d" % (name, i))
+            total += c * _as_fraction(at[i])
+    return total
+
+
 @dataclass(frozen=True)
 class LinForm:
     """const + sum c_i mu_i + sum d_i s_i, coefficients exact rationals.
@@ -98,9 +138,12 @@ class LinForm:
     def make(const: Scalar = 0,
              mu: Optional[Mapping[int, Scalar]] = None,
              s: Optional[Mapping[int, Scalar]] = None) -> "LinForm":
-        return LinForm(_as_fraction(const),
-                       _clean((mu or {}).items()),
-                       _clean((s or {}).items()))
+        mu, s = mu or {}, s or {}
+        for i in (*mu, *s):
+            if type(i) is not int:  # nor a bool
+                raise DomainError("index %r is not an integer" % (i,))
+        return LinForm(_as_fraction(const), _clean(mu.items()),
+                       _clean(s.items()))
 
     @staticmethod
     def zero() -> "LinForm":
@@ -143,50 +186,12 @@ class LinForm:
     def scale(self, k: Scalar) -> "LinForm":
         return LinForm.combine(((k, self),))
 
-    def evaluate(self,
-                 mu: Optional[Mapping[int, Scalar]] = None,
-                 s: Optional[Mapping[int, Scalar]] = None) -> Fraction:
-        """Evaluate at the given indeterminate values.
-
-        Values must be supplied for every indeterminate that actually
-        occurs, otherwise EvaluationError.
-        """
-        mu = mu or {}
-        s = s or {}
-        total = self.const
-        for i, c in self.mu:
-            if i not in mu:
-                raise EvaluationError("no value for mu_%d" % i)
-            total += c * _as_fraction(mu[i])
-        for i, c in self.s:
-            if i not in s:
-                raise EvaluationError("no value for s_%d" % i)
-            total += c * _as_fraction(s[i])
-        return total
-
-    def __str__(self) -> str:
-        parts = []
-        if self.const:
-            parts.append(str(self.const))
-        for i, c in self.mu:
-            parts.append("%s*mu_%d" % (c, i))
-        for i, c in self.s:
-            parts.append("%s*s_%d" % (c, i))
-        return " + ".join(parts) if parts else "0"
-
-    # Forms are immutable and orbit vectors share them, so each form
-    # renders its JSON object once: compactly for vector keys and at
-    # indent 2 for export.
-    @cached_property
-    def json_compact(self) -> str:
-        """This form's JSON object, sorted keys, no whitespace."""
-        return json.dumps(_linform_to_json(self), sort_keys=True,
-                          separators=(",", ":"))
-
-    @cached_property
-    def json_indented(self) -> str:
-        """This form's JSON object, sorted keys, indent 2."""
-        return json.dumps(_linform_to_json(self), sort_keys=True, indent=2)
+    evaluate = _form_value
+    __str__ = _form_text
+    # Forms are immutable and vectors share them, so each form writes its
+    # JSON object once: compact for canonical keys, at indent 2 on request.
+    json_compact = cached_property(_json_compact)
+    json_indented = cached_property(_json_indented)
 
 
 def _linform_to_json(f: LinForm) -> dict:
@@ -202,6 +207,8 @@ def _linform_to_json(f: LinForm) -> dict:
 _Layout = tuple[int, tuple[int, ...], tuple[int, ...]]
 _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]
+# a form's fields as read or as ints, read like a `LinForm`
+_Entry = namedtuple("_Entry", "const mu s")
 
 
 def _int_rows(forms: Sequence[LinForm],
@@ -263,6 +270,12 @@ def _form(row: _Row, layout: _Layout) -> LinForm:
                    tuple((i, _frac(c, d)) for i, c in zip(s, row[m:]) if c))
 
 
+def _entry(row: _Row, layout: _Layout) -> _Entry:
+    """`_form` of a row in a layout with d = 1 and no s, as ints."""
+    return _Entry(row[0], [(i, c) for i, c in zip(layout[1], row[1:]) if c],
+                  ())
+
+
 def _rational(text) -> Scalar:
     if not isinstance(text, str):
         raise FormatError("rational must be a string, got %r" % (text,))
@@ -292,10 +305,6 @@ def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Scalar]]:
             raise FormatError("index %d outside 1..%d" % (idx, size))
         out[idx] = _rational(v)
     return [(i, c) for i, c in out.items() if c]
-
-
-# an entry as read, shaped like a `LinForm` for `_int_rows`
-_Entry = namedtuple("_Entry", "const mu s")
 
 
 def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],

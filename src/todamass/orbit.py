@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import (AlgebraSpec, LinForm, MassVector, _form, _int_rows,
+from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
+                      _form_value, _int_rows, _json_compact, _json_indented,
                       _Layout, _Rows, _weight_map)
 from .action import (Word, _columns, _kernel_rows, _neighbours, _reflect,
                      _residual)
@@ -62,16 +63,17 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     its lexicographically smallest shortest word, of length its level.
     Sorted by (level, canonical key); ``workers`` is accepted and ignored.
     """
-    forms, nodes = _ranked_orbit(spec, depth)
+    forms, nodes = _ranked_orbit(spec, depth, _form)
     return [OrbitNode(MassVector(spec, tuple(map(forms.__getitem__, ranks))),
                       Word(word), level) for level, ranks, word, _ in nodes]
 
 
-def _ranked_orbit(spec: AlgebraSpec,
-                  depth: int) -> tuple[list[LinForm], list[tuple]]:
+def _ranked_orbit(spec: AlgebraSpec, depth: int,
+                  make=_entry) -> tuple[list, list[tuple]]:
     """`enumerate_orbit` with no vector built: (forms, ranked nodes), forms
-    every distinct entry once in compact JSON order, a ranked node (level,
-    entry ranks, witness letters, spec) with entry k forms[ranks[k]]."""
+    each distinct row once as ``make`` writes it, in compact JSON order, a
+    ranked node (level, entry ranks, witness letters, spec) with entry k
+    forms[ranks[k]]."""
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
     level = [(zero, (), _deltas(zero, 1, spec))]
@@ -83,12 +85,12 @@ def _ranked_orbit(spec: AlgebraSpec,
                  for i in _children(deltas, cols)]
         tree += level
     # one form per distinct row, shared by every vector that has it
-    forms = {row: _form(row, layout)
+    forms = {row: make(row, layout)
              for row in {row for rows, _, _ in tree for row in rows}}
     # (level, entry ranks) is the canonical key's order in one spec: keys
     # join compact JSON objects, none a proper prefix of another, so they
     # compare as their first differing entries; distinct vectors never tie
-    order = sorted(forms, key=lambda row: forms[row].json_compact)
+    order = sorted(forms, key=lambda row: _json_compact(forms[row]))
     rank = {row: k for k, row in enumerate(order)}
     nodes = sorted((len(word), tuple(map(rank.__getitem__, rows)), word, spec)
                    for rows, word, _ in tree)
@@ -272,7 +274,7 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
     given.  The JSON equals ``json.dumps(payload, sort_keys=True,
     indent=2) + "\n"`` byte for byte, where payload is ``{"nodes":
     [{"vector": v.to_json_dict(), "witness": [letters], "level": level},
-    ...]}``; it is assembled from each distinct entry's cached rendering.
+    ...]}``; it is assembled from each distinct entry's rendering.
     CSV rows hold every entry's value at ``mu`` or, without ``mu``, the
     vector as text.
     """
@@ -286,14 +288,14 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
          nd.witness.letters, nd.vector.spec) for nd in nodes], fmt, mu)
 
 
-def _write_graph(forms: Sequence[LinForm], nodes: Sequence[tuple], fmt: str,
+def _write_graph(forms: Sequence, nodes: Sequence[tuple], fmt: str,
                  mu: Optional[Sequence] = None) -> bytes:
     """`export_graph`'s bytes for numbered nodes, in the order given, each
     entry of ``forms`` rendered once into a list indexed by number."""
     if fmt == "json":
         if not nodes:
             return b'{\n  "nodes": []\n}\n'
-        texts = [e.json_indented.replace("\n", _ENTRY_PAD) for e in forms]
+        texts = [_json_indented(e).replace("\n", _ENTRY_PAD) for e in forms]
         sep = "," + _ENTRY_PAD
         items = ",\n".join(
             _JSON_NODE % (level, sep.join(map(texts.__getitem__, ranks)),
@@ -312,11 +314,11 @@ def _write_graph(forms: Sequence[LinForm], nodes: Sequence[tuple], fmt: str,
                 at = _weight_map(spec, mu)
             for r in ranks:
                 if values[r] is None:
-                    values[r] = str(forms[r].evaluate(at))
+                    values[r] = str(_form_value(forms[r], at))
             lines.append("%d,%s" % (k, " ".join(map(values.__getitem__,
                                                     ranks))))
         return ("\n".join(lines) + "\n").encode()
-    texts = [str(e) for e in forms]
+    texts = list(map(_form_text, forms))
     labels = ["(%s)" % ", ".join(map(texts.__getitem__, nd[1]))
               for nd in nodes]
     if fmt == "csv":
@@ -326,9 +328,13 @@ def _write_graph(forms: Sequence[LinForm], nodes: Sequence[tuple], fmt: str,
         # discovery-tree edges: a node's parent has its witness minus the
         # first letter
         ids = {nd[2]: k for k, nd in enumerate(nodes)}
+        try:
+            edges = ["  v%d -> v%d [label=%d];" % (ids[word[1:]], k, word[0])
+                     for k, (_, _, word, _) in enumerate(nodes) if word]
+        except KeyError:
+            raise FormatError("node with witness %s has no parent node" % Word(
+                next(nd[2] for nd in nodes if nd[2][1:] not in ids))) from None
         lines = (["digraph orbit {"]
                  + ['  v%d [label="%s"];' % kl for kl in enumerate(labels)]
-                 + ["  v%d -> v%d [label=%d];" % (ids[word[1:]], k, word[0])
-                    for k, (_, _, word, _) in enumerate(nodes) if word]
-                 + ["}"])
+                 + edges + ["}"])
     return ("\n".join(lines) + "\n").encode()

@@ -40,6 +40,21 @@ def test_cyclic_wrap():
         ct.wrap(4)
 
 
+@pytest.mark.parametrize("index", ["a", "1", True, False, 1.0, None])
+def test_make_rejects_an_index_that_is_not_an_int(index):
+    for field in ("mu", "s"):
+        with pytest.raises(DomainError, match="not an integer"):
+            LinForm.make(**{field: {index: 1}})
+        with pytest.raises(DomainError):
+            LinForm.make(**{field: {2: 1, index: 2}})
+
+
+def test_make_accepts_indices_at_and_below_zero():
+    f = LinForm.make(mu={0: 1, -2: 3}, s={-1: 2})
+    assert str(f) == "3*mu_-2 + 1*mu_0 + 2*s_-1"
+    assert f.evaluate({0: 1, -2: 1}, {-1: 1}) == 6
+
+
 def test_make_zero_and_generic():
     for family, n in (("affine_a", 2), ("affine_ct", 3), ("affine_a", 5)):
         spec = AlgebraSpec(family, n)

@@ -4,6 +4,10 @@ The oracles below are the implementations `MassVector.canonical_key` and
 `export_graph` had before they joined each distinct entry's cached
 rendering: `json.dumps` over `to_json_dict()` per vector and over the
 whole payload, `str(vector)` per node, and `MassVector.evaluate` per node.
+The form writer, which formats each form's texts with no `json.dumps`, is
+checked against `json.dumps` and the `str` it replaced; the orbit verb's
+`_Entry`s of ints against the `LinForm`s of the same rows; and the one-pass
+`_reflect` against the two-pass one it replaced.
 """
 
 import csv
@@ -15,10 +19,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import Word
-from todamass.errors import EvaluationError
-from todamass.orbit import OrbitNode, enumerate_orbit, export_graph
+from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _entry,
+                              _form, _form_text, _form_value, _json_compact,
+                              _json_indented, _linform_to_json)
+from todamass.action import Word, _neighbours, _reflect
+from todamass.errors import EvaluationError, FormatError
+from todamass.orbit import (OrbitNode, _ranked_orbit, enumerate_orbit,
+                            export_graph)
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -185,3 +192,131 @@ def test_wrong_length_mu_still_raises():
         with pytest.raises(EvaluationError) as old:
             old_export(nodes, "csv", mu)
         assert str(new.value) == str(old.value)
+
+
+def test_rootless_node_list_has_no_dot_parent():
+    spec = AlgebraSpec("affine_a", 2)
+    nodes = [OrbitNode(MassVector.zero(spec), Word((1,)), 1)]
+    with pytest.raises(FormatError, match=r"witness \[1\] has no parent"):
+        export_graph(nodes, "dot")
+    # a tree whose root is present, but one node's parent is not
+    nodes = [OrbitNode(MassVector.zero(spec), Word(()), 0),
+             OrbitNode(MassVector.zero(spec), Word((1,)), 1),
+             OrbitNode(MassVector.generic(spec), Word((3, 2)), 2)]
+    with pytest.raises(FormatError, match=r"witness \[3 2\] has no parent"):
+        export_graph(nodes, "dot")
+    for fmt in ("json", "csv"):
+        assert export_graph(nodes, fmt) == old_export(nodes, fmt), fmt
+
+
+def old_str(f):
+    """`str` of a form, as `LinForm.__str__` wrote it part by part."""
+    parts = []
+    if f.const:
+        parts.append(str(f.const))
+    for i, c in f.mu:
+        parts.append("%s*mu_%d" % (c, i))
+    for i, c in f.s:
+        parts.append("%s*s_%d" % (c, i))
+    return " + ".join(parts) if parts else "0"
+
+
+def assert_writer_matches_json_dumps(f):
+    obj = _linform_to_json(f)
+    compact = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    indented = json.dumps(obj, sort_keys=True, indent=2)
+    assert _json_compact(f) == f.json_compact == compact
+    assert _json_indented(f) == f.json_indented == indented
+    assert _form_text(f) == str(f) == old_str(f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just(0), coefficients),
+       st.dictionaries(st.integers(1, 12), coefficients, max_size=12),
+       st.dictionaries(st.integers(1, 12), coefficients, max_size=12))
+def test_writer_matches_json_dumps(const, mu, s):
+    assert_writer_matches_json_dumps(LinForm.make(const, mu, s))
+
+
+def test_writer_sorts_two_digit_keys_as_strings():
+    f = LinForm.make(Fraction(-3, 2), {11: 5, 2: -2, 10: Fraction(1, 3), 1: 1},
+                     {10: -1, 2: Fraction(7, 4)})
+    assert_writer_matches_json_dumps(f)
+    assert f.json_compact == ('{"const":"-3/2","mu":{"1":"1","10":"1/3",'
+                              '"11":"5","2":"-2"},"s":{"10":"-1","2":"7/4"}}')
+    assert f.json_indented == """{
+  "const": "-3/2",
+  "mu": {
+    "1": "1",
+    "10": "1/3",
+    "11": "5",
+    "2": "-2"
+  },
+  "s": {
+    "10": "-1",
+    "2": "7/4"
+  }
+}"""
+    assert str(f) == ("-3/2 + 1*mu_1 + -2*mu_2 + 1/3*mu_10 + 5*mu_11"
+                      " + 7/4*s_2 + -1*s_10")
+    assert _json_indented(LinForm()) == \
+        '{\n  "const": "0",\n  "mu": {},\n  "s": {}\n}'
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n,depth", ((2, 5), (3, 3), (5, 2), (9, 2),
+                                     (10, 1)))
+def test_orbit_entries_write_as_their_forms(family, n, depth):
+    """The verb's `_Entry`s of ints and `enumerate_orbit`'s `LinForm`s."""
+    spec = AlgebraSpec(family, n)
+    entries, nodes = _ranked_orbit(spec, depth)
+    forms, form_nodes = _ranked_orbit(spec, depth, _form)
+    assert nodes == form_nodes and len(entries) == len(forms)
+    rng = random.Random(n * depth)
+    at = dict(enumerate(random_mu(rng, spec.size), 1))
+    for e, f in zip(entries, forms):
+        assert all(type(c) is int for _, c in e.mu) and not e.s
+        assert _json_compact(e) == f.json_compact
+        assert _json_indented(e) == f.json_indented
+        assert _form_text(e) == str(f)
+        assert _form_value(e, at) == f.evaluate(at)
+        if e.mu:
+            with pytest.raises(EvaluationError) as new:
+                _form_value(e, {})
+            with pytest.raises(EvaluationError) as old:
+                f.evaluate({})
+            assert str(new.value) == str(old.value)
+    layout = (1, tuple(spec.indices), ())
+    row = (0,) + tuple(range(-1, spec.size - 1))
+    assert _json_compact(_entry(row, layout)) == _form(row, layout).json_compact
+
+
+def two_pass_reflect(rows, i, nbrs, lift):
+    """`_reflect` as one pass per neighbour, the first also negating row_i."""
+    row, sign = rows[i], -1
+    for t, k in nbrs[i]:
+        row = [sign * a - k * b for a, b in zip(row, rows[t])]
+        sign = 1
+    for p, c in lift:
+        row[p] += c
+    return rows[:i] + (tuple(row),) + rows[i + 1:]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_one_pass_reflect_matches_two_passes(family, n):
+    spec = AlgebraSpec(family, n)
+    nbrs = _neighbours(spec)
+    if family == "affine_ct":
+        # the doubled bonds at the ends of Ct, one neighbour each
+        assert nbrs[0] == ((1, -2),) and nbrs[-1] == ((n - 1, -2),)
+    rng = random.Random(n)
+    width = spec.size + 3
+    for _ in range(4):
+        rows = tuple(tuple(rng.randint(-9, 9) for _ in range(width))
+                     for _ in spec.indices)
+        for i in range(spec.size):
+            lift = tuple(sorted({(rng.randrange(width), 2 * rng.randint(-3, 3))
+                                 for _ in range(rng.randint(0, 2))}))
+            assert (_reflect(rows, i, nbrs, lift)
+                    == two_pass_reflect(rows, i, nbrs, lift)), (i, lift)
