@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
@@ -114,6 +114,41 @@ def _fold(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts) -> _Rows:
     return rows
 
 
+@lru_cache(maxsize=16)
+def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
+             want: Optional[_Rows]) -> tuple[tuple[int, ...], ...]:
+    """`_folds_to`'s rows, lifts and want, each row one int with column p
+    at bit b*p (Kronecker substitution), cached per word length.  A letter
+    makes |new| <= l + g M, so no value exceeds g^length (M + l), M and l
+    the largest |entry| of rows and want and of lifts."""
+    g = 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
+    m = max(abs(c) for row in rows + (want or ()) for c in row)
+    l = max((abs(c) for lift in lifts for _, c in lift), default=0)
+    b = (g ** length * (m + l)).bit_length() + 2  # a difference fits
+
+    def pack(pairs):
+        return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
+    return (pack(map(enumerate, rows)), pack(lifts),
+            (0,) * len(rows) if want is None else pack(map(enumerate, want)))
+
+
+def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
+              want: Optional[_Rows] = None) -> bool:
+    """``_fold(w, rows, spec, lifts) == want`` (zero rows by default), on
+    packed rows: a letter is a few big-int operations."""
+    letters = [i - 1 for i in reversed(w.letters)]
+    if letters and not 0 <= min(letters) <= max(letters) < spec.size:
+        return _fold(w, rows, spec, lifts) == want  # raises its DomainError
+    start, lifts, want = _packing(rows, lifts, spec, len(letters), want)
+    nbrs, rows = _neighbours(spec), list(start)
+    for i in letters:
+        row = lifts[i] - rows[i]
+        for t, k in nbrs[i]:
+            row -= k * rows[t]
+        rows[i] = row
+    return tuple(rows) == want
+
+
 def apply_word(w: Word, v: MassVector,
                weights: Optional[Sequence[LinForm]] = None) -> MassVector:
     """Apply the word's letters right to left, under optional weights.
@@ -165,7 +200,7 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
     _, rows, lifts = _generic_rows(spec)
-    return _fold(w, rows, spec, lifts) == rows
+    return _folds_to(w, rows, spec, lifts, rows)
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

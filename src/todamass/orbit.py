@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _form_value, _int_rows, _json_compact, _json_indented,
                       _Layout, _Rows, _weight_map)
-from .action import (Word, _columns, _kernel_rows, _neighbours, _reflect,
-                     _residual)
+from .action import (Word, _columns, _folds_to, _kernel_rows, _neighbours,
+                     _reflect, _residual)
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -188,11 +188,6 @@ def _deltas(rows: _Rows, d: int, spec: AlgebraSpec) -> list[int]:
             for i, nb in enumerate(_neighbours(spec))]
 
 
-def _first_descent(deltas: Sequence[int]) -> int:
-    """The smallest i whose delta is negative, -1 if there is none."""
-    return next((i for i, delta in enumerate(deltas) if delta < 0), -1)
-
-
 def _children(deltas: Sequence[int], cols: Sequence[dict]) -> list[int]:
     """The i for which R_{i+1} gives a child, with ``cols`` from
     `_columns`: delta_i > 0 and, the child's delta_t being delta_t
@@ -225,19 +220,23 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
              max_steps: int) -> tuple[list[int], str]:
     """The letters the greedy descent applies to rows over d, and why it
     stalled ("" if it reached zero): each step applies R_i for the
-    smallest i with a negative delta."""
-    nbrs, cols = _neighbours(spec), _columns(spec)
+    smallest i with a negative delta.  phi, the rows' total, falls by it,
+    so it is 0 at most once; only there is the word folded and tested."""
+    cols = _columns(spec)
     # the lifts of the plain weights: 2d at mu_i
     lifts = tuple(((i, 2 * d),) for i in spec.indices)
     deltas = _deltas(rows, d, spec)
+    phi = sum(map(sum, rows))
     applied: list[int] = []
-    while any(map(any, rows)):
+    while phi or not _folds_to(Word(tuple(applied[::-1])), rows, spec, lifts):
         if len(applied) >= max_steps:
             return applied, "step budget exhausted"
-        i = _first_descent(deltas)
-        if i < 0:
+        for i, delta in enumerate(deltas):
+            if delta < 0:
+                break
+        else:
             return applied, "no descending generator"
-        rows = _reflect(rows, i, nbrs, lifts[i])
+        phi += delta
         deltas = _stepped(deltas, i, cols)
         applied.append(i + 1)
     return applied, ""

@@ -428,8 +428,12 @@ def test_blowup_matches_per_block_closed_forms():
                           and not J.is_interior(n) else closed_form_a(g, J))
                 for i in J.indices(n):
                     expect = replaced(expect, i, target.entry(i))
-            assert blowup_step(g, d).vector == expect, d
-            result = blowup_step(MassVector.zero(spec), d)
+            result = blowup_step(g, d)
+            # the word's action is the oracle for the closed forms
+            assert result.vector == expect == apply_word(result.word, g), d
+            zero = MassVector.zero(spec)
+            result = blowup_step(zero, d)
+            assert result.vector == apply_word(result.word, zero), d
             report = descend_to_zero(result.vector,
                                      max_steps=len(result.word))
             assert report.verdict == MEMBER, d

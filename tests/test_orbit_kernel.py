@@ -3,11 +3,14 @@
 The oracles below are the symbolic implementations that words,
 enumeration, DOT export and descent used before they moved onto integer
 rows; they build every vector with `linform_generator`, the generator
-rule as one `LinForm.combine` per letter.  Membership is also checked
-against the order it used to take: `gamma_n_test` first, then the
-integer descent.  Reverse-search enumeration is checked against the
-breadth-first search with a visited set that it replaced, `bfs_rows`,
-and its level counts against Bott's formula.
+rule as one `LinForm.combine` per letter.  The packed fold is checked
+against the row fold, and the descent that picks its letters from the
+deltas against the one that reflected the rows at every step.
+Membership is also checked against the order it used to take:
+`gamma_n_test` first, then the integer descent.  Reverse-search
+enumeration is checked against the breadth-first search with a visited
+set that it replaced, `bfs_rows`, and its level counts against Bott's
+formula.
 """
 
 import random
@@ -19,15 +22,16 @@ from hypothesis import given, settings, strategies as st
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (Word, _form, _kernel_rows, _neighbours,
-                             _reflect, apply_generator, apply_word,
-                             verify_relation)
+from todamass.action import (Word, _fold, _folds_to, _form, _kernel_rows,
+                             _neighbours, _packing, _reflect, apply_generator,
+                             apply_word, verify_relation)
 from todamass.cartan import build
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
-                            MembershipReport, OrbitNode, _verdict,
-                            coefficient_matrix, descend_to_zero,
-                            enumerate_orbit, export_graph, gamma_n_test)
+                            MembershipReport, OrbitNode, _deltas, _descend,
+                            _mass_rows, _verdict, coefficient_matrix,
+                            descend_to_zero, enumerate_orbit, export_graph,
+                            gamma_n_test)
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -451,3 +455,154 @@ def test_membership_reports_on_each_path():
         for v, budget, want in cases:
             assert descend_to_zero(v, max_steps=budget) == want
             assert gamma_first_descent(v, max_steps=budget) == want
+
+
+def growth(spec):
+    """1 + max_i sum_{t != i} |k_it|, read off the Cartan matrix."""
+    k = build(spec.family, spec.size)
+    return 1 + max(int(sum(abs(k[i, t]) for t in spec.indices if t != i))
+                   for i in spec.indices)
+
+
+def kronecker(rows, b):
+    """Each row as one int, column p at bit b*p."""
+    return tuple(sum(c << b * p for p, c in enumerate(row)) for row in rows)
+
+
+def moved(rows, j, p, dx, dy=0):
+    """rows with dx added at row j, column p, and dy at column p+1."""
+    row = list(rows[j])
+    row[p] += dx
+    if dy:
+        row[p + 1] += dy
+    return rows[:j] + (tuple(row),) + rows[j + 1:]
+
+
+def random_form(rng, size):
+    """A form like those `forms` draws: Fractions (so d > 1), negative
+    coefficients, a constant, s-terms and stray mu indices."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return LinForm.make(rational(), {rng.randint(-1, size + 2): rational()
+                                     for _ in range(rng.randint(0, 4))},
+                        {rng.randint(1, size): rational()
+                         for _ in range(rng.randint(0, 2))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 12),
+       st.sampled_from(["true", "off", "alias"]), st.booleans(), st.data())
+def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
+    spec = AlgebraSpec(family, n)
+    size = spec.size
+    # the end generators carry the doubled bonds of Ct, so draw them often
+    letters = data.draw(st.lists(st.sampled_from([1, 2, n, size])
+                                 | st.integers(1, size), max_size=60))
+    if data.draw(st.integers(0, 9)) == 0:
+        bad = data.draw(st.sampled_from([0, -1, size + 1]))
+        letters.insert(data.draw(st.integers(0, len(letters))), bad)
+    word = Word(tuple(letters))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    v = MassVector(spec, tuple(random_form(rng, size) for _ in range(size)))
+    weights = [random_form(rng, size) for _ in range(size)] if overlay \
+        else None
+    _, rows, lifts = _kernel_rows(v, weights)
+    if not all(1 <= i <= size for i in letters):
+        want = outcome(lambda: _fold(word, rows, spec, lifts))
+        assert outcome(lambda: _folds_to(word, rows, spec, lifts)) == want
+        return
+    got = _fold(word, rows, spec, lifts)
+    m = max(abs(c) for row in rows for c in row)
+    l = max((abs(c) for lift in lifts for _, c in lift), default=0)
+    b = (growth(spec) ** len(letters) * (m + l)).bit_length() + 2
+    # the proved slot width, and no narrower: rows pack at exactly b bits
+    assert _packing(rows, lifts, spec, len(letters), None)[0] == \
+        kronecker(rows, b)
+    j = data.draw(st.integers(0, size - 1))
+    p = data.draw(st.integers(0, len(rows[0]) - 1))
+    if kind == "true":
+        want = got
+    elif kind == "off":
+        want = moved(got, j, p, data.draw(st.sampled_from([-1, 1])))
+    else:
+        # 2^b moved from one slot up into the next: the same int at the
+        # width the rows alone need, so only a wider slot tells it apart
+        p = min(p, len(rows[0]) - 2)
+        want = moved(got, j, p, 1 << b, -1)
+        assert kronecker(want, b) == kronecker(got, b)
+    assert _folds_to(word, rows, spec, lifts, want) == (got == want) \
+        == (kind == "true")
+    zero = tuple((0,) * len(row) for row in rows)
+    assert _folds_to(word, rows, spec, lifts) == (got == zero)
+
+
+def rowwise_descend(rows, d, spec, max_steps):
+    """The greedy descent as it ran on rows: each step reflects them, reads
+    the deltas afresh from them, and tests every row for zero."""
+    nbrs = _neighbours(spec)
+    lifts = tuple(((i, 2 * d),) for i in spec.indices)
+    applied = []
+    while any(map(any, rows)):
+        if len(applied) >= max_steps:
+            return applied, "step budget exhausted"
+        deltas = _deltas(rows, d, spec)
+        i = next((i for i, delta in enumerate(deltas) if delta < 0), -1)
+        if i < 0:
+            return applied, "no descending generator"
+        rows = _reflect(rows, i, nbrs, lifts[i])
+        applied.append(i + 1)
+    return applied, ""
+
+
+def mass_rows(v):
+    """(rows, d) as `_membership` hands them to `_descend`."""
+    layout, rows, _ = _int_rows(v.entries, None)
+    d, mass, _ = _mass_rows(layout, rows, v.spec.size)
+    return mass, d
+
+
+def assert_descents_agree(v, budgets):
+    rows, d = mass_rows(v)
+    for budget in budgets:
+        assert _descend(rows, d, v.spec, budget) == \
+            rowwise_descend(rows, d, v.spec, budget), (str(v), budget)
+
+
+def test_descent_from_deltas_matches_rowwise_on_criterion_8_sweep():
+    from test_acceptance import ORBIT_SWEEP
+    for family, n, depth in ORBIT_SWEEP:
+        for nd in enumerate_orbit(AlgebraSpec(family, n), depth):
+            level = nd.level
+            assert_descents_agree(nd.vector, {max(level - 1, 0), level,
+                                              max(4 * level, 1)})
+
+
+def ascended(spec, level, rng):
+    """An orbit vector reached from zero by `level` phi-raising letters,
+    built on rows."""
+    nbrs = _neighbours(spec)
+    layout, rows, lifts = _kernel_rows(MassVector.zero(spec))
+    for _ in range(level):
+        ups = [i for i, delta in enumerate(_deltas(rows, 1, spec))
+               if delta > 0]
+        i = rng.choice(ups)
+        rows = _reflect(rows, i, nbrs, lifts[i])
+    return MassVector(spec, tuple(_form(row, layout) for row in rows))
+
+
+def test_descent_from_deltas_matches_rowwise_deep_and_off_the_orbit():
+    rng = random.Random(17)
+    for family in FAMILIES:
+        for n in range(3, 9):
+            spec = AlgebraSpec(family, n)
+            for level in (0, 1, 7, 40, 120):
+                v = ascended(spec, level, rng)
+                # every budget up to the level, at level 120 every 7th
+                budgets = set(range(0, level + 1, 7 if level > 40 else 1))
+                budgets |= {max(level - 1, 0), level, 2 * level + 8, 256}
+                assert_descents_agree(v, budgets)
+                assert len(_descend(*mass_rows(v), spec, 256)[0]) == level
+                for defect in ("half", "residual", "stray"):
+                    stray = spec.size + 1 if defect == "stray" else None
+                    bad = bumped(v, rng, DEFECTS[defect], stray)
+                    assert_descents_agree(bad, budgets)

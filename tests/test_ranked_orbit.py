@@ -19,8 +19,8 @@ from test_export_fragments import old_export
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import Word, _columns
 from todamass.cli import run
-from todamass.orbit import (OrbitNode, _children, _deltas, _first_descent,
-                            _stepped, enumerate_orbit, export_graph)
+from todamass.orbit import (OrbitNode, _children, _deltas, _stepped,
+                            enumerate_orbit, export_graph)
 
 FAMILIES = {"a": "affine_a", "ct": "affine_ct"}
 # (rank, depths): two-digit indices from rank 9 on, depth 0 to 3 and more
@@ -28,6 +28,11 @@ CLI_SWEEP = ((2, (0, 1, 3, 7)), (3, (0, 2, 3, 5)), (4, (0, 3, 4)),
              (5, (0, 3)), (6, (1, 3)), (7, (0, 3)), (8, (2, 3)),
              (9, (0, 3)), (10, (0, 1, 3)))
 CHILD_SWEEP = ((2, 14), (3, 9), (4, 6), (5, 5), (6, 4), (7, 4))
+
+
+def first_descent(deltas):
+    """The smallest i whose delta is negative, -1 if there is none."""
+    return next((i for i, delta in enumerate(deltas) if delta < 0), -1)
 
 
 def cli_bytes(argv):
@@ -148,7 +153,7 @@ def test_child_test_matches_stepping_the_deltas(family, rank, depth):
         (d, _, _), rows, _ = _int_rows(nd.vector.entries, None)
         deltas = _deltas(rows, d, spec)
         want = [i for i, delta in enumerate(deltas) if delta > 0
-                and _first_descent(_stepped(deltas, i, cols)) == i]
+                and first_descent(_stepped(deltas, i, cols)) == i]
         assert _children(deltas, cols) == want, nd.witness
         kept += len(want) if nd.level < depth else 0
     # every node but the root is the kept child of one node above it
@@ -165,5 +170,5 @@ def test_child_test_matches_stepping_any_deltas(family, rank, data):
     deltas = data.draw(st.lists(st.integers(-4, 4), min_size=spec.size,
                                 max_size=spec.size))
     want = [i for i, delta in enumerate(deltas) if delta > 0
-            and _first_descent(_stepped(deltas, i, cols)) == i]
+            and first_descent(_stepped(deltas, i, cols)) == i]
     assert _children(deltas, cols) == want
