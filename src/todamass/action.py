@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
@@ -53,6 +53,9 @@ class Word:
 _Neighbours = tuple[tuple[tuple[int, int], ...], ...]
 # per generator i, the nonzero (column, value) pairs of the row of 2 w_i
 _Lifts = tuple[tuple[tuple[int, int], ...], ...]
+# the widest slot of `_packing`: past it a packed letter costs more than
+# a letter on the rows themselves
+_SLOT_BITS = 320
 
 
 @cache
@@ -114,33 +117,40 @@ def _fold(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts) -> _Rows:
     return rows
 
 
-@lru_cache(maxsize=16)
 def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
-             want: Optional[_Rows]) -> tuple[tuple[int, ...], ...]:
-    """`_folds_to`'s rows, lifts and want, each row one int with column p
-    at bit b*p (Kronecker substitution), cached per word length.  A letter
-    makes |new| <= l + g M, so no value exceeds g^length (M + l), M and l
-    the largest |entry| of rows and want and of lifts."""
+             want: Optional[_Rows] = None) -> Optional[tuple]:
+    """rows, lifts and want (zero rows by default), each row one int with
+    column p at bit b*p (Kronecker substitution), for a word of ``length``
+    letters; None where b passes _SLOT_BITS.  A letter makes |new| <= l +
+    g M, so no value exceeds g^length (M + l), M and l the largest |entry|
+    of rows and want and of lifts."""
     g = 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
     m = max(abs(c) for row in rows + (want or ()) for c in row)
     l = max((abs(c) for lift in lifts for _, c in lift), default=0)
-    b = (g ** length * (m + l)).bit_length() + 2  # a difference fits
+    # a difference fits; g >= 2, so a longer word passes the cap anyway
+    b = (g ** min(length, _SLOT_BITS) * (m + l)).bit_length() + 2
 
     def pack(pairs):
         return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
-    return (pack(map(enumerate, rows)), pack(lifts),
-            (0,) * len(rows) if want is None else pack(map(enumerate, want)))
+    return None if b > _SLOT_BITS else (
+        pack(map(enumerate, rows)), pack(lifts),
+        (0,) * len(rows) if want is None else pack(map(enumerate, want)))
 
 
 def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
-              want: Optional[_Rows] = None) -> bool:
-    """``_fold(w, rows, spec, lifts) == want`` (zero rows by default), on
-    packed rows: a letter is a few big-int operations."""
+              want: Optional[_Rows] = None,
+              packing: Optional[tuple] = None) -> bool:
+    """``_fold(w, rows, spec, lifts) == want`` (zero rows by default).  On
+    `_packing`'s rows (``packing`` if the caller holds them) a letter is a
+    few big-int operations; too wide a slot folds the rows themselves."""
     letters = [i - 1 for i in reversed(w.letters)]
-    if letters and not 0 <= min(letters) <= max(letters) < spec.size:
-        return _fold(w, rows, spec, lifts) == want  # raises its DomainError
-    start, lifts, want = _packing(rows, lifts, spec, len(letters), want)
-    nbrs, rows = _neighbours(spec), list(start)
+    packing = packing or _packing(rows, lifts, spec, len(letters), want)
+    if not packing or letters and not (
+            0 <= min(letters) <= max(letters) < spec.size):
+        got = _fold(w, rows, spec, lifts)  # raises on a letter out of range
+        return got == want if want else not any(map(any, got))
+    rows, lifts, want = packing
+    nbrs, rows = _neighbours(spec), list(rows)
     for i in letters:
         row = lifts[i] - rows[i]
         for t, k in nbrs[i]:
@@ -197,10 +207,18 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
     return _kernel_rows(MassVector.generic(spec))
 
 
+@cache
+def _generic_packing(spec: AlgebraSpec, length: int) -> Optional[tuple]:
+    """`_packing` of the generic rows against themselves."""
+    _, rows, lifts = _generic_rows(spec)
+    return _packing(rows, lifts, spec, length, rows)
+
+
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
     _, rows, lifts = _generic_rows(spec)
-    return _folds_to(w, rows, spec, lifts, rows)
+    return _folds_to(w, rows, spec, lifts, rows,
+                     _generic_packing(spec, len(w)))
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

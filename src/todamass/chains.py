@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
-from .action import Word, _kernel_rows
+from .action import Word, _kernel_rows, apply_word
 from .perms import SPermC, _block, _block_rows, _written, sigma_f_ct
 
 
@@ -194,16 +194,14 @@ def blowup_step(v: MassVector, d: Decomposition) -> BlowupResult:
     """Apply every block chain of a validated decomposition to v.
 
     The word is the concatenation of the block chains in their listed
-    order (boundary block first where the case has one).  A chain reads
-    only its block and the null set, so each block takes its own gain.
+    order (boundary block first where the case has one); the resulting
+    vector is its action on v.
     """
     if v.spec != d.spec:
         raise DomainError("vector and decomposition specs differ")
     d.validate()
     builder = chain_word_a if d.spec.family == AFFINE_A else chain_word_ct
-    layout, rows, lifts = _kernel_rows(v)
-    word, new = Word(), {}
+    word = Word()
     for b in d.blocks:
         word = word * builder(b, d.spec).word
-        new.update(_block_rows(rows, lifts, d.spec, b))
-    return BlowupResult(_written(v, layout, new), word)
+    return BlowupResult(apply_word(word, v), word)

@@ -22,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (Word, _fold, _folds_to, _form, _kernel_rows,
-                             _neighbours, _packing, _reflect, apply_generator,
-                             apply_word, verify_relation)
+from todamass.action import (_SLOT_BITS, Word, _fold, _folds_to, _form,
+                             _generic_packing, _kernel_rows, _neighbours,
+                             _packing, _reflect, apply_generator, apply_word,
+                             verify_relation)
 from todamass.cartan import build
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
@@ -516,8 +517,9 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
     l = max((abs(c) for lift in lifts for _, c in lift), default=0)
     b = (growth(spec) ** len(letters) * (m + l)).bit_length() + 2
     # the proved slot width, and no narrower: rows pack at exactly b bits
-    assert _packing(rows, lifts, spec, len(letters), None)[0] == \
-        kronecker(rows, b)
+    packing = _packing(rows, lifts, spec, len(letters), None)
+    assert packing is None if b > _SLOT_BITS else \
+        packing[0] == kronecker(rows, b)
     j = data.draw(st.integers(0, size - 1))
     p = data.draw(st.integers(0, len(rows[0]) - 1))
     if kind == "true":
@@ -606,3 +608,35 @@ def test_descent_from_deltas_matches_rowwise_deep_and_off_the_orbit():
                     stray = spec.size + 1 if defect == "stray" else None
                     bad = bumped(v, rng, DEFECTS[defect], stray)
                     assert_descents_agree(bad, budgets)
+
+
+def test_wide_slots_fold_the_rows():
+    """A word too long for `_SLOT_BITS` folds the rows themselves: the
+    descent, the packed verdict and the relation check answer as before."""
+    rng = random.Random(29)
+    for family in FAMILIES:
+        for n in (3, 12):
+            spec = AlgebraSpec(family, n)
+            v = ascended(spec, 260, rng)
+            rows, d = mass_rows(v)
+            lifts = tuple(((i, 2 * d),) for i in spec.indices)
+            assert _packing(rows, lifts, spec, 260) is None
+            assert_descents_agree(v, {0, 259, 260, 600})
+            word = Word(tuple(rng.randint(1, spec.size) for _ in range(300)))
+            _, rows, lifts = _kernel_rows(v)
+            got = _fold(word, rows, spec, lifts)
+            assert _folds_to(word, rows, spec, lifts, got)
+            assert not _folds_to(word, rows, spec, lifts, moved(got, 0, 1, 1))
+            assert not _folds_to(word, rows, spec, lifts)
+            # a word times its reverse is the identity
+            back = Word(word.letters[::-1])
+            assert _folds_to(word * back, rows, spec, lifts, rows)
+            order = 3 if family == "affine_a" else 4
+            assert _generic_packing(spec, order * 80) is None
+            assert verify_relation(Word.of(1, 2).power(order * 80), spec)
+            assert not verify_relation(Word.of(1, 2).power(order * 80 + 1),
+                                       spec)
+            assert outcome(lambda: verify_relation(
+                Word.of(1, 2).power(order * 80) * Word.of(spec.size + 1),
+                spec)) == outcome(lambda: _fold(Word.of(spec.size + 1), rows,
+                                                spec, lifts))
