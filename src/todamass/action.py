@@ -106,14 +106,20 @@ def apply_generator(i: int, v: MassVector,
     return apply_word(Word((i,)), v, weights)
 
 
+def _letters(w: Word, spec: AlgebraSpec) -> list[int]:
+    """The word's letters, 0-based, in the order they act (right to left)."""
+    size = spec.size
+    for i in reversed(w.letters):
+        if type(i) is not int or not 1 <= i <= size:  # nor a bool
+            raise DomainError("generator index %r outside 1..%d" % (i, size))
+    return [i - 1 for i in reversed(w.letters)]
+
+
 def _fold(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts) -> _Rows:
     """The rows after the word's letters, applied right to left."""
     nbrs = _neighbours(spec)
-    for i in reversed(w.letters):
-        if not 1 <= i <= spec.size:
-            raise DomainError("generator index %d outside 1..%d"
-                              % (i, spec.size))
-        rows = _reflect(rows, i - 1, nbrs, lifts[i - 1])
+    for i in _letters(w, spec):
+        rows = _reflect(rows, i, nbrs, lifts[i])
     return rows
 
 
@@ -143,11 +149,10 @@ def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
     """``_fold(w, rows, spec, lifts) == want`` (zero rows by default).  On
     `_packing`'s rows (``packing`` if the caller holds them) a letter is a
     few big-int operations; too wide a slot folds the rows themselves."""
-    letters = [i - 1 for i in reversed(w.letters)]
+    letters = _letters(w, spec)
     packing = packing or _packing(rows, lifts, spec, len(letters), want)
-    if not packing or letters and not (
-            0 <= min(letters) <= max(letters) < spec.size):
-        got = _fold(w, rows, spec, lifts)  # raises on a letter out of range
+    if not packing:
+        got = _fold(w, rows, spec, lifts)
         return got == want if want else not any(map(any, got))
     rows, lifts, want = packing
     nbrs, rows = _neighbours(spec), list(rows)
@@ -165,8 +170,6 @@ def apply_word(w: Word, v: MassVector,
 
     ``weights`` optionally replaces the symbolic weights: entry t is the
     form standing in for mu_{t+1}.  The default is the plain mu basis.
-    v is read into rows once, each letter is one `_reflect`, and the
-    result is written back once.
     """
     layout, rows, lifts = _kernel_rows(v, weights)
     return MassVector(v.spec, tuple(_form(row, layout) for row in
@@ -177,28 +180,29 @@ def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
     """All defining relations of the family, as words equal to the identity.
 
     Generators are involutions, so each relation u = v is encoded as the
-    single word u * v^{-1} (which here is just u * v reversed).
+    single word u * v^{-1} (which here is just u * v reversed).  R_i R_j
+    has order 2, 3 (a braid) or 4 as k_ij k_ji is 0, 1 or 2; the order-4
+    relations come last, each led by the letter i with k_ij = -1.
     """
-    n = spec.n
-    cyclic = spec.family == AFFINE_A
+    cols = _columns(spec)
     rels = [("R%d^2" % i, Word.of(i, i)) for i in spec.indices]
-    for i in spec.indices:
-        for j in range(i + 1, n + 2):
-            if j - i == 1 or cyclic and j - i == n:
-                if cyclic:
+    fourth = []
+    for i, col in enumerate(cols, 1):
+        for j in range(i + 1, spec.size + 1):
+            kji = col.get(j - 1)  # column i holds the k_ji
+            if not kji:
+                rels.append(("(R%dR%d)^2" % (i, j), Word.of(i, j).power(2)))
+            elif kji * cols[j - 1][i - 1] == 1:
+                if spec.family == AFFINE_A:
                     rels.append(("(R%dR%d)^3" % (i, j),
                                  Word.of(i, j).power(3)))
-                # braid R_i R_j R_i = R_j R_i R_j, moved to one side; the
-                # doubled bonds at the ends of Ct have order 4 instead
-                if cyclic or 2 <= i and j <= n:
-                    rels.append(("braid(%d,%d)" % (i, j),
-                                 Word.of(i, j, i) * Word.of(j, i, j)))
+                rels.append(("braid(%d,%d)" % (i, j),
+                             Word.of(i, j, i) * Word.of(j, i, j)))
             else:
-                rels.append(("(R%dR%d)^2" % (i, j), Word.of(i, j).power(2)))
-    if not cyclic:
-        rels += [("(R2R1)^4", Word.of(2, 1).power(4)),
-                 ("(R%dR%d)^4" % (n, n + 1), Word.of(n, n + 1).power(4))]
-    return rels
+                a, b = (j, i) if kji == -1 else (i, j)
+                fourth.append(("(R%dR%d)^4" % (a, b),
+                               Word.of(a, b).power(4)))
+    return rels + fourth
 
 
 @cache
@@ -278,37 +282,30 @@ def _quad(products: Sequence[tuple[int, _Row, _Row]],
     return QuadPoly.from_dict(terms)
 
 
-def _minus(a: _Row, b: _Row) -> list[int]:
-    return [x - y for x, y in zip(a, b)]
-
-
 def pohozaev_residual(v: MassVector,
                       weights: Optional[Sequence[LinForm]] = None) -> QuadPoly:
     """The quadratic constraint residual; identically zero on the orbit.
 
-    Affine A:  sum_i s_i^2 - sum_i s_i s_{i+1} - 2 sum_i mu_i s_i  (cyclic)
-    Affine Ct: sum_{i<=n} (s_i - s_{i+1})^2
-               - 2 (mu_1 s_1 + 2 sum_{2<=i<=n} mu_i s_i + mu_{n+1} s_{n+1})
-
-    ``weights`` optionally substitutes forms for the plain mu_i, which is
-    what the folding map needs.  Entries and weights are read once as
-    integer rows, and `_quad`, the one product kernel, sums their products.
+    1/2 s^T D K s - 2 sum_i d_i mu_i s_i for both families, where K is
+    the Cartan matrix and D its symmetriser.  ``weights`` optionally
+    substitutes forms for the plain mu_i, which the folding map needs.
     """
     return _residual(v.spec, *_int_rows(v.entries, weights))
 
 
 def _residual(spec: AlgebraSpec, layout: _Layout, e: Sequence[_Row],
               w: Sequence[_Row]) -> QuadPoly:
-    """`pohozaev_residual` on entry rows e and weight rows w."""
-    if spec.family == AFFINE_A:
-        # s_i^2 - s_i s_{i+1} = s_i (s_i - s_{i+1})
-        products = [(1, a, _minus(a, b)) for a, b in zip(e, e[1:] + e[:1])]
-        products += [(-2, w[i], e[i]) for i in range(spec.size)]
-    else:
-        products = [(1, diff, diff) for diff in map(_minus, e, e[1:])]
-        # the pairing weighs the two end entries once and the others twice
-        products += [(-2 if i in (0, spec.n) else -4, w[i], e[i])
-                     for i in range(spec.size)]
+    """`pohozaev_residual` on entry rows e and weight rows w: the sum over
+    i of d_i e_i (e_i - 2 w_i + sum_{t>i} k_it e_t), where d_1 = 1."""
+    d, cols, products = 1, _columns(spec), []
+    for i, nb in enumerate(_neighbours(spec)):
+        if i:  # d_{i+1} = d_i k_{i,i+1} / k_{i+1,i}, so DK is symmetric
+            d = d * cols[i][i - 1] // cols[i - 1][i]
+        row = [a - 2 * b for a, b in zip(e[i], w[i])]
+        for t, k in nb:
+            if t > i:
+                row = [a + k * b for a, b in zip(row, e[t])]
+        products.append((d, e[i], row))
     return _quad(products, layout)
 
 
@@ -318,8 +315,7 @@ def pohozaev_residual_cyclic_difference(
     """Affine A residual in the squared-difference form.
 
     sum_i (s_i - s_{i+1})^2 - 4 sum_i mu_i s_i, cyclic in i: the shape
-    the folding argument compares against.  Expanding the squares shows it
-    is exactly twice the band-form residual, which is how it is computed.
+    the folding argument compares against, and twice `pohozaev_residual`.
     """
     if v.spec.family != AFFINE_A:
         raise EvaluationError("difference form is specific to affine A")

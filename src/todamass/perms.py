@@ -16,8 +16,8 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
-                      _form, _int_rows, _Layout, _Rows)
-from .action import Word, _kernel_rows, _Lifts, _minus, _neighbours, _reflect
+                      _form, _int_rows, _Layout, _Row, _Rows)
+from .action import Word, _kernel_rows, _Lifts, _neighbours, _reflect
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 
@@ -31,6 +31,10 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     if len(idx) >= spec.size:
         raise DomainError("block must be a proper subset of the index set")
     return idx
+
+
+def _minus(a: _Row, b: _Row) -> list[int]:
+    return [x - y for x, y in zip(a, b)]
 
 
 def _star_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,

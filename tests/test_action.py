@@ -2,13 +2,63 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from todamass.algebra import AlgebraSpec, LinForm, MassVector
-from todamass.action import (Word, _generic_rows, _kernel_rows,
-                             apply_generator, apply_word, pohozaev_residual,
+from todamass.algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector,
+                              _int_rows)
+from todamass.action import (Word, _generic_rows, _kernel_rows, _quad,
+                             _residual, apply_generator, apply_word,
+                             pohozaev_residual,
                              pohozaev_residual_cyclic_difference,
                              presentation_relations, verify_relation)
+from todamass.cartan import build
 from todamass.errors import DomainError, EvaluationError
+from todamass.perms import (CyclicRotation, _minus, fold_ct_to_a,
+                            rotated_weights)
+
+
+# -- oracles: the family rules as they were written out per family, before
+# both were read off the Cartan matrix and its symmetriser --------------
+
+def branching_relations(spec):
+    """`presentation_relations` with the bonds written out per family."""
+    n = spec.n
+    cyclic = spec.family == AFFINE_A
+    rels = [("R%d^2" % i, Word.of(i, i)) for i in spec.indices]
+    for i in spec.indices:
+        for j in range(i + 1, n + 2):
+            if j - i == 1 or cyclic and j - i == n:
+                if cyclic:
+                    rels.append(("(R%dR%d)^3" % (i, j),
+                                 Word.of(i, j).power(3)))
+                # braid R_i R_j R_i = R_j R_i R_j, moved to one side; the
+                # doubled bonds at the ends of Ct have order 4 instead
+                if cyclic or 2 <= i and j <= n:
+                    rels.append(("braid(%d,%d)" % (i, j),
+                                 Word.of(i, j, i) * Word.of(j, i, j)))
+            else:
+                rels.append(("(R%dR%d)^2" % (i, j), Word.of(i, j).power(2)))
+    if not cyclic:
+        rels += [("(R2R1)^4", Word.of(2, 1).power(4)),
+                 ("(R%dR%d)^4" % (n, n + 1), Word.of(n, n + 1).power(4))]
+    return rels
+
+
+def branching_residual(spec, layout, e, w):
+    """`action._residual` with each family's form written out:
+    A   sum_i s_i^2 - sum_i s_i s_{i+1} - 2 sum_i mu_i s_i  (cyclic)
+    Ct  sum_{i<=n} (s_i - s_{i+1})^2
+        - 2 (mu_1 s_1 + 2 sum_{2<=i<=n} mu_i s_i + mu_{n+1} s_{n+1})"""
+    if spec.family == AFFINE_A:
+        # s_i^2 - s_i s_{i+1} = s_i (s_i - s_{i+1})
+        products = [(1, a, _minus(a, b)) for a, b in zip(e, e[1:] + e[:1])]
+        products += [(-2, w[i], e[i]) for i in range(spec.size)]
+    else:
+        products = [(1, diff, diff) for diff in map(_minus, e, e[1:])]
+        # the pairing weighs the two end entries once and the others twice
+        products += [(-2 if i in (0, spec.n) else -4, w[i], e[i])
+                     for i in range(spec.size)]
+    return _quad(products, layout)
 
 
 def a_spec(n=2):
@@ -207,3 +257,96 @@ def test_too_few_weights_is_an_evaluation_error(call):
     plain = [LinForm.weight(i) for i in range(1, 4)]
     extra = plain + [LinForm.seed(1)]
     assert call(v, extra) == call(v, plain) == call(v, None)
+
+
+def test_relations_match_the_branching_oracle():
+    # names, words and order: the relations verb prints them as they come
+    for n in range(2, 41):
+        for spec in (a_spec(n), ct_spec(n)):
+            assert presentation_relations(spec) == branching_relations(spec), \
+                (spec.family, n)
+
+
+def test_residual_diagonal_symmetrises_the_cartan_matrix():
+    # the residual of the constant vector e_i is 1/2 e_i^T D K e_i = d_i,
+    # and DK must be symmetric
+    for n in range(2, 41):
+        for spec in (a_spec(n), ct_spec(n)):
+            d = [dict(pohozaev_residual(MassVector(spec, tuple(
+                LinForm.make(int(t == i)) for t in spec.indices))).terms)[()]
+                 for i in spec.indices]
+            k = build(spec.family, spec.size)
+            assert d[0] == 1
+            assert all(d[i - 1] * k[i, j] == d[j - 1] * k[j, i]
+                       for i in spec.indices for j in spec.indices), \
+                (spec.family, n, d)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def forms(size, seeded):
+    """Forms with constants, Fractions, negative coefficients and mu
+    indices outside 1..size; s-terms only when ``seeded``."""
+    return st.builds(
+        LinForm.make, rationals,
+        st.dictionaries(st.integers(-1, size + 2), rationals, max_size=4),
+        st.dictionaries(st.integers(1, size), rationals,
+                        max_size=2 if seeded else 0))
+
+
+def residual_outcome(spec, entries, weights):
+    """Both residuals of the rows, or the error each raises."""
+    got = []
+    for residual in (_residual, branching_residual):
+        try:
+            got.append(residual(spec, *_int_rows(entries, weights)))
+        except EvaluationError as exc:
+            got.append((EvaluationError, str(exc)))
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["affine_a", "affine_ct"]), st.integers(2, 10),
+       st.sampled_from(["plain", "random", "fold", "rotated"]),
+       st.booleans(), st.data())
+def test_residual_matches_the_branching_oracle(family, n, overlay, seeded,
+                                               data):
+    spec = AlgebraSpec(family, n)
+    size = spec.size
+    entries = data.draw(st.lists(forms(size, seeded), min_size=size,
+                                 max_size=size))
+    weights = None
+    if overlay == "random":
+        weights = data.draw(st.lists(forms(size, seeded), min_size=size,
+                                     max_size=size))
+    elif overlay == "rotated" and family == AFFINE_A:
+        r = data.draw(st.integers(1, size))
+        weights = rotated_weights(CyclicRotation(r), spec)
+    elif overlay == "fold" and family != AFFINE_A:
+        # the mirrored A vector under the folded overlay
+        v, weights = fold_ct_to_a(MassVector(spec, tuple(entries)))
+        spec, entries = v.spec, v.entries
+    new, old = residual_outcome(spec, entries, weights)
+    assert new == old
+    if any(f.s for f in list(entries) + list(weights or ())):
+        assert new == (EvaluationError,
+                       "generic s-indeterminates present; "
+                       "evaluate them before forming residuals")
+    else:
+        v = MassVector(spec, tuple(entries))
+        assert pohozaev_residual(v, weights) == old
+
+
+@pytest.mark.parametrize("letter", ["1", 1.0, True, None, Fraction(1)])
+def test_letters_that_are_not_ints_are_domain_errors(letter):
+    spec = a_spec(2)
+    message = "generator index %r outside 1..3" % (letter,)
+    # a short word folds packed rows and a long one the tuple rows; the
+    # letter is checked before either
+    for word in (Word((1, letter, 2)), Word((letter,) + (1, 2) * 200)):
+        for call in (lambda: verify_relation(word, spec),
+                     lambda: apply_word(word, MassVector.zero(spec))):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
