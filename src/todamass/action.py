@@ -123,24 +123,28 @@ def _fold(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts) -> _Rows:
     return rows
 
 
+def _pack(pairs, b: int) -> tuple[int, ...]:
+    """Each row of (column, value) pairs as one int, column p at bit b*p."""
+    return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
+
+
 def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
              want: Optional[_Rows] = None) -> Optional[tuple]:
     """rows, lifts and want (zero rows by default), each row one int with
     column p at bit b*p (Kronecker substitution), for a word of ``length``
-    letters; None where b passes _SLOT_BITS.  A letter makes |new| <= l +
-    g M, so no value exceeds g^length (M + l), M and l the largest |entry|
-    of rows and want and of lifts."""
+    letters, then b and the fold's reach; None where b passes _SLOT_BITS.
+    A letter makes |new| <= l + g M, so no value exceeds the reach g^length
+    (M + l), M and l the largest |entry| of rows and want and of lifts."""
     g = 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
     m = max(abs(c) for row in rows + (want or ()) for c in row)
     l = max((abs(c) for lift in lifts for _, c in lift), default=0)
-    # a difference fits; g >= 2, so a longer word passes the cap anyway
-    b = (g ** min(length, _SLOT_BITS) * (m + l)).bit_length() + 2
-
-    def pack(pairs):
-        return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
+    # g >= 2, so a longer word passes the cap anyway
+    reach = g ** min(length, _SLOT_BITS) * (m + l)
+    b = reach.bit_length() + 2  # a difference fits
     return None if b > _SLOT_BITS else (
-        pack(map(enumerate, rows)), pack(lifts),
-        (0,) * len(rows) if want is None else pack(map(enumerate, want)))
+        _pack(map(enumerate, rows), b), _pack(lifts, b),
+        (0,) * len(rows) if want is None else _pack(map(enumerate, want), b),
+        b, reach)
 
 
 def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
@@ -154,7 +158,7 @@ def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
     if not packing:
         got = _fold(w, rows, spec, lifts)
         return got == want if want else not any(map(any, got))
-    rows, lifts, want = packing
+    rows, lifts, want = packing[:3]
     nbrs, rows = _neighbours(spec), list(rows)
     for i in letters:
         row = lifts[i] - rows[i]
@@ -218,11 +222,29 @@ def _generic_packing(spec: AlgebraSpec, length: int) -> Optional[tuple]:
     return _packing(rows, lifts, spec, length, rows)
 
 
+def _generic_folds_to(w: Word, spec: AlgebraSpec, new: dict) -> bool:
+    """`_fold` of w on the generic rows equals them with row s - 1 set to
+    new[s], s in new: on `_generic_packing`, or unequal past its reach."""
+    _, rows, lifts = _generic_rows(spec)
+    packing = _generic_packing(spec, len(w))
+    if not packing:
+        return _fold(w, rows, spec, lifts) == tuple(
+            tuple(new.get(s, row)) for s, row in enumerate(rows, 1))
+    if new:
+        packed, packed_lifts, want, b, reach = packing
+        if max(map(max, new.values())) > reach \
+                or min(map(min, new.values())) < -reach:
+            _letters(w, spec)  # a bad letter is still a DomainError
+            return False
+        packing = packed, packed_lifts, tuple(
+            _pack([enumerate(new[s])], b)[0] if s in new else row
+            for s, row in enumerate(want, 1))
+    return _folds_to(w, rows, spec, lifts, packing=packing)
+
+
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
-    _, rows, lifts = _generic_rows(spec)
-    return _folds_to(w, rows, spec, lifts, rows,
-                     _generic_packing(spec, len(w)))
+    return _generic_folds_to(w, spec, {})
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

@@ -14,13 +14,13 @@ from functools import cache
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
                       _read_rows)
 from .cartan import ConsecutiveSet
-from .action import (Word, _fold, _generic_rows, _residual,
+from .action import (Word, _generic_folds_to, _generic_rows, _residual,
                      presentation_relations, verify_relation)
 from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
-from .perms import (CyclicRotation, SPermC, _block_rows, _written,
+from .perms import (CyclicRotation, SPermC, _block_rows, _generic_text,
                     fold_ct_to_a, rotate_vector, sc_simple)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
@@ -123,13 +123,9 @@ def _cmd_chain(args, out) -> int:
     _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
-        # the word folds on the generic rows its target was computed from
-        layout, rows, lifts = _generic_rows(spec)
-        new = _block_rows(rows, lifts, spec, J)
-        out.write("target %s\n"
-                  % _written(MassVector.generic(spec), layout, new))
-        want = tuple(tuple(new.get(s, row)) for s, row in enumerate(rows, 1))
-        equal = _fold(plan.word, rows, spec, lifts) == want
+        new = _block_rows(*_generic_rows(spec)[1:], spec, J)
+        out.write("target %s\n" % _generic_text(spec, new))
+        equal = _generic_folds_to(plan.word, spec, new)
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0
@@ -269,6 +265,7 @@ def build_parser() -> _Parser:
     p.add_argument("--blocks", required=True)
     p.add_argument("--input")
 
+    parser.verbs = sub.choices
     return parser
 
 
@@ -276,7 +273,10 @@ def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        # a verb's name first: its parser alone parses the rest, one pass
+        parser = build_parser()
+        verb = parser.verbs.get(argv[0]) if argv else None
+        args = verb.parse_args(argv[1:]) if verb else parser.parse_args(argv)
         return args.handler(args, out)
     except _Help as exc:
         out.write(str(exc))

@@ -12,12 +12,14 @@ classifying the boundary-block masses of affine Ct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
-                      _form, _int_rows, _Layout, _Row, _Rows)
-from .action import Word, _kernel_rows, _Lifts, _neighbours, _reflect
+                      _form, _int_rows, _Layout, _Rows)
+from .action import (Word, _generic_rows, _kernel_rows, _letters, _Lifts,
+                     _neighbours)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 
@@ -33,17 +35,18 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     return idx
 
 
-def _minus(a: _Row, b: _Row) -> list[int]:
-    return [x - y for x, y in zip(a, b)]
-
-
 def _star_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
-               idx: Sequence[int]) -> list[list[int]]:
+               idx: Sequence[int]) -> Iterator[list[int]]:
     """Per s in idx, the row of 2 mu*_s = 2 w_s - sum_t k_st sigma_t over
-    the entry rows' denominator: what R_s adds to entry s."""
+    the entry rows' denominator: what R_s adds to entry s, one row."""
     nbrs = _neighbours(spec)
-    return [_minus(_reflect(rows, s - 1, nbrs, lifts[s - 1])[s - 1],
-                   rows[s - 1]) for s in idx]
+    for s in idx:
+        star = [-2 * a for a in rows[s - 1]]
+        for t, k in nbrs[s - 1]:
+            star = [a - k * b for a, b in zip(star, rows[t])]
+        for p, c in lifts[s - 1]:
+            star[p] += c
+        yield star
 
 
 def mu_star(v: MassVector) -> list[LinForm]:
@@ -91,11 +94,9 @@ def rotation_covariance(word: Word, rot: CyclicRotation,
     result.
     """
     _rotation(rot, spec)
-    for i in word.letters:
-        if not 1 <= i <= spec.size:
-            raise DomainError("generator index %d outside 1..%d"
-                              % (i, spec.size))
-    return Word(tuple(rot.invert(i, spec.n) for i in word.letters))
+    # reversed, so the letters are checked, and come back, in word order
+    letters = _letters(Word(word.letters[::-1]), spec)
+    return Word(tuple(rot.invert(i + 1, spec.n) for i in letters))
 
 
 def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
@@ -133,8 +134,8 @@ def _half_masses(f: FinitePermutation, rows: Sequence[Sequence[int]],
     row i-1 is sum_{l<i} (P[f(l)] - P[l]), P[j] the sum of rows[:j]."""
     zero = [0] * len(rows[0]) if rows else []
     P = list(accumulate(rows, _add, initial=zero))
-    return list(accumulate((_minus(P[f(j)], P[j]) for j in range(count)),
-                           _add))
+    return list(accumulate(([x - y for x, y in zip(P[f(j)], P[j])]
+                            for j in range(count)), _add))
 
 
 def finite_a_mass(f: FinitePermutation,
@@ -178,6 +179,23 @@ def _written(v: MassVector, layout: _Layout,
     """v with each entry s in ``new`` written once from its row."""
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
                                     for s, e in enumerate(v.entries, 1)))
+
+
+@cache
+def _formats(spec: AlgebraSpec) -> tuple[str, ...]:
+    """Column formats of a form's text in the generic layout (d = 1)."""
+    _, mu, s = _generic_rows(spec)[0]
+    return ("%d",) + tuple("%%d*mu_%d" % i for i in mu) \
+        + tuple("%%d*s_%d" % i for i in s)
+
+
+def _generic_text(spec: AlgebraSpec, new: dict) -> str:
+    """str(_written(MassVector.generic(spec), layout, new)) on the generic
+    layout, written straight from the ints; entry s is s_s outside new."""
+    formats = _formats(spec)
+    return "(%s)" % ", ".join([
+        " + ".join([f % c for f, c in zip(formats, new[s]) if c]) or "0"
+        if s in new else "1*s_%d" % s for s in spec.indices])
 
 
 @dataclass(frozen=True)

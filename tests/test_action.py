@@ -13,8 +13,7 @@ from todamass.action import (Word, _generic_rows, _kernel_rows, _quad,
                              presentation_relations, verify_relation)
 from todamass.cartan import build
 from todamass.errors import DomainError, EvaluationError
-from todamass.perms import (CyclicRotation, _minus, fold_ct_to_a,
-                            rotated_weights)
+from todamass.perms import CyclicRotation, fold_ct_to_a, rotated_weights
 
 
 # -- oracles: the family rules as they were written out per family, before
@@ -42,6 +41,10 @@ def branching_relations(spec):
         rels += [("(R2R1)^4", Word.of(2, 1).power(4)),
                  ("(R%dR%d)^4" % (n, n + 1), Word.of(n, n + 1).power(4))]
     return rels
+
+
+def _minus(a, b):
+    return [x - y for x, y in zip(a, b)]
 
 
 def branching_residual(spec, layout, e, w):

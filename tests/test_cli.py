@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,3 +462,48 @@ def test_fuzzed_argv_exits_cleanly(input_paths, data):
     argv = data.draw(_argv(input_paths))
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, out=out, err=err) in (0, 1, 2, 3)
+
+
+def two_level(argv):
+    """invoke(argv) with argv parsed as before the one-pass dispatch: with
+    no verb known to it, run hands every argv to the top-level parser,
+    build_parser().parse_args(argv), which hands a verb's tokens to its
+    subparser, and calls the handler."""
+    with mock.patch.object(build_parser(), "verbs", {}):
+        return invoke(argv)
+
+
+CHAIN = ["--family", "a", "--rank", "3", "--set", "1:1", "--verify"]
+DISPATCH_ARGVS = (
+    [[], ["-h"], ["--help"], ["--he"], ["-h", "chain"], ["x"], [""],
+     ["chains"] + CHAIN, ["chai"] + CHAIN, ["--family", "a", "chain"],
+     ["--rank", "3", "chain"] + CHAIN, ["--"] + ["chain"] + CHAIN,
+     ["chain"] + CHAIN, ["chain", "--fam", "a", "--ran", "3", "--se",
+                         "1:1", "--ver"],
+     ["chain", "--family=a", "--rank=3", "--set=1:1", "--verify"],
+     ["chain", "--"] + CHAIN, ["chain"] + CHAIN + ["--"],
+     ["chain"] + CHAIN + ["extra"], ["chain"] + CHAIN + ["chain"],
+     ["chain", "--help=x"], ["chain", "--family", "a", "--h"],
+     ["chain", "--family", "a", "--rank", "3", "--set", "1:1",
+      "--wrap", "3,1"], ["relations", "--rank", "3", "--family", "b"],
+     ["relations", "--family", "a", "--rank", "-1"], ["sperm", "--l", "x"]]
+    + [[verb, flag] for verb in VERBS for flag in ("-h", "--help")]
+    + [[verb] for verb in VERBS])
+
+
+def test_one_pass_dispatch_matches_the_two_level_parse():
+    for argv in DISPATCH_ARGVS:
+        assert invoke(argv) == two_level(argv), argv
+    # a verb named first never reaches the top-level parser
+    top = mock.patch.object(build_parser(), "parse_args",
+                            side_effect=AssertionError("top-level parse"))
+    with top:
+        assert invoke(["chain"] + CHAIN)[0] == 0
+        assert invoke(["sperm", "-h"])[0] == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_dispatch_matches_the_two_level_parse(input_paths, data):
+    argv = data.draw(_argv(input_paths))
+    assert invoke(argv) == two_level(argv), argv

@@ -3,9 +3,10 @@
 The oracles below are the symbolic implementations that words,
 enumeration, DOT export and descent used before they moved onto integer
 rows; they build every vector with `linform_generator`, the generator
-rule as one `LinForm.combine` per letter.  The packed fold is checked
-against the row fold, and the descent that picks its letters from the
-deltas against the one that reflected the rows at every step.
+rule as one `LinForm.combine` per letter.  The packed fold and the
+chain verdict on the cached generic packing are checked against the row
+fold, and the descent that picks its letters from the deltas against
+the one that reflected the rows at every step.
 Membership is also checked against the order it used to take:
 `gamma_n_test` first, then the integer descent.  Reverse-search
 enumeration is checked against the breadth-first search with a visited
@@ -23,16 +24,19 @@ from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (_SLOT_BITS, Word, _fold, _folds_to, _form,
-                             _generic_packing, _kernel_rows, _neighbours,
+                             _generic_folds_to, _generic_packing,
+                             _generic_rows, _kernel_rows, _neighbours,
                              _packing, _reflect, apply_generator, apply_word,
                              verify_relation)
-from todamass.cartan import build
+from todamass.cartan import ConsecutiveSet, build
+from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             MembershipReport, OrbitNode, _deltas, _descend,
                             _mass_rows, _verdict, coefficient_matrix,
                             descend_to_zero, enumerate_orbit, export_graph,
                             gamma_n_test)
+from todamass.perms import _block_rows, _generic_text, _written
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -640,3 +644,69 @@ def test_wide_slots_fold_the_rows():
                 Word.of(1, 2).power(order * 80) * Word.of(spec.size + 1),
                 spec)) == outcome(lambda: _fold(Word.of(spec.size + 1), rows,
                                                 spec, lifts))
+
+
+def chain_blocks(family, n):
+    """Every block chain --set j:l, and in affine A --wrap r2,r1, names at
+    rank n."""
+    for j in range(1, n + 2):
+        for l in range(0, n + 1 - j):
+            yield ConsecutiveSet(j, l)
+    if family == "affine_a":
+        for r2 in range(3, n + 2):
+            for r1 in range(1, r2 - 1):
+                yield ConsecutiveSet(r2, (n + 1) - r2 + r1, wrap=True)
+
+
+def with_row(new, s, row):
+    """The target rows ``new`` with block entry s's row replaced."""
+    return {**new, s: list(row)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
+    """chain --verify's verdict and target text on every block at ranks
+    2-12, 16 and 20: Ct head and tail chains there reach 225-400 letters,
+    past the cap, and fold the rows themselves.  A target one off in a
+    slot, with 2^b moved from a slot into the next (the same int at the
+    cached slot width b), or with a coefficient past the fold's reach is
+    unequal; the text equals the forms' own on targets with a constant or
+    a zero entry too."""
+    rng = random.Random(19)
+    builder = chain_word_a if family == "affine_a" else chain_word_ct
+    for n in [*range(2, 13), 16, 20]:
+        spec = AlgebraSpec(family, n)
+        layout, rows, lifts = _generic_rows(spec)
+        generic, width = MassVector.generic(spec), len(rows[0])
+        for J in chain_blocks(family, n):
+            word = builder(J, spec).word
+            new = _block_rows(rows, lifts, spec, J)
+            got = _fold(word, rows, spec, lifts)
+            packing = _generic_packing(spec, len(word))
+            # the proved slot width and reach g^L (1 + l), l = 2 the lift
+            reach = growth(spec) ** len(word) * (1 + 2)
+            b = reach.bit_length() + 2
+            assert packing is None if b > _SLOT_BITS else \
+                packing[3:] == (b, reach)
+            s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
+            row = new[s]
+            off = row[:p] + [row[p] + rng.choice([-1, 1])] + row[p + 1:]
+            alias = row[:p] + [row[p] + (1 << b), row[p + 1] - 1] + row[p + 2:]
+            assert kronecker([alias], b) == kronecker([row], b)
+            past = row[:p] + [rng.choice([-1, 1]) * (reach + 1)] + row[p + 1:]
+            for target, equal in ((new, True),
+                                  (with_row(new, s, off), False),
+                                  (with_row(new, s, alias), False),
+                                  (with_row(new, s, past), False)):
+                want = tuple(tuple(target.get(t, r))
+                             for t, r in enumerate(rows, 1))
+                assert (got == want) is equal, (spec, J)
+                assert _generic_folds_to(word, spec, target) is equal, \
+                    (spec, J, len(word))
+            constant = [rng.choice([-3, 1, 7])] + row[1:]
+            zero = [0] * width
+            for target in (new, with_row(new, s, off),
+                           with_row(new, s, constant),
+                           with_row(new, s, zero)):
+                assert _generic_text(spec, target) == \
+                    str(_written(generic, layout, target)), (spec, J)

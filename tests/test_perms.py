@@ -104,6 +104,24 @@ def test_rotation_covariance_rejects_a_letter_outside_the_index_set(letter):
         == "generator index %d outside 1..3" % letter
 
 
+@pytest.mark.parametrize("letter", ("1", 1.0, True, None))
+def test_rotation_covariance_rejects_a_letter_that_is_not_an_int(letter):
+    spec = a_spec(3)
+    with pytest.raises(DomainError) as exc:
+        rotation_covariance(Word((letter,)), CyclicRotation(2), spec)
+    with pytest.raises(DomainError) as applied:
+        apply_word(Word((letter,)), MassVector.zero(spec))
+    assert str(exc.value) == str(applied.value) \
+        == "generator index %r outside 1..4" % (letter,)
+
+
+def test_rotation_covariance_names_the_first_bad_letter_in_word_order():
+    spec, rot = a_spec(), CyclicRotation(2)
+    with pytest.raises(DomainError) as exc:
+        rotation_covariance(Word.of(1, 7, 2, 0, 3), rot, spec)
+    assert str(exc.value) == "generator index 7 outside 1..3"
+
+
 def test_finite_permutation_validation():
     with pytest.raises(DomainError):
         FinitePermutation((0, 0, 2))
