@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
@@ -128,23 +129,42 @@ def _pack(pairs, b: int) -> tuple[int, ...]:
     return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
 
 
+def _unpack(xs, b: int, width: int) -> list[_Row]:
+    """The rows of ``width`` columns `_pack` put into the ints xs, exact
+    where every |value| < 2^(b-1): lifted by 2^(b-1), a slot is 0..2^b-1."""
+    half, mask, slots = 1 << b - 1, (1 << b) - 1, range(0, b * width, b)
+    lift = ((1 << b * width) - 1) // mask << b - 1  # half in every slot
+    return [tuple([(x >> p & mask) - half for p in slots])
+            for x in [x + lift for x in xs]]
+
+
+def _peaks(rows: _Rows, lifts: _Lifts = ()) -> tuple[int, int]:
+    """The largest |entry| of the rows and of the lifts."""
+    return (max(map(abs, chain.from_iterable(rows)), default=0),
+            max((abs(c) for lift in lifts for _, c in lift), default=0))
+
+
+@cache
+def _growth(spec: AlgebraSpec) -> int:
+    """g = 1 + max_i sum_{t != i} |k_it|, 3 for A and Ct."""
+    return 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
+
+
 def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
              want: Optional[_Rows] = None) -> Optional[tuple]:
     """rows, lifts and want (zero rows by default), each row one int with
     column p at bit b*p (Kronecker substitution), for a word of ``length``
-    letters, then b and the fold's reach; None where b passes _SLOT_BITS.
-    A letter makes |new| <= l + g M, so no value exceeds the reach g^length
-    (M + l), M and l the largest |entry| of rows and want and of lifts."""
-    g = 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
-    m = max(abs(c) for row in rows + (want or ()) for c in row)
-    l = max((abs(c) for lift in lifts for _, c in lift), default=0)
+    letters, then b, M and l; None where b passes _SLOT_BITS.  A letter
+    makes |new| <= l + g M, so no value exceeds the reach g^length (M + l),
+    M and l the `_peaks` of rows and want and of lifts."""
+    m, l = _peaks(rows + (want or ()), lifts)
     # g >= 2, so a longer word passes the cap anyway
-    reach = g ** min(length, _SLOT_BITS) * (m + l)
+    reach = _growth(spec) ** min(length, _SLOT_BITS) * (m + l)
     b = reach.bit_length() + 2  # a difference fits
     return None if b > _SLOT_BITS else (
         _pack(map(enumerate, rows), b), _pack(lifts, b),
         (0,) * len(rows) if want is None else _pack(map(enumerate, want), b),
-        b, reach)
+        b, m, l)
 
 
 def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
@@ -222,29 +242,10 @@ def _generic_packing(spec: AlgebraSpec, length: int) -> Optional[tuple]:
     return _packing(rows, lifts, spec, length, rows)
 
 
-def _generic_folds_to(w: Word, spec: AlgebraSpec, new: dict) -> bool:
-    """`_fold` of w on the generic rows equals them with row s - 1 set to
-    new[s], s in new: on `_generic_packing`, or unequal past its reach."""
-    _, rows, lifts = _generic_rows(spec)
-    packing = _generic_packing(spec, len(w))
-    if not packing:
-        return _fold(w, rows, spec, lifts) == tuple(
-            tuple(new.get(s, row)) for s, row in enumerate(rows, 1))
-    if new:
-        packed, packed_lifts, want, b, reach = packing
-        if max(map(max, new.values())) > reach \
-                or min(map(min, new.values())) < -reach:
-            _letters(w, spec)  # a bad letter is still a DomainError
-            return False
-        packing = packed, packed_lifts, tuple(
-            _pack([enumerate(new[s])], b)[0] if s in new else row
-            for s, row in enumerate(want, 1))
-    return _folds_to(w, rows, spec, lifts, packing=packing)
-
-
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
-    return _generic_folds_to(w, spec, {})
+    _, rows, lifts = _generic_rows(spec)
+    return _folds_to(w, rows, spec, lifts, rows, _generic_packing(spec, len(w)))
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

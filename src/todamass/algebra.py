@@ -411,7 +411,15 @@ class MassVector:
                 "entries": [_linform_to_json(e) for e in self.entries]}
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        """json.dumps(self.to_json_dict(), indent=indent, sort_keys=True);
+        at indent 2 assembled from each entry's cached rendering."""
+        if type(indent) is not int or indent != 2:
+            return json.dumps(self.to_json_dict(), indent=indent,
+                              sort_keys=True)
+        entries = ",\n    ".join([e.json_indented.replace("\n", "\n    ")
+                                   for e in self.entries])
+        return ('{\n  "entries": [\n    %s\n  ],\n  "family": "%s",\n'
+                '  "n": %d\n}' % (entries, self.spec.family, self.spec.n))
 
     @staticmethod
     def from_json(text: str) -> "MassVector":

@@ -7,7 +7,10 @@ blow-up.  For affine A the word on a block of size l+1 has length
 sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
 
 A chain's target is the permutation mass of the longest element (the
-reversal), summed on integer rows by `perms._block_rows`.
+reversal), summed on packed integer rows by `perms._block_rows`.  `chain
+--verify` sums it on the generic rows packed for the word's fold, compares
+it packed and decodes it once, for its text: no target coefficient passes
+1 + 6 E^2, E the block's length after the mirror extension.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass, field
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
-from .action import Word, _kernel_rows, apply_word
-from .perms import SPermC, _block, _block_rows, _written, sigma_f_ct
+from .action import Word, apply_word
+from .perms import SPermC, _block, _block_masses, sigma_f_ct
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,7 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
     _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         raise DomainError("boundary blocks of affine Ct use closed_form_ct")
-    layout, rows, lifts = _kernel_rows(v)
-    return _written(v, layout, _block_rows(rows, lifts, spec, J))
+    return _block_masses(v, J)
 
 
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:

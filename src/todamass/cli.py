@@ -14,8 +14,8 @@ from functools import cache
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
                       _read_rows)
 from .cartan import ConsecutiveSet
-from .action import (Word, _generic_folds_to, _generic_rows, _residual,
-                     presentation_relations, verify_relation)
+from .action import (Word, _folds_to, _generic_packing, _generic_rows,
+                     _residual, presentation_relations, verify_relation)
 from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
@@ -123,9 +123,15 @@ def _cmd_chain(args, out) -> int:
     _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
-        new = _block_rows(*_generic_rows(spec)[1:], spec, J)
-        out.write("target %s\n" % _generic_text(spec, new))
-        equal = _generic_folds_to(plan.word, spec, new)
+        # summed and compared on the packed rows the word folds
+        _, rows, lifts = _generic_rows(spec)
+        packing = _generic_packing(spec, len(plan.word))
+        new, target, fits = _block_rows(rows, lifts, spec, J, None, packing)
+        out.write("target %s\n" % _generic_text(spec, target))
+        want = tuple((new if fits else target).get(s, row) for s, row
+                     in enumerate(packing[2] if fits else rows, 1))
+        equal = _folds_to(plan.word, rows, spec, lifts, want,
+                          fits and (*packing[:2], want))
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0

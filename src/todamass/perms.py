@@ -5,8 +5,11 @@ index cycle, arbitrary permutations of {0..m} feeding the finite A
 partial-sum mass formula, and palindromic permutations of {0..2l+1}
 classifying the boundary-block masses of affine Ct.
 
-`_half_masses` is the only place the partial-sum mass formula is summed;
-`finite_a_mass`, `sigma_f_ct` and every chain target in `chains` read it.
+`_half_masses` is the only place the partial-sum mass formula is summed,
+on rows packed one int each; `finite_a_mass`, `sigma_f_ct` and every
+chain target read it.  Each packs once, at the `_width` of a bound on its
+coefficients (1 + 6 E^2 for a chain target on the generic rows, which
+chain --verify sums on the rows packed for its fold and compares packed).
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
-                      _form, _int_rows, _Layout, _Rows)
-from .action import (Word, _generic_rows, _kernel_rows, _letters, _Lifts,
-                     _neighbours)
+                      _form, _int_rows, _Rows)
+from .action import (Word, _generic_rows, _growth, _kernel_rows, _letters,
+                     _Lifts, _neighbours, _pack, _peaks, _unpack)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 
@@ -35,25 +38,34 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     return idx
 
 
-def _star_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
-               idx: Sequence[int]) -> Iterator[list[int]]:
-    """Per s in idx, the row of 2 mu*_s = 2 w_s - sum_t k_st sigma_t over
-    the entry rows' denominator: what R_s adds to entry s, one row."""
+def _star_rows(rows: Sequence[int], lifts: Sequence[int], spec: AlgebraSpec,
+               idx: Sequence[int]) -> Iterator[int]:
+    """Per s in idx, the packed row of 2 mu*_s = 2 w_s - sum_t k_st
+    sigma_t from packed entry rows and lifts: what R_s adds to entry s."""
     nbrs = _neighbours(spec)
     for s in idx:
-        star = [-2 * a for a in rows[s - 1]]
+        star = lifts[s - 1] - 2 * rows[s - 1]
         for t, k in nbrs[s - 1]:
-            star = [a - k * b for a, b in zip(star, rows[t])]
-        for p, c in lifts[s - 1]:
-            star[p] += c
+            star -= k * rows[t]
         yield star
+
+
+def _width(e: int, m: int, l: int = 0, g: int = 0) -> int:
+    """A slot width b with |c| < 2^(b-1) for each c of a row at most m plus
+    the masses of e shifted weights (lifts at most l, g the `_growth`) or,
+    if l = g = 0, of e rows: a summand is at most S = l + (g + 1) m, and a
+    mass adds e prefix differences of e summands, so |c| <= m + e^2 S."""
+    return (m + e * e * (l + (g + 1) * m)).bit_length() + 1
 
 
 def mu_star(v: MassVector) -> list[LinForm]:
     """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
     (d, mu, s), rows, lifts = _kernel_rows(v)
+    b = _width(1, *_peaks(rows, lifts), _growth(v.spec))
+    stars = _star_rows(_pack(map(enumerate, rows), b), _pack(lifts, b),
+                       v.spec, v.spec.indices)
     return [_form(row, (2 * d, mu, s))
-            for row in _star_rows(rows, lifts, v.spec, v.spec.indices)]
+            for row in _unpack(stars, b, len(rows[0]))]
 
 
 @dataclass(frozen=True)
@@ -124,18 +136,13 @@ class FinitePermutation:
         return len(self.values) - 1
 
 
-def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def _half_masses(f: FinitePermutation, rows: Sequence[Sequence[int]],
-                 count: int) -> list[list[int]]:
-    """Half the first ``count`` partial-sum masses of f over weight rows:
-    row i-1 is sum_{l<i} (P[f(l)] - P[l]), P[j] the sum of rows[:j]."""
-    zero = [0] * len(rows[0]) if rows else []
-    P = list(accumulate(rows, _add, initial=zero))
-    return list(accumulate(([x - y for x, y in zip(P[f(j)], P[j])]
-                            for j in range(count)), _add))
+def _half_masses(f: Sequence[int], rows: Sequence[int],
+                 count: int) -> list[int]:
+    """Half the first ``count`` partial-sum masses of the permutation with
+    values f over packed rows: row i-1 is sum_{l<i} (P[f[l]] - P[l]), P[j]
+    the sum of rows[:j]."""
+    P = list(accumulate(rows, initial=0))
+    return list(accumulate(P[f[j]] - P[j] for j in range(count)))
 
 
 def finite_a_mass(f: FinitePermutation,
@@ -146,37 +153,50 @@ def finite_a_mass(f: FinitePermutation,
 
         2 * sum_{l=0}^{i-1} ( sum_{j<=f(l)} w_j  -  sum_{j<=l} w_j ).
 
-    The prefix sums run on the weights' integer rows, read once.
+    The prefix sums run on the weights' integer rows, packed once.
     """
     m = len(weights)
     if f.top != m:
         raise DomainError("permutation must act on 0..%d" % m)
     layout, rows, _ = _int_rows(weights)
-    return [_form([2 * x for x in row], layout)
-            for row in _half_masses(f, rows, m)]
+    # twice the half masses of rows at most M: the masses of rows at most 2M
+    b, width = _width(m, 2 * _peaks(rows)[0]), sum(map(len, layout[1:])) + 1
+    masses = _half_masses(f.values, _pack(map(enumerate, rows), b), m)
+    return [_form(row, layout)
+            for row in _unpack([2 * x for x in masses], b, width)]
 
 
 def _block_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
-                J: ConsecutiveSet, f: Optional[FinitePermutation] = None
-                ) -> dict[int, list[int]]:
-    """{s: entry row s plus its gain} for s in J, over the entry rows' d:
-    the partial-sum masses of f (by default the longest element) over
-    J's shifted weights, mirror-extended on a head or tail block of
-    affine Ct.  Only J's shifted weights and masses are summed."""
+                J: ConsecutiveSet, f: Optional[FinitePermutation] = None,
+                packing: Optional[tuple] = None) -> tuple:
+    """({s: entry row s plus its gain} for s in J packed, the same decoded,
+    and whether on ``packing``): the partial-sum masses of f (by default
+    the longest element) over J's shifted weights, mirror-extended on a
+    head or tail block of affine Ct, summed on ``packing`` (`_packing` of
+    these rows and lifts) where its slots hold their `_width`, else on the
+    rows packed at that width."""
     order = ext = _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         # J in the order its entries take the masses, then mirrored
         order = order[::-1] if J.is_head(spec.n) else order
         ext = order + order[-2::-1]
-    stars = dict(zip(order, _star_rows(rows, lifts, spec, order)))
-    f = f or FinitePermutation(tuple(range(len(ext), -1, -1)))
+    b = _width(len(ext), *(packing[4:] if packing else _peaks(rows, lifts)),
+               _growth(spec))
+    fits = packing and b <= packing[3]
+    packed, packed_lifts, b = (*packing[:2], packing[3]) if fits else (
+        _pack(map(enumerate, rows), b), _pack(lifts, b), b)
+    stars = dict(zip(order, _star_rows(packed, packed_lifts, spec, order)))
+    f = f.values if f else range(len(ext), -1, -1)
     gains = _half_masses(f, [stars[s] for s in ext], len(order))
-    return {s: _add(rows[s - 1], g) for s, g in zip(order, gains)}
+    new = {s: packed[s - 1] + g for s, g in zip(order, gains)}
+    return new, dict(zip(new, _unpack(new.values(), b, len(rows[0])))), fits
 
 
-def _written(v: MassVector, layout: _Layout,
-             new: dict[int, list[int]]) -> MassVector:
-    """v with each entry s in ``new`` written once from its row."""
+def _block_masses(v: MassVector, J: ConsecutiveSet,
+                  f: Optional[FinitePermutation] = None) -> MassVector:
+    """v with each entry s in J written once from its target row."""
+    layout, rows, lifts = _kernel_rows(v)
+    new = _block_rows(rows, lifts, v.spec, J, f)[1]
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
                                     for s, e in enumerate(v.entries, 1)))
 
@@ -190,8 +210,8 @@ def _formats(spec: AlgebraSpec) -> tuple[str, ...]:
 
 
 def _generic_text(spec: AlgebraSpec, new: dict) -> str:
-    """str(_written(MassVector.generic(spec), layout, new)) on the generic
-    layout, written straight from the ints; entry s is s_s outside new."""
+    """str(MassVector.generic(spec)) with entry s the form of row new[s] in
+    the generic layout, written straight from the ints."""
     formats = _formats(spec)
     return "(%s)" % ", ".join([
         " + ".join([f % c for f, c in zip(formats, new[s]) if c]) or "0"
@@ -260,8 +280,7 @@ def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:
                           % (2 * f.l + 1, 2 * J.length + 1))
     if J.is_interior(spec.n):
         raise DomainError("interior blocks have no boundary mass formula")
-    layout, rows, lifts = _kernel_rows(v)
-    return _written(v, layout, _block_rows(rows, lifts, spec, J, f))
+    return _block_masses(v, J, f)
 
 
 def fold_ct_to_a(v: MassVector,

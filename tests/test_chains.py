@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -413,6 +414,13 @@ def all_decompositions(n):
                 yield d
 
 
+def assert_indented_json(v):
+    """blowup-step's JSON, assembled from cached entry renderings, equals
+    json.dumps'."""
+    assert v.to_json(indent=2) == json.dumps(v.to_json_dict(), indent=2,
+                                             sort_keys=True)
+
+
 def test_blowup_matches_per_block_closed_forms():
     # block chains act on disjoint supports: the word result must agree
     # with the closed-form updates taken against the initial vector, and
@@ -431,9 +439,11 @@ def test_blowup_matches_per_block_closed_forms():
             result = blowup_step(g, d)
             # the word's action is the oracle for the closed forms
             assert result.vector == expect == apply_word(result.word, g), d
+            assert_indented_json(result.vector)
             zero = MassVector.zero(spec)
             result = blowup_step(zero, d)
             assert result.vector == apply_word(result.word, zero), d
+            assert_indented_json(result.vector)
             report = descend_to_zero(result.vector,
                                      max_steps=len(result.word))
             assert report.verdict == MEMBER, d

@@ -99,6 +99,25 @@ def test_canonical_key_matches_compact_json_dumps(v):
     assert v.canonical_key() == old_key(v)
 
 
+@st.composite
+def wide_vectors(draw):
+    """Vectors at ranks 9-13, so that keys "10" and up sort before "2"."""
+    spec = AlgebraSpec(draw(st.sampled_from(FAMILIES)),
+                       draw(st.integers(9, 13)))
+    return MassVector(spec, tuple(draw(forms(spec.size))
+                                  for _ in spec.indices))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors() | wide_vectors())
+def test_indented_vector_json_matches_json_dumps(v):
+    """`to_json(indent=2)`, assembled from each entry's cached rendering,
+    and every other indent, which goes through json.dumps."""
+    for indent in (2, None, 0, 4):
+        assert v.to_json(indent=indent) == json.dumps(
+            v.to_json_dict(), indent=indent, sort_keys=True)
+
+
 def random_mu(rng, size):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for _ in range(size)]

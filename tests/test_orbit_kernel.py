@@ -24,10 +24,9 @@ from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (_SLOT_BITS, Word, _fold, _folds_to, _form,
-                             _generic_folds_to, _generic_packing,
-                             _generic_rows, _kernel_rows, _neighbours,
-                             _packing, _reflect, apply_generator, apply_word,
-                             verify_relation)
+                             _generic_packing, _generic_rows, _kernel_rows,
+                             _neighbours, _packing, _reflect, apply_generator,
+                             apply_word, verify_relation)
 from todamass.cartan import ConsecutiveSet, build
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
@@ -36,7 +35,7 @@ from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             _mass_rows, _verdict, coefficient_matrix,
                             descend_to_zero, enumerate_orbit, export_graph,
                             gamma_n_test)
-from todamass.perms import _block_rows, _generic_text, _written
+from todamass.perms import _block_rows, _generic_text
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -660,18 +659,19 @@ def chain_blocks(family, n):
 
 def with_row(new, s, row):
     """The target rows ``new`` with block entry s's row replaced."""
-    return {**new, s: list(row)}
+    return {**new, s: row}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
     """chain --verify's verdict and target text on every block at ranks
     2-12, 16 and 20: Ct head and tail chains there reach 225-400 letters,
-    past the cap, and fold the rows themselves.  A target one off in a
-    slot, with 2^b moved from a slot into the next (the same int at the
-    cached slot width b), or with a coefficient past the fold's reach is
-    unequal; the text equals the forms' own on targets with a constant or
-    a zero entry too."""
+    past the cap, and fold the rows themselves.  The target is summed on
+    the generic packing and compared there packed: the true one is equal,
+    one off by one in a slot unequal.  A target aliased at 2^b or past the
+    fold's reach cannot be packed; the bound 1 + 6 E^2 on its coefficients
+    lies below 2^(b-1) and the reach, so no target is either.  The text
+    equals the forms' own on targets with a constant or a zero entry too."""
     rng = random.Random(19)
     builder = chain_word_a if family == "affine_a" else chain_word_ct
     for n in [*range(2, 13), 16, 20]:
@@ -680,33 +680,43 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
         generic, width = MassVector.generic(spec), len(rows[0])
         for J in chain_blocks(family, n):
             word = builder(J, spec).word
-            new = _block_rows(rows, lifts, spec, J)
             got = _fold(word, rows, spec, lifts)
             packing = _generic_packing(spec, len(word))
             # the proved slot width and reach g^L (1 + l), l = 2 the lift
             reach = growth(spec) ** len(word) * (1 + 2)
             b = reach.bit_length() + 2
             assert packing is None if b > _SLOT_BITS else \
-                packing[3:] == (b, reach)
+                packing[3:] == (b, 1, 2)
+            new, target, fits = _block_rows(rows, lifts, spec, J, None,
+                                            packing)
+            assert bool(fits) == (packing is not None)
+            e = len(J.indices(n))
+            e += e - 1 if family == "affine_ct" and not J.is_interior(n) else 0
+            assert 1 + 6 * e * e < min(reach, 1 << b - 1), (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
-            row = new[s]
-            off = row[:p] + [row[p] + rng.choice([-1, 1])] + row[p + 1:]
-            alias = row[:p] + [row[p] + (1 << b), row[p + 1] - 1] + row[p + 2:]
-            assert kronecker([alias], b) == kronecker([row], b)
-            past = row[:p] + [rng.choice([-1, 1]) * (reach + 1)] + row[p + 1:]
-            for target, equal in ((new, True),
-                                  (with_row(new, s, off), False),
-                                  (with_row(new, s, alias), False),
-                                  (with_row(new, s, past), False)):
-                want = tuple(tuple(target.get(t, r))
-                             for t, r in enumerate(rows, 1))
+            step = rng.choice([-1, 1])
+            row = target[s]
+            off = row[:p] + (row[p] + step,) + row[p + 1:]
+            for packed, rows_new, equal in (
+                    (new, target, True),
+                    (with_row(new, s, new[s] + (step << b * p)),
+                     with_row(target, s, off), False)):
+                want = tuple(rows_new.get(t, r) for t, r in enumerate(rows, 1))
                 assert (got == want) is equal, (spec, J)
-                assert _generic_folds_to(word, spec, target) is equal, \
-                    (spec, J, len(word))
-            constant = [rng.choice([-3, 1, 7])] + row[1:]
-            zero = [0] * width
-            for target in (new, with_row(new, s, off),
-                           with_row(new, s, constant),
-                           with_row(new, s, zero)):
-                assert _generic_text(spec, target) == \
-                    str(_written(generic, layout, target)), (spec, J)
+                if fits:
+                    assert kronecker([off], b)[0] == new[s] + (step << b * p)
+                    want = tuple(packed.get(t, r)
+                                 for t, r in enumerate(packing[2], 1))
+                    assert _folds_to(word, rows, spec, lifts, want,
+                                     (*packing[:2], want)) is equal, (spec, J)
+                else:
+                    assert _folds_to(word, rows, spec, lifts, want) is equal
+            constant = (rng.choice([-3, 1, 7]),) + row[1:]
+            zero = (0,) * width
+            for target in (target, with_row(target, s, off),
+                           with_row(target, s, constant),
+                           with_row(target, s, zero)):
+                assert _generic_text(spec, target) == str(MassVector(
+                    spec, tuple(_form(target[t], layout) if t in target
+                                else f for t, f in enumerate(
+                                    generic.entries, 1)))), (spec, J)

@@ -1,0 +1,247 @@
+"""Differential tests: the packed partial-sum kernels against dense rows.
+
+`perms._star_rows`, `_half_masses` and `_block_rows` sum on rows packed
+one int each (`action._pack`), at a slot width `perms._width` fixes from
+a bound before anything is summed, and `action._unpack` decodes them.
+The list versions below are the kernels as they ran on dense rows, one
+list per row; they share no code with the packed ones but the Cartan
+table.  Every chain block at ranks 2-20, every palindromic permutation
+with l <= 3, every permutation of 0..m for m <= 5, `mu_star` and drawn
+rows are checked against them, and every chain target against the bound.
+"""
+
+import random
+from fractions import Fraction
+from functools import cache
+from itertools import accumulate, permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_orbit_kernel import chain_blocks, forms, growth, kronecker
+
+from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _form,
+                              _int_rows)
+from todamass.action import (_generic_packing, _generic_rows, _kernel_rows,
+                             _neighbours, _pack, _unpack)
+from todamass.cartan import ConsecutiveSet
+from todamass.chains import chain_word_a, chain_word_ct
+from todamass.perms import (FinitePermutation, SPermC, _block_rows, _width,
+                            finite_a_mass, mu_star, sigma_f_ct)
+
+FAMILIES = ("affine_a", "affine_ct")
+
+
+def add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def dense_star_rows(rows, lifts, spec, idx):
+    """Per s in idx, the row of 2 mu*_s = 2 w_s - sum_t k_st sigma_t."""
+    nbrs = _neighbours(spec)
+    for s in idx:
+        star = [-2 * a for a in rows[s - 1]]
+        for t, k in nbrs[s - 1]:
+            star = [a - k * b for a, b in zip(star, rows[t])]
+        for p, c in lifts[s - 1]:
+            star[p] += c
+        yield star
+
+
+def dense_half_masses(f, rows, count):
+    """Half the first ``count`` partial-sum masses of f over rows."""
+    zero = [0] * len(rows[0]) if rows else []
+    P = list(accumulate(rows, add, initial=zero))
+    return list(accumulate(([x - y for x, y in zip(P[f(j)], P[j])]
+                            for j in range(count)), add))
+
+
+def extension(J, spec):
+    """J in the order its entries take the masses, and mirror-extended on
+    a head or tail block of affine Ct."""
+    order = ext = J.indices(spec.n)
+    if spec.family == "affine_ct" and not J.is_interior(spec.n):
+        order = order[::-1] if J.is_head(spec.n) else order
+        ext = order + order[-2::-1]
+    return order, ext
+
+
+def dense_block_rows(rows, lifts, spec, J, f=None):
+    """{s: entry row s plus its gain} for s in J, as tuples."""
+    order, ext = extension(J, spec)
+    stars = dict(zip(order, dense_star_rows(rows, lifts, spec, order)))
+    f = f or FinitePermutation(tuple(range(len(ext), -1, -1)))
+    gains = dense_half_masses(f, [stars[s] for s in ext], len(order))
+    return {s: tuple(add(rows[s - 1], g)) for s, g in zip(order, gains)}
+
+
+def written(v, layout, new):
+    """v with each entry s in ``new`` the form of its row."""
+    return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
+                                    for s, e in enumerate(v.entries, 1)))
+
+
+def random_vector(rng, spec):
+    """Entries with Fractions (so d > 1), negatives, constants, s-terms."""
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MassVector(spec, tuple(LinForm.make(
+        rational(), {i: rational() for i in rng.sample(spec.indices, 3)},
+        {rng.randint(1, spec.size): rational()}) for _ in spec.indices))
+
+
+def chain_word(spec, J):
+    builder = chain_word_a if spec.family == "affine_a" else chain_word_ct
+    return builder(J, spec).word
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
+    """Every --set/--wrap block at ranks 2-20, summed on the generic
+    packing of its chain's length (past the cap on rows packed at the
+    target's width): decoded, the rows the dense kernel gives; packed, the
+    same rows at that width; and no coefficient past 1 + 6 E^2, which the
+    width holds, E the block's length after the mirror extension."""
+    for n in range(2, 21):
+        spec = AlgebraSpec(family, n)
+        _, rows, lifts = _generic_rows(spec)
+        for J in chain_blocks(family, n):
+            packing = _generic_packing(spec, len(chain_word(spec, J)))
+            new, target, fits = _block_rows(rows, lifts, spec, J, None,
+                                            packing)
+            want = dense_block_rows(rows, lifts, spec, J)
+            assert target == want, (spec, J)
+            e = len(extension(J, spec)[1])
+            bound = 1 + 6 * e * e
+            assert bound == 1 + e * e * (2 + (growth(spec) + 1) * 1)
+            assert max(abs(c) for row in want.values() for c in row) <= bound
+            b = packing[3] if packing else _width(e, 1, 2, growth(spec))
+            assert bool(fits) == bool(packing) and bound < 1 << b - 1
+            assert list(new.values()) == list(kronecker(want.values(), b))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_slot_too_narrow_for_the_target_is_not_used(family):
+    """Handed the one-letter word's packing (6-bit slots, which hold only
+    |c| < 32) for every block at rank 20, the kernel sums each target whose
+    bound passes it on rows packed at its own width: Ct head and tail
+    targets reach 64 there, which 6 bits would alias."""
+    spec = AlgebraSpec(family, 20)
+    _, rows, lifts = _generic_rows(spec)
+    narrow = _generic_packing(spec, 1)
+    assert narrow[3] == 6
+    for J in chain_blocks(family, 20):
+        new, target, fits = _block_rows(rows, lifts, spec, J, None, narrow)
+        e = len(extension(J, spec)[1])
+        assert bool(fits) == (1 + 6 * e * e < 32), J
+        assert target == dense_block_rows(rows, lifts, spec, J), J
+
+
+@cache
+def palindromic(l):
+    """Every SPermC of 0..2l+1."""
+    top = 2 * l + 1
+    return [SPermC(p) for p in permutations(range(top + 1))
+            if all(p[j] + p[top - j] == top for j in range(top + 1))]
+
+
+def test_sigma_f_ct_matches_the_dense_kernel_for_every_spermc():
+    rng = random.Random(23)
+    for l, count in ((0, 2), (1, 8), (2, 48), (3, 384)):
+        perms = palindromic(l)
+        assert len(perms) == count
+        for n in (max(l + 1, 2), 7):
+            spec = AlgebraSpec("affine_ct", n)
+            v = random_vector(rng, spec)
+            layout, rows, lifts = _kernel_rows(v)
+            for J in (ConsecutiveSet(1, l), ConsecutiveSet(n + 1 - l, l)):
+                for f in perms:
+                    want = dense_block_rows(rows, lifts, spec, J, f)
+                    assert sigma_f_ct(v, f, J) == written(v, layout, want)
+
+
+def test_finite_a_mass_matches_the_dense_kernel_for_every_permutation():
+    rng = random.Random(29)
+    for m in range(6):
+        weights = [random_vector(rng, AlgebraSpec("affine_a", 3)).entries[0]
+                   for _ in range(m)]
+        layout, rows, _ = _int_rows(weights)
+        for values in permutations(range(m + 1)):
+            f = FinitePermutation(values)
+            want = [_form([2 * c for c in row], layout)
+                    for row in dense_half_masses(f, rows, m)]
+            assert finite_a_mass(f, weights) == want, values
+
+
+def test_mu_star_matches_the_dense_kernel():
+    rng = random.Random(31)
+    for family in FAMILIES:
+        for n in (2, 3, 7, 12, 20):
+            spec = AlgebraSpec(family, n)
+            for v in (random_vector(rng, spec), MassVector.generic(spec),
+                      MassVector.zero(spec)):
+                (d, mu, s), rows, lifts = _kernel_rows(v)
+                want = [_form(row, (2 * d, mu, s)) for row in
+                        dense_star_rows(rows, lifts, spec, spec.indices)]
+                assert mu_star(v) == want
+
+
+@st.composite
+def blocks(draw, spec):
+    """A proper block of spec, wrapping only in affine A."""
+    n = spec.n
+    if spec.family == "affine_a" and draw(st.booleans()):
+        r2 = draw(st.integers(3, n + 1))
+        return ConsecutiveSet(r2, n + 1 - r2 + draw(st.integers(1, r2 - 2)),
+                              wrap=True)
+    start = draw(st.integers(1, n + 1))
+    length = draw(st.integers(0, min(n - 1, n + 1 - start)))
+    return ConsecutiveSet(start, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 9), st.data())
+def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
+    """Drawn entries (Fractions, so d > 1, negatives, constants, s-terms
+    and stray mu indices) and, on a Ct boundary block, a drawn SPermC:
+    the decoded targets equal the dense kernel's, within the bound."""
+    spec = AlgebraSpec(family, n)
+    v = MassVector(spec, tuple(data.draw(st.lists(
+        forms(spec.size), min_size=spec.size, max_size=spec.size))))
+    J = data.draw(blocks(spec))
+    f = None
+    if family == "affine_ct" and not J.is_interior(n) and J.length <= 2:
+        f = data.draw(st.none() | st.sampled_from(palindromic(J.length)))
+    layout, rows, lifts = _kernel_rows(v)
+    new, target, fits = _block_rows(rows, lifts, spec, J, f)
+    want = dense_block_rows(rows, lifts, spec, J, f)
+    assert target == want and not fits
+    m = max(abs(c) for row in rows for c in row)
+    l = max(abs(c) for lift in lifts for _, c in lift)
+    e = len(extension(J, spec)[1])
+    bound = m + e * e * (l + (growth(spec) + 1) * m)
+    assert max(abs(c) for row in want.values() for c in row) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 400), st.integers(1, 30), st.data())
+def test_decode_round_trips_every_value_the_slot_holds(b, width, data):
+    """`_unpack` inverts `_pack` on every |c| <= 2^(b-1) - 1, the ends of
+    that range included."""
+    top = (1 << b - 1) - 1
+    value = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
+    rows = data.draw(st.lists(st.lists(value, min_size=width,
+                                       max_size=width), max_size=4))
+    packed = _pack(map(enumerate, rows), b)
+    assert _unpack(packed, b, width) == [tuple(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.integers(0, 4))
+def test_width_holds_its_bound(e, m, l, g):
+    """A coefficient at the bound m + e^2 (l + (g + 1) m), either sign,
+    packs and decodes at `_width`."""
+    bound = m + e * e * (l + (g + 1) * m)
+    b = _width(e, m, l, g)
+    assert _unpack(_pack([[(0, bound), (1, -bound)]], b), b, 2) == \
+        [(bound, -bound)]
