@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from math import isqrt
 from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
@@ -54,9 +55,6 @@ class Word:
 _Neighbours = tuple[tuple[tuple[int, int], ...], ...]
 # per generator i, the nonzero (column, value) pairs of the row of 2 w_i
 _Lifts = tuple[tuple[tuple[int, int], ...], ...]
-# the widest slot of `_packing`: past it a packed letter costs more than
-# a letter on the rows themselves
-_SLOT_BITS = 320
 
 
 @cache
@@ -99,6 +97,14 @@ def _reflect(rows: _Rows, i: int, nbrs: _Neighbours,
     for p, c in lift:
         row[p] += c
     return rows[:i] + (tuple(row),) + rows[i + 1:]
+
+
+def _letter(rows, i: int, nbrs: _Neighbours, lifts) -> int:
+    """`_reflect`'s new row i on rows and lifts packed one int each."""
+    row = lifts[i] - rows[i]
+    for t, k in nbrs[i]:
+        row -= k * rows[t]
+    return row
 
 
 def apply_generator(i: int, v: MassVector,
@@ -150,21 +156,33 @@ def _growth(spec: AlgebraSpec) -> int:
     return 1 + max(sum(abs(k) for _, k in nb) for nb in _neighbours(spec))
 
 
+def _reach(spec: AlgebraSpec, length: int, m: int, l: int) -> int:
+    """`_packing`'s bound P after ``length`` letters, roots rounded up."""
+    L, n0 = length, isqrt(9 * spec.size * m * m) + 1
+    return (m + L * l + isqrt(2 * (L * n0 + l * L * (L - 1)) ** 2) + 1
+            + isqrt(spec.n * (n0 + 2 * L * l) ** 2) + 1)
+
+
 def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
-             want: Optional[_Rows] = None) -> Optional[tuple]:
-    """rows, lifts and want (zero rows by default), each row one int with
-    column p at bit b*p (Kronecker substitution), for a word of ``length``
-    letters, then b, M and l; None where b passes _SLOT_BITS.  A letter
-    makes |new| <= l + g M, so no value exceeds the reach g^length (M + l),
-    M and l the `_peaks` of rows and want and of lifts."""
+             want: Optional[_Rows] = None) -> tuple:
+    """rows, lifts and want (zero rows by default) packed one int a row,
+    column p at bit b*p (Kronecker substitution), then b, M and l, the
+    `_peaks` of rows and want and of lifts; b is two bits past P, the
+    `_reach` of ``length`` letters, so a difference fits.  Packing is
+    linear over Z, so only the final rows need fit.  Proof of P: letter i
+    maps a column x of the rows (x_t in row t) to s_i x + c e_i, where
+    s_i x = x - (Kx)_i e_i and |c| <= l.  q(x) = x^T D K x is s_i-invariant
+    and positive semidefinite with kernel (1,...,1): sum_cyclic
+    (x_i - x_{i+1})^2 for A, 2 sum_path (x_i - x_{i+1})^2 for Ct.  So
+    N = sqrt(q) gains at most |c| sqrt(2 d_i) <= 2l a letter, from
+    N_0 <= 3 sqrt(n+1) M; x_1 moves only under R_1, by at most
+    l + sqrt(2) N; each |x_t - x_1| <= sqrt(n) N.  So within L letters no
+    |x_t| passes M + L l + sqrt(2) (L N_0 + l L (L-1)) + sqrt(n) (N_0
+    + 2 L l), quadratic in L."""
     m, l = _peaks(rows + (want or ()), lifts)
-    # g >= 2, so a longer word passes the cap anyway
-    reach = _growth(spec) ** min(length, _SLOT_BITS) * (m + l)
-    b = reach.bit_length() + 2  # a difference fits
-    return None if b > _SLOT_BITS else (
-        _pack(map(enumerate, rows), b), _pack(lifts, b),
-        (0,) * len(rows) if want is None else _pack(map(enumerate, want), b),
-        b, m, l)
+    b = _reach(spec, length, m, l).bit_length() + 2
+    want = _pack(map(enumerate, want or ((),) * len(rows)), b)
+    return _pack(map(enumerate, rows), b), _pack(lifts, b), want, b, m, l
 
 
 def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
@@ -172,20 +190,17 @@ def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
               packing: Optional[tuple] = None) -> bool:
     """``_fold(w, rows, spec, lifts) == want`` (zero rows by default).  On
     `_packing`'s rows (``packing`` if the caller holds them) a letter is a
-    few big-int operations; too wide a slot folds the rows themselves."""
+    few big-int operations, but packing costs about a tuple letter per
+    row, so a word with fewer letters than rows folds the rows."""
     letters = _letters(w, spec)
-    packing = packing or _packing(rows, lifts, spec, len(letters), want)
-    if not packing:
+    if not packing and len(letters) < len(rows):
         got = _fold(w, rows, spec, lifts)
         return got == want if want else not any(map(any, got))
-    rows, lifts, want = packing[:3]
-    nbrs, rows = _neighbours(spec), list(rows)
+    packing = packing or _packing(rows, lifts, spec, len(letters), want)
+    nbrs, rows, lifts = _neighbours(spec), list(packing[0]), packing[1]
     for i in letters:
-        row = lifts[i] - rows[i]
-        for t, k in nbrs[i]:
-            row -= k * rows[t]
-        rows[i] = row
-    return tuple(rows) == want
+        rows[i] = _letter(rows, i, nbrs, lifts)
+    return tuple(rows) == packing[2]
 
 
 def apply_word(w: Word, v: MassVector,
@@ -236,7 +251,7 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
 
 
 @cache
-def _generic_packing(spec: AlgebraSpec, length: int) -> Optional[tuple]:
+def _generic_packing(spec: AlgebraSpec, length: int) -> tuple:
     """`_packing` of the generic rows against themselves."""
     _, rows, lifts = _generic_rows(spec)
     return _packing(rows, lifts, spec, length, rows)

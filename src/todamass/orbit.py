@@ -5,8 +5,8 @@ smallest i whose phi delta, the change R_i makes to the mass at weights
 (1,...,1), is negative.  Enumeration walks the rule back from zero by
 reverse search (Avis & Fukuda, 1996), to a bounded depth and with no
 visited set.  Orbit entries are 2 sum_j n_ij mu_j with integers n_ij, so
-both run on the integer rows and reflection rule of `action`; enumeration
-writes one form per distinct entry and sorts and exports by its rank.
+both run on integer rows by `action`'s rule, enumeration on rows packed
+one int each; it writes, sorts and exports one form per distinct entry.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _form_value, _int_rows, _json_compact, _json_indented,
                       _Layout, _Rows, _weight_map)
-from .action import (Word, _columns, _folds_to, _kernel_rows, _neighbours,
-                     _reflect, _residual)
+from .action import (Word, _columns, _folds_to, _kernel_rows, _letter,
+                     _neighbours, _packing, _residual, _unpack)
 from .errors import FormatError, NotMassForm
 
 MEMBER = "member"
@@ -70,23 +70,24 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
 
 def _ranked_orbit(spec: AlgebraSpec, depth: int,
                   make=_entry) -> tuple[list, list[tuple]]:
-    """`enumerate_orbit` with no vector built: (forms, ranked nodes), forms
-    each distinct row once as ``make`` writes it, in compact JSON order, a
-    ranked node (level, entry ranks, witness letters, spec) with entry k
-    forms[ranks[k]]."""
+    """`enumerate_orbit` with no vector built, on rows packed one int each:
+    (forms, ranked nodes), forms each distinct row decoded once and written
+    once by ``make``, in compact JSON order, a ranked node (level, entry
+    ranks, witness letters, spec) with entry k forms[ranks[k]]."""
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
-    level = [(zero, (), _deltas(zero, 1, spec))]
+    rows, lifts, _, b = _packing(zero, lifts, spec, depth)[:4]
+    level = [(rows, (), _deltas(zero, 1, spec))]
     tree = list(level)
     for _ in range(depth):
-        level = [(_reflect(rows, i, nbrs, lifts[i]), (i + 1,) + word,
-                  _stepped(deltas, i, cols))
+        level = [(rows[:i] + (_letter(rows, i, nbrs, lifts),) + rows[i + 1:],
+                  (i + 1,) + word, _stepped(deltas, i, cols))
                  for rows, word, deltas in level
                  for i in _children(deltas, cols)]
         tree += level
-    # one form per distinct row, shared by every vector that has it
-    forms = {row: make(row, layout)
-             for row in {row for rows, _, _ in tree for row in rows}}
+    distinct = list({row for rows, _, _ in tree for row in rows})
+    forms = dict(zip(distinct, [make(row, layout) for row in
+                                _unpack(distinct, b, len(zero[0]))]))
     # (level, entry ranks) is the canonical key's order in one spec: keys
     # join compact JSON objects, none a proper prefix of another, so they
     # compare as their first differing entries; distinct vectors never tie

@@ -21,8 +21,8 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
                       _form, _int_rows, _Rows)
-from .action import (Word, _generic_rows, _growth, _kernel_rows, _letters,
-                     _Lifts, _neighbours, _pack, _peaks, _unpack)
+from .action import (Word, _generic_rows, _growth, _kernel_rows, _letter,
+                     _letters, _Lifts, _neighbours, _pack, _peaks, _unpack)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 
@@ -44,10 +44,7 @@ def _star_rows(rows: Sequence[int], lifts: Sequence[int], spec: AlgebraSpec,
     sigma_t from packed entry rows and lifts: what R_s adds to entry s."""
     nbrs = _neighbours(spec)
     for s in idx:
-        star = lifts[s - 1] - 2 * rows[s - 1]
-        for t, k in nbrs[s - 1]:
-            star -= k * rows[t]
-        yield star
+        yield _letter(rows, s - 1, nbrs, lifts) - rows[s - 1]
 
 
 def _width(e: int, m: int, l: int = 0, g: int = 0) -> int:

@@ -138,6 +138,33 @@ def test_sperm():
     assert code == 0 and "constraint PASS" in out
 
 
+def test_sperm_check_passes_every_word():
+    """Every word of simple palindromic involutions gives a permutation
+    that keeps f(j) + f(2l+1-j) = 2l+1, so --check prints its values and
+    constraint PASS and exits 0; the values are the product, in word
+    order, of the swaps of i, i+1 and of their mirrors (`sc_simple`).
+    Only a letter outside 0..l fails: a one-line DomainError, no output."""
+    rng = random.Random(7)
+    for l in range(4):
+        top = 2 * l + 1
+        for _ in range(40):
+            letters = [rng.randint(0, l) for _ in range(rng.randint(0, 6))]
+            values = list(range(top + 1))
+            for i in letters:
+                swap = {i: i + 1, i + 1: i, top - i: top - i - 1,
+                        top - i - 1: top - i}
+                values = [values[swap.get(j, j)] for j in range(top + 1)]
+            argv = ["sperm", "--l", str(l), "--check"]
+            if letters:
+                argv += ["--word", ",".join(map(str, letters))]
+            assert invoke(argv) == (0, "values %s\nconstraint PASS\n"
+                                    % " ".join(map(str, values)), "")
+        code, out, err = invoke(["sperm", "--l", str(l), "--word",
+                                 str(l + 1), "--check"])
+        assert (code, out) == (2, "") and err == \
+            "DomainError: simple index %d outside 0..%d\n" % (l + 1, l)
+
+
 def test_blowup_step():
     code, out, _ = invoke(["blowup-step", "--family", "ct", "--rank", "4",
                            "--case", "Ct-IV", "--blocks", "2:0,4:0"])

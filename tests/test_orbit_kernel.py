@@ -17,22 +17,24 @@ formula.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (_SLOT_BITS, Word, _fold, _folds_to, _form,
-                             _generic_packing, _generic_rows, _kernel_rows,
-                             _neighbours, _packing, _reflect, apply_generator,
+from todamass.action import (Word, _fold, _folds_to, _form, _generic_packing,
+                             _generic_rows, _kernel_rows, _neighbours,
+                             _packing, _reach, _reflect, apply_generator,
                              apply_word, verify_relation)
 from todamass.cartan import ConsecutiveSet, build
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             MembershipReport, OrbitNode, _deltas, _descend,
-                            _mass_rows, _verdict, coefficient_matrix,
+                            _mass_rows, _ranked_orbit, _verdict,
+                            coefficient_matrix,
                             descend_to_zero, enumerate_orbit, export_graph,
                             gamma_n_test)
 from todamass.perms import _block_rows, _generic_text
@@ -468,6 +470,23 @@ def growth(spec):
                    for i in spec.indices)
 
 
+def reach(spec, length, m, l):
+    """P = M + L l + sqrt(2) (L N_0 + l L (L-1)) + sqrt(n) (N_0 + 2 L l),
+    the bound `_packing`'s docstring proves on every |value| within L
+    letters from rows at most M with lifts at most l, where N_0 = 3
+    sqrt(n+1) M; each root r(x) of an integer x is isqrt(x) + 1 > sqrt(x)."""
+    def r(x):
+        return isqrt(x) + 1
+    L, n0 = length, r(9 * (spec.n + 1) * m * m)
+    return (m + L * l + r(2 * (L * n0 + l * L * (L - 1)) ** 2)
+            + r(spec.n * (n0 + 2 * L * l) ** 2))
+
+
+def slot_bits(spec, length, m, l):
+    """`_packing`'s slot width: two bits past P, so a difference fits."""
+    return reach(spec, length, m, l).bit_length() + 2
+
+
 def kronecker(rows, b):
     """Each row as one int, column p at bit b*p."""
     return tuple(sum(c << b * p for p, c in enumerate(row)) for row in rows)
@@ -518,11 +537,10 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
     got = _fold(word, rows, spec, lifts)
     m = max(abs(c) for row in rows for c in row)
     l = max((abs(c) for lift in lifts for _, c in lift), default=0)
-    b = (growth(spec) ** len(letters) * (m + l)).bit_length() + 2
+    b = slot_bits(spec, len(letters), m, l)
     # the proved slot width, and no narrower: rows pack at exactly b bits
     packing = _packing(rows, lifts, spec, len(letters), None)
-    assert packing is None if b > _SLOT_BITS else \
-        packing[0] == kronecker(rows, b)
+    assert packing[0] == kronecker(rows, b) and packing[3:] == (b, m, l)
     j = data.draw(st.integers(0, size - 1))
     p = data.draw(st.integers(0, len(rows[0]) - 1))
     if kind == "true":
@@ -535,10 +553,78 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
         p = min(p, len(rows[0]) - 2)
         want = moved(got, j, p, 1 << b, -1)
         assert kronecker(want, b) == kronecker(got, b)
+    # a word with fewer letters than rows folds the rows unless handed
+    # its packing; both ways answer alike
+    packing = _packing(rows, lifts, spec, len(letters), want)
     assert _folds_to(word, rows, spec, lifts, want) == (got == want) \
+        == _folds_to(word, rows, spec, lifts, want, packing) \
         == (kind == "true")
     zero = tuple((0,) * len(row) for row in rows)
-    assert _folds_to(word, rows, spec, lifts) == (got == zero)
+    assert _folds_to(word, rows, spec, lifts) == (got == zero) == \
+        _folds_to(word, rows, spec, lifts, None,
+                  _packing(rows, lifts, spec, len(letters)))
+
+
+def prefix_peaks(spec, rows, lifts, letters):
+    """The largest |value| after each prefix of the letters (0-based, in
+    acting order), folded on tuple rows one letter at a time, each checked
+    against `_reach`, which must equal `reach`, of the prefix's length."""
+    nbrs = _neighbours(spec)
+    m = max(abs(c) for row in rows for c in row)
+    l = max((abs(c) for lift in lifts for _, c in lift), default=0)
+    peak, peaks = m, []
+    for k, i in enumerate(letters, 1):
+        rows = _reflect(rows, i, nbrs, lifts[i])
+        peak = max(peak, *map(abs, rows[i]))
+        assert peak <= _reach(spec, k, m, l) == reach(spec, k, m, l), \
+            (spec, k, m, l)
+        peaks.append(peak)
+    return peaks
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_no_value_passes_the_slot_bound(family):
+    """P bounds every value after every prefix, at ranks 2-12: of the
+    Coxeter element's powers from zero, whose coefficients grow
+    quadratically (past any bound linear in the letters at ranks 2-3), of
+    random words from zero, and of random words on random rows at most
+    1000 with dense random lifts at most 1000."""
+    rng = random.Random(31)
+    for n in range(2, 13):
+        spec = AlgebraSpec(family, n)
+        size = spec.size
+        _, zero, lifts = _kernel_rows(MassVector.zero(spec))
+        peaks = prefix_peaks(spec, zero, lifts, [k % size for k in range(800)])
+        assert peaks[799] > 3 * peaks[399], spec  # quadratic, not linear
+        for _ in range(3):
+            word = [rng.randrange(size) for _ in range(rng.randint(1, 800))]
+            prefix_peaks(spec, zero, lifts, word)
+            width, m, l = rng.randint(2, 6), rng.randint(0, 1000), \
+                rng.randint(0, 1000)
+            rows = tuple(tuple(rng.randint(-m, m) for _ in range(width))
+                         for _ in range(size))
+            dense = tuple(tuple((p, rng.randint(-l, l)) for p in range(width))
+                          for _ in range(size))
+            prefix_peaks(spec, rows, dense, word)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_packed_bfs_matches_the_tuple_bfs(family):
+    """`_ranked_orbit` reflects rows packed at P's slot width for its
+    depth; decoded, its nodes are those of the breadth-first search by
+    `_reflect` on tuple rows, at ranks 2-7 and every depth up to 8."""
+    for n in range(2, 8):
+        spec = AlgebraSpec(family, n)
+        want = bfs_rows(spec, 8)
+        for depth in range(9):
+            forms, nodes = _ranked_orbit(spec, depth)
+            rows = [(e.const,) + tuple(dict(e.mu).get(i, 0)
+                                       for i in spec.indices) for e in forms]
+            got = {(tuple(map(rows.__getitem__, ranks)), word)
+                   for _, ranks, word, _ in nodes}
+            assert len(got) == len(nodes)
+            assert got == {(r, w) for r, w in want if len(w) <= depth}, \
+                (spec, depth)
 
 
 def rowwise_descend(rows, d, spec, max_steps):
@@ -614,8 +700,10 @@ def test_descent_from_deltas_matches_rowwise_deep_and_off_the_orbit():
 
 
 def test_wide_slots_fold_the_rows():
-    """A word too long for `_SLOT_BITS` folds the rows themselves: the
-    descent, the packed verdict and the relation check answer as before."""
+    """Words of 240-600 letters, past the 320-bit slots that once capped
+    packing, pack at P's width: the descent, the packed verdict, aliasing
+    2^b one slot up included, and the relation check answer as the rows
+    themselves do."""
     rng = random.Random(29)
     for family in FAMILIES:
         for n in (3, 12):
@@ -623,7 +711,9 @@ def test_wide_slots_fold_the_rows():
             v = ascended(spec, 260, rng)
             rows, d = mass_rows(v)
             lifts = tuple(((i, 2 * d),) for i in spec.indices)
-            assert _packing(rows, lifts, spec, 260) is None
+            m = max(abs(c) for row in rows for c in row)
+            assert _packing(rows, lifts, spec, 260)[3:] == \
+                (slot_bits(spec, 260, m, 2 * d), m, 2 * d)
             assert_descents_agree(v, {0, 259, 260, 600})
             word = Word(tuple(rng.randint(1, spec.size) for _ in range(300)))
             _, rows, lifts = _kernel_rows(v)
@@ -631,11 +721,20 @@ def test_wide_slots_fold_the_rows():
             assert _folds_to(word, rows, spec, lifts, got)
             assert not _folds_to(word, rows, spec, lifts, moved(got, 0, 1, 1))
             assert not _folds_to(word, rows, spec, lifts)
+            m = max(abs(c) for row in rows + got for c in row)
+            l = max(abs(c) for lift in lifts for _, c in lift)
+            b = slot_bits(spec, 300, m, l)
+            assert _packing(rows, lifts, spec, 300, got)[3] == b
+            p = rng.randrange(len(rows[0]) - 1)
+            alias = moved(got, 0, p, 1 << b, -1)
+            assert kronecker(alias, b) == kronecker(got, b)
+            assert not _folds_to(word, rows, spec, lifts, alias)
             # a word times its reverse is the identity
             back = Word(word.letters[::-1])
             assert _folds_to(word * back, rows, spec, lifts, rows)
             order = 3 if family == "affine_a" else 4
-            assert _generic_packing(spec, order * 80) is None
+            assert _generic_packing(spec, order * 80)[3:] == \
+                (slot_bits(spec, order * 80, 1, 2), 1, 2)
             assert verify_relation(Word.of(1, 2).power(order * 80), spec)
             assert not verify_relation(Word.of(1, 2).power(order * 80 + 1),
                                        spec)
@@ -666,12 +765,14 @@ def with_row(new, s, row):
 def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
     """chain --verify's verdict and target text on every block at ranks
     2-12, 16 and 20: Ct head and tail chains there reach 225-400 letters,
-    past the cap, and fold the rows themselves.  The target is summed on
-    the generic packing and compared there packed: the true one is equal,
-    one off by one in a slot unequal.  A target aliased at 2^b or past the
-    fold's reach cannot be packed; the bound 1 + 6 E^2 on its coefficients
-    lies below 2^(b-1) and the reach, so no target is either.  The text
-    equals the forms' own on targets with a constant or a zero entry too."""
+    past the 320-bit slots that once capped packing, and pack at P's
+    width like every other chain.  The target is summed on the generic
+    packing and compared there packed: the true one is equal, one off by
+    one in a slot unequal.  The bound 1 + 6 E^2 on its coefficients lies
+    below 2^(b-1), so every target fits the packing; one aliased at 2^b
+    one slot up, the same int at width b, is told apart on wider slots.
+    The text equals the forms' own on targets with a constant or a zero
+    entry too."""
     rng = random.Random(19)
     builder = chain_word_a if family == "affine_a" else chain_word_ct
     for n in [*range(2, 13), 16, 20]:
@@ -682,35 +783,35 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
             word = builder(J, spec).word
             got = _fold(word, rows, spec, lifts)
             packing = _generic_packing(spec, len(word))
-            # the proved slot width and reach g^L (1 + l), l = 2 the lift
-            reach = growth(spec) ** len(word) * (1 + 2)
-            b = reach.bit_length() + 2
-            assert packing is None if b > _SLOT_BITS else \
-                packing[3:] == (b, 1, 2)
+            # the proved slot width, M = 1 the generic rows, l = 2 the lift
+            b = slot_bits(spec, len(word), 1, 2)
+            assert packing[3:] == (b, 1, 2)
             new, target, fits = _block_rows(rows, lifts, spec, J, None,
                                             packing)
-            assert bool(fits) == (packing is not None)
             e = len(J.indices(n))
             e += e - 1 if family == "affine_ct" and not J.is_interior(n) else 0
-            assert 1 + 6 * e * e < min(reach, 1 << b - 1), (spec, J)
+            assert fits and 1 + 6 * e * e < 1 << b - 1, (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
             step = rng.choice([-1, 1])
             row = target[s]
             off = row[:p] + (row[p] + step,) + row[p + 1:]
+            alias = moved(tuple(target.values()), list(target).index(s), p,
+                          1 << b, -1)
+            assert kronecker(alias, b) == tuple(new.values())
             for packed, rows_new, equal in (
                     (new, target, True),
                     (with_row(new, s, new[s] + (step << b * p)),
-                     with_row(target, s, off), False)):
+                     with_row(target, s, off), False),
+                    (None, dict(zip(target, alias)), False)):
                 want = tuple(rows_new.get(t, r) for t, r in enumerate(rows, 1))
                 assert (got == want) is equal, (spec, J)
-                if fits:
+                assert _folds_to(word, rows, spec, lifts, want) is equal
+                if packed:
                     assert kronecker([off], b)[0] == new[s] + (step << b * p)
                     want = tuple(packed.get(t, r)
                                  for t, r in enumerate(packing[2], 1))
                     assert _folds_to(word, rows, spec, lifts, want,
                                      (*packing[:2], want)) is equal, (spec, J)
-                else:
-                    assert _folds_to(word, rows, spec, lifts, want) is equal
             constant = (rng.choice([-3, 1, 7]),) + row[1:]
             zero = (0,) * width
             for target in (target, with_row(target, s, off),

@@ -17,7 +17,8 @@ from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_orbit_kernel import chain_blocks, forms, growth, kronecker
+from test_orbit_kernel import (chain_blocks, forms, growth, kronecker,
+                               slot_bits)
 
 from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _form,
                               _int_rows)
@@ -97,15 +98,16 @@ def chain_word(spec, J):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
     """Every --set/--wrap block at ranks 2-20, summed on the generic
-    packing of its chain's length (past the cap on rows packed at the
-    target's width): decoded, the rows the dense kernel gives; packed, the
-    same rows at that width; and no coefficient past 1 + 6 E^2, which the
-    width holds, E the block's length after the mirror extension."""
+    packing of its chain's length, at P's slot width b: decoded, the rows
+    the dense kernel gives; packed, the same rows at that width; and no
+    coefficient past 1 + 6 E^2 < 2^(b-1), E the block's length after the
+    mirror extension, so every target fits the packing."""
     for n in range(2, 21):
         spec = AlgebraSpec(family, n)
         _, rows, lifts = _generic_rows(spec)
         for J in chain_blocks(family, n):
-            packing = _generic_packing(spec, len(chain_word(spec, J)))
+            length = len(chain_word(spec, J))
+            packing = _generic_packing(spec, length)
             new, target, fits = _block_rows(rows, lifts, spec, J, None,
                                             packing)
             want = dense_block_rows(rows, lifts, spec, J)
@@ -114,26 +116,28 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
             bound = 1 + 6 * e * e
             assert bound == 1 + e * e * (2 + (growth(spec) + 1) * 1)
             assert max(abs(c) for row in want.values() for c in row) <= bound
-            b = packing[3] if packing else _width(e, 1, 2, growth(spec))
-            assert bool(fits) == bool(packing) and bound < 1 << b - 1
+            b = packing[3]
+            assert b == slot_bits(spec, length, 1, 2) and fits, (spec, J)
+            assert bound < 1 << b - 1
             assert list(new.values()) == list(kronecker(want.values(), b))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_slot_too_narrow_for_the_target_is_not_used(family):
-    """Handed the one-letter word's packing (6-bit slots, which hold only
-    |c| < 32) for every block at rank 20, the kernel sums each target whose
-    bound passes it on rows packed at its own width: Ct head and tail
-    targets reach 64 there, which 6 bits would alias."""
+    """Handed a packing of the generic rows at 6-bit slots, which hold
+    only |c| < 32, for every block at rank 20, the kernel sums each target
+    whose bound passes it on rows packed at its own width: Ct head and
+    tail targets reach 64 there, which 6 bits would alias."""
     spec = AlgebraSpec(family, 20)
     _, rows, lifts = _generic_rows(spec)
-    narrow = _generic_packing(spec, 1)
-    assert narrow[3] == 6
+    narrow = (_pack(map(enumerate, rows), 6), _pack(lifts, 6), None, 6, 1, 2)
     for J in chain_blocks(family, 20):
         new, target, fits = _block_rows(rows, lifts, spec, J, None, narrow)
         e = len(extension(J, spec)[1])
         assert bool(fits) == (1 + 6 * e * e < 32), J
         assert target == dense_block_rows(rows, lifts, spec, J), J
+        b = 6 if fits else _width(e, 1, 2, growth(spec))
+        assert list(new.values()) == list(kronecker(target.values(), b)), J
 
 
 @cache
