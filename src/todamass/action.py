@@ -188,14 +188,10 @@ def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
 def _folds_to(w: Word, rows: _Rows, spec: AlgebraSpec, lifts: _Lifts,
               want: Optional[_Rows] = None,
               packing: Optional[tuple] = None) -> bool:
-    """``_fold(w, rows, spec, lifts) == want`` (zero rows by default).  On
-    `_packing`'s rows (``packing`` if the caller holds them) a letter is a
-    few big-int operations, but packing costs about a tuple letter per
-    row, so a word with fewer letters than rows folds the rows."""
+    """``_fold(w, rows, spec, lifts) == want`` (zero rows by default), on
+    `_packing`'s rows (``packing`` if the caller holds them), where a
+    letter is a few big-int operations."""
     letters = _letters(w, spec)
-    if not packing and len(letters) < len(rows):
-        got = _fold(w, rows, spec, lifts)
-        return got == want if want else not any(map(any, got))
     packing = packing or _packing(rows, lifts, spec, len(letters), want)
     nbrs, rows, lifts = _neighbours(spec), list(packing[0]), packing[1]
     for i in letters:

@@ -126,12 +126,11 @@ def _cmd_chain(args, out) -> int:
         # summed and compared on the packed rows the word folds
         _, rows, lifts = _generic_rows(spec)
         packing = _generic_packing(spec, len(plan.word))
-        new, target, fits = _block_rows(rows, lifts, spec, J, None, packing)
+        new, target = _block_rows(rows, lifts, spec, J, None, packing)
         out.write("target %s\n" % _generic_text(spec, target))
-        want = tuple((new if fits else target).get(s, row) for s, row
-                     in enumerate(packing[2] if fits else rows, 1))
+        want = tuple(new.get(s, row) for s, row in enumerate(packing[2], 1))
         equal = _folds_to(plan.word, rows, spec, lifts, want,
-                          fits and (*packing[:2], want))
+                          (*packing[:2], want))
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0

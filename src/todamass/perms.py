@@ -166,12 +166,12 @@ def finite_a_mass(f: FinitePermutation,
 def _block_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
                 J: ConsecutiveSet, f: Optional[FinitePermutation] = None,
                 packing: Optional[tuple] = None) -> tuple:
-    """({s: entry row s plus its gain} for s in J packed, the same decoded,
-    and whether on ``packing``): the partial-sum masses of f (by default
-    the longest element) over J's shifted weights, mirror-extended on a
-    head or tail block of affine Ct, summed on ``packing`` (`_packing` of
-    these rows and lifts) where its slots hold their `_width`, else on the
-    rows packed at that width."""
+    """({s: entry row s plus its gain} for s in J packed, the same
+    decoded): the partial-sum masses of f (by default the longest element)
+    over J's shifted weights, mirror-extended on a head or tail block of
+    affine Ct, summed on ``packing`` (`_packing` of these rows and lifts),
+    whose slots must hold their `_width`, or without one on the rows
+    packed at that width."""
     order = ext = _block(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         # J in the order its entries take the masses, then mirrored
@@ -179,14 +179,16 @@ def _block_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
         ext = order + order[-2::-1]
     b = _width(len(ext), *(packing[4:] if packing else _peaks(rows, lifts)),
                _growth(spec))
-    fits = packing and b <= packing[3]
-    packed, packed_lifts, b = (*packing[:2], packing[3]) if fits else (
+    if packing and b > packing[3]:
+        raise DomainError("block targets need %d-bit slots, the packing "
+                          "has %d" % (b, packing[3]))
+    packed, packed_lifts, b = (*packing[:2], packing[3]) if packing else (
         _pack(map(enumerate, rows), b), _pack(lifts, b), b)
     stars = dict(zip(order, _star_rows(packed, packed_lifts, spec, order)))
     f = f.values if f else range(len(ext), -1, -1)
     gains = _half_masses(f, [stars[s] for s in ext], len(order))
     new = {s: packed[s - 1] + g for s, g in zip(order, gains)}
-    return new, dict(zip(new, _unpack(new.values(), b, len(rows[0])))), fits
+    return new, dict(zip(new, _unpack(new.values(), b, len(rows[0]))))
 
 
 def _block_masses(v: MassVector, J: ConsecutiveSet,

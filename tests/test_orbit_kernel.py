@@ -553,8 +553,7 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
         p = min(p, len(rows[0]) - 2)
         want = moved(got, j, p, 1 << b, -1)
         assert kronecker(want, b) == kronecker(got, b)
-    # a word with fewer letters than rows folds the rows unless handed
-    # its packing; both ways answer alike
+    # handed its packing or not, the packed verdict is the row fold's
     packing = _packing(rows, lifts, spec, len(letters), want)
     assert _folds_to(word, rows, spec, lifts, want) == (got == want) \
         == _folds_to(word, rows, spec, lifts, want, packing) \
@@ -786,11 +785,10 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
             # the proved slot width, M = 1 the generic rows, l = 2 the lift
             b = slot_bits(spec, len(word), 1, 2)
             assert packing[3:] == (b, 1, 2)
-            new, target, fits = _block_rows(rows, lifts, spec, J, None,
-                                            packing)
+            new, target = _block_rows(rows, lifts, spec, J, None, packing)
             e = len(J.indices(n))
             e += e - 1 if family == "affine_ct" and not J.is_interior(n) else 0
-            assert fits and 1 + 6 * e * e < 1 << b - 1, (spec, J)
+            assert 1 + 6 * e * e < 1 << b - 1, (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
             step = rng.choice([-1, 1])
             row = target[s]

@@ -26,6 +26,7 @@ from todamass.action import (_generic_packing, _generic_rows, _kernel_rows,
                              _neighbours, _pack, _unpack)
 from todamass.cartan import ConsecutiveSet
 from todamass.chains import chain_word_a, chain_word_ct
+from todamass.errors import DomainError
 from todamass.perms import (FinitePermutation, SPermC, _block_rows, _width,
                             finite_a_mass, mu_star, sigma_f_ct)
 
@@ -108,8 +109,7 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
         for J in chain_blocks(family, n):
             length = len(chain_word(spec, J))
             packing = _generic_packing(spec, length)
-            new, target, fits = _block_rows(rows, lifts, spec, J, None,
-                                            packing)
+            new, target = _block_rows(rows, lifts, spec, J, None, packing)
             want = dense_block_rows(rows, lifts, spec, J)
             assert target == want, (spec, J)
             e = len(extension(J, spec)[1])
@@ -117,7 +117,7 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
             assert bound == 1 + e * e * (2 + (growth(spec) + 1) * 1)
             assert max(abs(c) for row in want.values() for c in row) <= bound
             b = packing[3]
-            assert b == slot_bits(spec, length, 1, 2) and fits, (spec, J)
+            assert b == slot_bits(spec, length, 1, 2), (spec, J)
             assert bound < 1 << b - 1
             assert list(new.values()) == list(kronecker(want.values(), b))
 
@@ -125,19 +125,30 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_slot_too_narrow_for_the_target_is_not_used(family):
     """Handed a packing of the generic rows at 6-bit slots, which hold
-    only |c| < 32, for every block at rank 20, the kernel sums each target
-    whose bound passes it on rows packed at its own width: Ct head and
-    tail targets reach 64 there, which 6 bits would alias."""
+    only |c| < 32, for every block at rank 20, the kernel refuses each
+    target whose bound passes it (Ct head and tail targets reach 64
+    there, which 6 bits would alias) and sums the others on it; handed
+    none, it sums every target at its own width."""
     spec = AlgebraSpec(family, 20)
     _, rows, lifts = _generic_rows(spec)
     narrow = (_pack(map(enumerate, rows), 6), _pack(lifts, 6), None, 6, 1, 2)
+    refused = 0
     for J in chain_blocks(family, 20):
-        new, target, fits = _block_rows(rows, lifts, spec, J, None, narrow)
         e = len(extension(J, spec)[1])
-        assert bool(fits) == (1 + 6 * e * e < 32), J
-        assert target == dense_block_rows(rows, lifts, spec, J), J
-        b = 6 if fits else _width(e, 1, 2, growth(spec))
-        assert list(new.values()) == list(kronecker(target.values(), b)), J
+        want = dense_block_rows(rows, lifts, spec, J)
+        new, target = _block_rows(rows, lifts, spec, J)
+        b = _width(e, 1, 2, growth(spec))
+        assert target == want and (b > 6) == (1 + 6 * e * e >= 32), J
+        assert list(new.values()) == list(kronecker(want.values(), b)), J
+        if b > 6:
+            refused += 1
+            with pytest.raises(DomainError, match="need %d-bit" % b):
+                _block_rows(rows, lifts, spec, J, None, narrow)
+            continue
+        new, target = _block_rows(rows, lifts, spec, J, None, narrow)
+        assert target == want, J
+        assert list(new.values()) == list(kronecker(want.values(), 6)), J
+    assert refused
 
 
 @cache
@@ -216,9 +227,9 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
     if family == "affine_ct" and not J.is_interior(n) and J.length <= 2:
         f = data.draw(st.none() | st.sampled_from(palindromic(J.length)))
     layout, rows, lifts = _kernel_rows(v)
-    new, target, fits = _block_rows(rows, lifts, spec, J, f)
+    new, target = _block_rows(rows, lifts, spec, J, f)
     want = dense_block_rows(rows, lifts, spec, J, f)
-    assert target == want and not fits
+    assert target == want
     m = max(abs(c) for row in rows for c in row)
     l = max(abs(c) for lift in lifts for _, c in lift)
     e = len(extension(J, spec)[1])
