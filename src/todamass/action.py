@@ -48,7 +48,7 @@ class Word:
         return Word(self.letters * k)
 
     def __str__(self) -> str:
-        return "[" + " ".join(str(i) for i in self.letters) + "]"
+        return "[" + " ".join(map(str, self.letters)) + "]"
 
 
 # per generator i (0-based), the (t, k_it) with t != i and k_it != 0
@@ -181,7 +181,7 @@ def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
     + 2 L l), quadratic in L."""
     m, l = _peaks(rows + (want or ()), lifts)
     b = _reach(spec, length, m, l).bit_length() + 2
-    want = _pack(map(enumerate, want or ((),) * len(rows)), b)
+    want = _pack(map(enumerate, want), b) if want else (0,) * len(rows)
     return _pack(map(enumerate, rows), b), _pack(lifts, b), want, b, m, l
 
 

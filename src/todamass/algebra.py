@@ -14,6 +14,7 @@ straight into the integer rows the kernels run on.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,6 +210,8 @@ _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]
 # a form's fields as read or as ints, read like a `LinForm`
 _Entry = namedtuple("_Entry", "const mu s")
+# integers joined by commas, as `_bulk_row` joins an entry's values
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _int_rows(forms: Sequence[LinForm],
@@ -307,11 +310,32 @@ def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Scalar]]:
     return [(i, c) for i, c in out.items() if c]
 
 
+def _bulk_row(entry, size: int) -> Optional[_Row]:
+    """An entry's row, mu_i at column i, read in bulk; None where `_coeffs`
+    must read it.  A repeated index keeps its later value, as there."""
+    try:  # an entry not an object has no get(), a mu not one no values
+        mu = entry.get("mu", {})
+        text = ",".join([entry.get("const", "0"), *dict.values(mu)])
+        idx = list(map(int, mu))
+        # the count refuses a comma inside a value
+        if (entry.get("s", {}) != {} or not _INTEGERS.fullmatch(text)
+                or text.count(",") != len(idx)
+                or idx and not 0 < min(idx) <= max(idx) <= size):
+            return None
+        const, *coeffs = map(int, text.split(","))
+    except (AttributeError, TypeError, ValueError):  # or past int()'s limit
+        return None
+    row = [const] + [0] * size
+    for i, c in zip(idx, coeffs):
+        row[i] = c
+    return tuple(row)
+
+
 def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],
                                    list[_Row]]:
     """Vector JSON as (spec, layout, entry rows, weight rows), the rows
-    `_int_rows(entries, None)` reads, checked field by field.  Integral
-    coefficient strings are read by int(), with no Fraction built."""
+    `_int_rows(entries, None)` reads: by `_bulk_row` if it reads every
+    entry, else field by field, integral strings by int(), not Fraction."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -333,6 +357,10 @@ def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],
     if len(raw) != spec.size:
         raise FormatError("expected %d entries, got %d"
                           % (spec.size, len(raw)))
+    rows = [_bulk_row(e, spec.size) for e in raw]
+    if None not in rows:  # in the layout (1, (1..n+1), ())
+        return spec, (1, tuple(spec.indices), ()), rows, [
+            (0,) * t + (1,) + (0,) * (spec.size - t) for t in spec.indices]
     entries = []
     for e in raw:
         if not isinstance(e, dict):

@@ -220,9 +220,9 @@ def _stepped(deltas: Sequence[int], i: int, cols) -> list[int]:
 def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
              max_steps: int) -> tuple[list[int], str]:
     """The letters the greedy descent applies to rows over d, and why it
-    stalled ("" if it reached zero): each step applies R_i for the
-    smallest i with a negative delta.  phi, the rows' total, falls by it,
-    so it is 0 at most once; only there is the word folded and tested."""
+    stalled ("" if it reached zero): each step applies R_i for the least
+    i with a negative delta and steps the deltas in place.  phi, the rows'
+    total, falls by it, so is 0 at most once, where the word is folded."""
     cols = _columns(spec)
     # the lifts of the plain weights: 2d at mu_i
     lifts = tuple(((i, 2 * d),) for i in spec.indices)
@@ -238,7 +238,9 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
         else:
             return applied, "no descending generator"
         phi += delta
-        deltas = _stepped(deltas, i, cols)
+        deltas[i] = -delta
+        for t, k in cols[i].items():
+            deltas[t] -= k * delta
         applied.append(i + 1)
     return applied, ""
 

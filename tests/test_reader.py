@@ -2,23 +2,26 @@
 it replaced.
 
 `MassVector.from_json` reads vector JSON straight into integer rows
-(`algebra._read_rows`): an integral ASCII coefficient string goes to
-int(), every other string through Fraction().  The oracle below is the
-reader as it was, which parsed every coefficient through Fraction() and
-built one `LinForm` per entry.  On every text both must give the same
-vector, or raise the same exception type with the same message; on a
-valid text the rows must be those `_int_rows` reads from the vector.
+(`algebra._read_rows`): a vector whose entries all hold ASCII-integer
+strings and no s term is read in bulk (`algebra._bulk_row`), any other
+field by field, an integral ASCII coefficient string by int(), every
+other string through Fraction().  The oracle below is the reader as it
+was, which parsed every coefficient through Fraction() and built one
+`LinForm` per entry.  On every text both must give the same vector, or
+raise the same exception type with the same message; on a valid text
+the rows must be those `_int_rows` reads from the vector.
 """
 
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from todamass.algebra import (FAMILIES, AlgebraSpec, LinForm, MassVector,
-                              _int_rows, _read_rows)
+                              _bulk_row, _int_rows, _read_rows)
 from todamass.errors import FormatError, TodamassError
 
 
@@ -156,8 +159,101 @@ def vector_texts(draw):
     return text
 
 
+def dense_vector(family, values, bench_order):
+    """Vector JSON of integral entries, each with const, mu and s fields,
+    as the benchmark writes it (mu keys in index order, every value) or
+    as `MassVector.to_json` does (sorted keys, nonzero values only)."""
+    size = len(values)
+    if bench_order:
+        return {"family": family, "n": size - 1, "entries": [
+            {"const": "0", "mu": {str(j): str(c) for j, c in
+                                  enumerate(row, 1)}, "s": {}}
+            for row in values]}
+    return json.loads(MassVector(AlgebraSpec(family, size - 1), tuple(
+        LinForm.make(mu=dict(enumerate(row, 1))) for row in values)).to_json())
+
+
+def perturbed(obj, kind, at, choice):
+    """obj with one change of the given kind in entry ``at``, ``choice``
+    picking among the kind's `VARIANTS`."""
+    entry = obj["entries"][at]
+    mu = entry["mu"]
+    first = next(iter(mu), "1")
+    if kind == "comma":
+        mu[first] = "1,2"
+    elif kind == "order":
+        entry["mu"] = dict(reversed(list(mu.items())))
+    elif kind == "repeat":
+        pair = [("1", "4"), ("01", "-3")]
+        entry["mu"] = dict(pair[::-1] if choice % 2 else pair, **{
+            k: c for k, c in mu.items() if k != "1"})
+    elif kind == "keys":
+        entry["mu"] = {(" 1", "+1", "١")[choice % 3] if k == first else k: c
+                       for k, c in mu.items()} or {"+1": "2"}
+    elif kind == "zero-s":
+        entry["s"] = {"1": "0"}
+    elif kind == "const":
+        entry["const"] = ("-0", "00", "7")[choice % 3]
+    elif kind == "value":
+        mu[first] = ("6/3", "1_0")[choice % 2]
+    elif kind == "entry":
+        obj["entries"][at] = ([], 3, "x", None)[choice % 4]
+    return obj
+
+
+# the changes that keep a dense vector on the bulk read, the others, and
+# how many variants each change has
+BULK_KINDS = ("order", "repeat", "keys", "const")
+FIELD_KINDS = ("comma", "zero-s", "value", "entry")
+VARIANTS = {"repeat": 2, "keys": 3, "const": 3, "value": 2, "entry": 4}
+
+
+@st.composite
+def dense_texts(draw):
+    """A dense, valid, all-integral vector with at most one change."""
+    family = draw(st.sampled_from(["affine_a", "affine_ct"]))
+    size = draw(st.integers(3, 9))
+    values = draw(st.lists(st.lists(st.integers(-40, 40), min_size=size,
+                                    max_size=size),
+                           min_size=size, max_size=size))
+    obj = dense_vector(family, values, draw(st.booleans()))
+    kind = draw(st.sampled_from((None,) + BULK_KINDS + FIELD_KINDS))
+    if kind:
+        obj = perturbed(obj, kind, draw(st.integers(0, size - 1)),
+                        draw(st.integers(0, 11)))
+    return json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+
+
+def read_in_bulk(text):
+    """Whether `_read_rows` takes the bulk read: it asks `_bulk_row` for
+    every entry and gets a row each time."""
+    rows = []
+
+    def spy(entry, size):
+        rows.append(_bulk_row(entry, size))
+        return rows[-1]
+    with mock.patch("todamass.algebra._bulk_row", spy):
+        outcome(_read_rows, text)
+    return bool(rows) and None not in rows
+
+
+# a dense vector of each family as each writer writes it, and each variant
+# of each change, in the first or the last entry of one of them
+DENSE = [json.dumps(dense_vector(family, [[3 * i - 2 * j + k for j in
+                                           range(4)] for i in range(4)],
+                                 bench_order))
+         for k, family in enumerate(("affine_a", "affine_ct"))
+         for bench_order in (True, False)]
+DENSE_CHANGED = [
+    (json.dumps(perturbed(json.loads(DENSE[k % 4]), kind, k % 2 * 3, v)),
+     kind in BULK_KINDS)
+    for k, (kind, v) in enumerate((kind, v) for kind in BULK_KINDS
+                                  + FIELD_KINDS
+                                  for v in range(VARIANTS.get(kind, 1)))]
+
+
 @settings(max_examples=400, deadline=None)
-@given(vector_texts())
+@given(st.one_of(vector_texts(), dense_texts()))
 def test_reader_matches_the_fraction_reader(text):
     assert_same_reading(text)
 
@@ -165,9 +261,23 @@ def test_reader_matches_the_fraction_reader(text):
 @given(st.lists(coefficients, min_size=1, max_size=4))
 def test_coefficient_strings_read_as_fraction_reads_them(coeffs):
     for c in coeffs:
-        entry = {"const": c, "mu": {"1": c, "3": c}, "s": {"2": c}}
-        assert_same_reading(json.dumps({"family": "affine_ct", "n": 2,
-                                        "entries": [entry, {}, {}]}))
+        # with an s term field by field; without, in bulk where c is an
+        # ASCII integer
+        for entry in ({"const": c, "mu": {"1": c, "3": c}, "s": {"2": c}},
+                      {"const": c, "mu": {"1": c, "3": c}}):
+            assert_same_reading(json.dumps({"family": "affine_ct", "n": 2,
+                                            "entries": [entry, {}, {}]}))
+
+
+def test_dense_vectors_take_both_reads():
+    # unchanged, or with keys reordered, repeated or written " 1", "+1" or
+    # "١", or with const "-0", "00" or "7", a dense vector is read in
+    # bulk; a comma in a value, an s term, "6/3" or "1_0", or an entry
+    # not an object sends it field by field
+    for text in DENSE:
+        assert read_in_bulk(text), text
+    for text, bulk in DENSE_CHANGED:
+        assert read_in_bulk(text) == bulk, text
 
 
 @pytest.mark.parametrize("text", [
@@ -189,6 +299,8 @@ def test_coefficient_strings_read_as_fraction_reads_them(coeffs):
     # the int() shortcut keeps the denominators of the other strings
     '{"family":"affine_ct","n":2,"entries":[{"mu":{"1":"3/6"}},'
     '{"const":"-0","s":{"3":"4"}},{"mu":{"2":"10/4","3":"7"}}]}',
+    # dense integral vectors, unchanged or with one change each
+    *DENSE, *[text for text, _ in DENSE_CHANGED],
 ])
 def test_reader_edge_cases(text):
     assert_same_reading(text)
