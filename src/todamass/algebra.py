@@ -122,6 +122,23 @@ def _form_value(f, mu: Optional[Mapping[int, Scalar]] = None,
     return total
 
 
+def _scaled(at: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """({i: d mu_i}, d) for {i: mu_i}, d the lcm of their denominators."""
+    d = lcm(*[x.denominator for x in at.values()])
+    return {i: x.numerator * (d // x.denominator) for i, x in at.items()}, d
+
+
+def _scaled_value(f, scaled: Mapping[int, int], d: int) -> Fraction:
+    """`_form_value(f, mu)`, errors too, for (scaled, d) `_scaled(mu)`."""
+    try:
+        dot = sum([c * scaled[i] for i, c in f.mu])
+    except KeyError as exc:
+        raise EvaluationError("no value for mu_%d" % exc.args[0]) from None
+    if f.s:
+        raise EvaluationError("no value for s_%d" % f.s[0][0])
+    return f.const + Fraction(dot, d)
+
+
 @dataclass(frozen=True)
 class LinForm:
     """const + sum c_i mu_i + sum d_i s_i, coefficients exact rationals.

@@ -142,7 +142,7 @@ def _cmd_orbit(args, out) -> int:
     if args.mu is not None and args.out != "csv":
         raise UsageError("--mu needs --out csv")
     spec = _spec(args)
-    mu = _parse_mu(args.mu, spec.size) if args.mu else None
+    mu = _parse_mu(args.mu, spec.size) if args.mu is not None else None
     data = _write_graph(*_ranked_orbit(spec, args.depth), args.out, mu)
     if hasattr(out, "buffer"):
         out.buffer.write(data)

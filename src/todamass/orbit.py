@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
-                      _form_value, _int_rows, _json_compact, _json_indented,
-                      _Layout, _Rows, _weight_map)
-from .action import (Word, _columns, _folds_to, _kernel_rows, _letter,
+                      _int_rows, _json_indented, _Layout, _Row, _Rows, _scaled,
+                      _scaled_value, _weight_map)
+from .action import (Word, _columns, _folds_to, _kernel_rows,
                      _neighbours, _packing, _residual, _unpack)
 from .errors import FormatError, NotMassForm
 
@@ -70,32 +71,51 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
 
 def _ranked_orbit(spec: AlgebraSpec, depth: int,
                   make=_entry) -> tuple[list, list[tuple]]:
-    """`enumerate_orbit` with no vector built, on rows packed one int each:
-    (forms, ranked nodes), forms each distinct row decoded once and written
-    once by ``make``, in compact JSON order, a ranked node (level, entry
-    ranks, witness letters, spec) with entry k forms[ranks[k]]."""
+    """`enumerate_orbit` with no vector built, on rows packed one int each
+    and interned as letters make them: (forms, ranked nodes), forms each
+    distinct row decoded once and written once by ``make``, in compact JSON
+    order, a ranked node (level, entry ranks, witness letters, spec) with
+    entry k forms[ranks[k]].  An entry's JSON is its members '"i":"c"',
+    c != 0, in the string order of i, joined by ',' and closed by '}'.  At
+    the first i where two entries differ, they compare as c and c' (a '"'
+    closes c, < digits), or else the entry with a member at i is less: the
+    other has '}' there (> ',' and '"') or a later index.  So the key of
+    each c's text in that order, '}' for 0, sorts as JSON, and (level,
+    entry ranks) as the canonical key in one spec: its JSON prefix-free."""
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
-    rows, lifts, _, b = _packing(zero, lifts, spec, depth)[:4]
-    level = [(rows, (), _deltas(zero, 1, spec))]
-    tree = list(level)
-    for _ in range(depth):
-        level = [(rows[:i] + (_letter(rows, i, nbrs, lifts),) + rows[i + 1:],
-                  (i + 1,) + word, _stepped(deltas, i, cols))
-                 for rows, word, deltas in level
-                 for i in _children(deltas, cols)]
-        tree += level
-    distinct = list({row for rows, _, _ in tree for row in rows})
-    forms = dict(zip(distinct, [make(row, layout) for row in
-                                _unpack(distinct, b, len(zero[0]))]))
-    # (level, entry ranks) is the canonical key's order in one spec: keys
-    # join compact JSON objects, none a proper prefix of another, so they
-    # compare as their first differing entries; distinct vectors never tie
-    order = sorted(forms, key=lambda row: _json_compact(forms[row]))
-    rank = {row: k for k, row in enumerate(order)}
-    nodes = sorted((len(word), tuple(map(rank.__getitem__, rows)), word, spec)
-                   for rows, word, _ in tree)
-    return [forms[row] for row in order], nodes
+    _, lifts, _, b = _packing(zero, lifts, spec, depth)[:4]
+    # zero packs to 0, row id 0; the loop meets nodes as it appends them,
+    # each holding its parent's deltas, stepped if it has children
+    row_of, ids = [0], {0: 0}
+    tree = [((0,) * spec.size, (), _deltas(zero, 1, spec))]
+    for node, word, deltas in tree:
+        if len(word) == depth:
+            break
+        if word:
+            deltas = _stepped(deltas, word[0] - 1, cols)
+        for i in _children(deltas, cols):
+            row = lifts[i] - row_of[node[i]]  # `_letter` on the ids
+            for t, k in nbrs[i]:
+                row -= k * row_of[node[t]]
+            r = ids.setdefault(row, len(row_of))
+            if r == len(row_of):
+                row_of.append(row)
+            tree.append((node[:i] + (r,) + node[i + 1:], (i + 1,) + word,
+                         deltas))
+    decoded = _unpack(row_of, b, len(zero[0]))
+    order = _json_order(decoded, spec)
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    nodes = sorted([(len(word), tuple(map(rank.__getitem__, node)), word,
+                     spec) for node, word, _ in tree])
+    return [make(decoded[r], layout) for r in order], nodes
+
+
+def _json_order(rows: Sequence[_Row], spec: AlgebraSpec) -> list[int]:
+    """The row numbers, sorted by `_ranked_orbit`'s key of the rows."""
+    pick = sorted(spec.indices, key=str)
+    keys = [tuple([str(r[i]) if r[i] else "}" for i in pick]) for r in rows]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _mass_rows(layout: _Layout, rows: _Rows,
@@ -261,13 +281,6 @@ _JSON_NODE = """    {
 _ENTRY_PAD = "\n" + " " * 10
 
 
-def _json_witness(letters: tuple[int, ...]) -> str:
-    if not letters:
-        return "[]"
-    return ("[\n        " + ",\n        ".join(map(str, letters))
-            + "\n      ]")
-
-
 def export_graph(nodes: Sequence[OrbitNode], fmt: str,
                  mu: Optional[Sequence] = None) -> bytes:
     """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
@@ -298,25 +311,25 @@ def _write_graph(forms: Sequence, nodes: Sequence[tuple], fmt: str,
         if not nodes:
             return b'{\n  "nodes": []\n}\n'
         texts = [_json_indented(e).replace("\n", _ENTRY_PAD) for e in forms]
-        sep = "," + _ENTRY_PAD
-        items = ",\n".join(
-            _JSON_NODE % (level, sep.join(map(texts.__getitem__, ranks)),
-                          spec.family, spec.n, _json_witness(word))
-            for level, ranks, word, spec in nodes)
+        sep, letters = "," + _ENTRY_PAD, cache(str)  # a letter's text once
+        items = ",\n".join([_JSON_NODE % (
+            level, sep.join(map(texts.__getitem__, ranks)), spec.family,
+            spec.n, "[\n        " + ",\n        ".join(map(letters, word))
+            + "\n      ]" if word else "[]")
+            for level, ranks, word, spec in nodes])
         return ('{\n  "nodes": [\n' + items + "\n  ]\n}\n").encode()
     if fmt not in ("dot", "csv"):
         raise FormatError("unknown export format %r" % (fmt,))
     if fmt == "csv" and mu is not None:
         # each distinct entry is evaluated once, in the order the entries
         # come, so the first failure is the one per-node evaluation raises
-        values: list[Optional[str]] = [None] * len(forms)
-        lines, at = ["index,mass"], None
+        values, lines, at = [None] * len(forms), ["index,mass"], None
         for k, (_, ranks, _, spec) in enumerate(nodes):
             if at is None or len(ranks) != len(mu):
-                at = _weight_map(spec, mu)
+                at = _scaled(_weight_map(spec, mu))
             for r in ranks:
                 if values[r] is None:
-                    values[r] = str(_form_value(forms[r], at))
+                    values[r] = str(_scaled_value(forms[r], *at))
             lines.append("%d,%s" % (k, " ".join(map(values.__getitem__,
                                                     ranks))))
         return ("\n".join(lines) + "\n").encode()

@@ -289,6 +289,14 @@ def test_orbit_mu_needs_csv():
         assert err == "usage error: --mu needs --out csv\n"
 
 
+def test_orbit_csv_refuses_an_empty_mu_list():
+    """An empty --mu is a list of no values, not a missing flag."""
+    for flag in ("a", "ct"):
+        code, out, err = invoke(["orbit", "--family", flag, "--rank", "3",
+                                 "--depth", "2", "--out", "csv", "--mu", ""])
+        assert (code, out, err) == (1, "", "usage error: bad --mu list ''\n")
+
+
 def test_orbit_rejects_workers_below_one():
     for workers in ("0", "-2"):
         code, out, err = invoke(["orbit", "--family", "a", "--rank", "2",

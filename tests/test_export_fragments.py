@@ -28,8 +28,11 @@ from todamass.orbit import (OrbitNode, _ranked_orbit, enumerate_orbit,
                             export_graph)
 
 FAMILIES = ("affine_a", "affine_ct")
+# ranks 9 and 10 give entries with mu_10, whose key "10" sorts before "2"
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
-                      ("affine_ct", 3, 4))
+                      ("affine_ct", 3, 4), ("affine_a", 9, 3),
+                      ("affine_a", 10, 3), ("affine_ct", 9, 3),
+                      ("affine_ct", 10, 3))
 
 
 def old_key(v):

@@ -5,10 +5,13 @@ vector; `enumerate_orbit` and `export_graph` wrap the same two functions.
 These tests check that both paths give the same bytes, that `export_graph`
 on any node list gives the bytes of the per-node export it replaced, and
 that the reverse search's child test agrees with stepping the deltas and
-finding the first descent.
+finding the first descent.  The ranking by member keys is checked against
+the rule it replaced, which sorted the distinct rows by the compact JSON
+of their entries, on orbits and on hand-made rows.
 """
 
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -16,11 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_export_fragments import old_export
 
-from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
+from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _entry,
+                              _int_rows, _json_compact)
 from todamass.action import Word, _columns
 from todamass.cli import run
-from todamass.orbit import (OrbitNode, _children, _deltas, _stepped,
-                            enumerate_orbit, export_graph)
+from todamass.orbit import (OrbitNode, _children, _deltas, _json_order,
+                            _ranked_orbit, _stepped, enumerate_orbit,
+                            export_graph)
 
 FAMILIES = {"a": "affine_a", "ct": "affine_ct"}
 # (rank, depths): two-digit indices from rank 9 on, depth 0 to 3 and more
@@ -28,6 +33,8 @@ CLI_SWEEP = ((2, (0, 1, 3, 7)), (3, (0, 2, 3, 5)), (4, (0, 3, 4)),
              (5, (0, 3)), (6, (1, 3)), (7, (0, 3)), (8, (2, 3)),
              (9, (0, 3)), (10, (0, 1, 3)))
 CHILD_SWEEP = ((2, 14), (3, 9), (4, 6), (5, 5), (6, 4), (7, 4))
+RANK_SWEEP = ((2, 10), (3, 7), (4, 5), (5, 4), (6, 4), (7, 3), (8, 3),
+              (9, 3), (10, 3), (11, 3), (12, 3), (13, 3))
 
 
 def first_descent(deltas):
@@ -172,3 +179,69 @@ def test_child_test_matches_stepping_any_deltas(family, rank, data):
     want = [i for i, delta in enumerate(deltas) if delta > 0
             and first_descent(_stepped(deltas, i, cols)) == i]
     assert _children(deltas, cols) == want
+
+
+def rows_of(row, layout):
+    """A `make` for `_ranked_orbit` that keeps each decoded row."""
+    return row
+
+
+def json_sorted(rows, spec):
+    """The rule the member keys replaced: row numbers sorted by the compact
+    JSON of each row's entry."""
+    layout = (1, tuple(spec.indices), ())
+    return sorted(range(len(rows)),
+                  key=lambda k: _json_compact(_entry(rows[k], layout)))
+
+
+def old_ranking(spec, depth):
+    """`_ranked_orbit`'s rows and nodes, ranked again by the old rule: the
+    rows by `json_sorted`, the nodes by (level, entry ranks)."""
+    rows, nodes = _ranked_orbit(spec, depth, rows_of)
+    order = json_sorted(rows, spec)
+    rank = {k: r for r, k in enumerate(order)}
+    return [rows[k] for k in order], sorted(
+        (level, tuple(rank[k] for k in ranks), word, spec)
+        for level, ranks, word, spec in nodes)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES.values()))
+@pytest.mark.parametrize("rank,depth", RANK_SWEEP)
+def test_member_keys_rank_as_compact_json(family, rank, depth):
+    spec = AlgebraSpec(family, rank)
+    rows, nodes = _ranked_orbit(spec, depth, rows_of)
+    assert (rows, nodes) == old_ranking(spec, depth)
+    forms, entry_nodes = _ranked_orbit(spec, depth)
+    layout = (1, tuple(spec.indices), ())
+    assert entry_nodes == nodes
+    assert forms == [_entry(row, layout) for row in rows]
+
+
+def hand_row(size, members):
+    """The row of the entry with these {index: coefficient} members."""
+    return (0,) + tuple(members.get(i, 0) for i in range(1, size + 1))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES.values()))
+def test_member_keys_on_interleaved_indices(family):
+    """Every row with members at 1, 2, 10 and 11 only, coefficients whose
+    texts run one into another ("2", "20", "-2", "-20", "1", "12")."""
+    spec = AlgebraSpec(family, 10)
+    values = (0, 1, 2, 12, 20, -1, -2, -20)
+    rows = [hand_row(spec.size, dict(zip((1, 2, 10, 11), cs)))
+            for cs in itertools.product(values, repeat=4)]
+    assert _json_order(rows, spec) == json_sorted(rows, spec)
+
+
+@pytest.mark.parametrize("n", (9, 10, 12))
+def test_member_keys_put_a_member_list_before_its_prefixes(n):
+    """'{"1":"2"}' follows '{"1":"2","10":"1"}' and '{"1":"2","2":"1"}',
+    as '}' > ',', and '{"10":"1"}' follows '{"10":"1","2":"1"}'; "10"
+    sorts before "2", "-2" before "2" and "2" before "20"."""
+    spec = AlgebraSpec("affine_a", n)
+    rows = [hand_row(spec.size, members) for members in (
+        {1: 2}, {1: 2, 2: 1}, {1: 2, 10: 1}, {1: 2, 10: 1, 2: -1},
+        {1: 20}, {1: -2}, {10: 1}, {2: 1}, {}, {1: 2, 3: 1}, {2: 1, 10: 1})]
+    want = [5, 3, 2, 1, 9, 0, 4, 10, 6, 7, 8]
+    assert json_sorted(rows, spec) == want
+    assert _json_order(rows, spec) == want
