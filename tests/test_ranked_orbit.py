@@ -222,11 +222,10 @@ def hand_row(size, members):
     return (0,) + tuple(members.get(i, 0) for i in range(1, size + 1))
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES.values()))
-def test_member_keys_on_interleaved_indices(family):
+def test_member_keys_on_interleaved_indices():
     """Every row with members at 1, 2, 10 and 11 only, coefficients whose
     texts run one into another ("2", "20", "-2", "-20", "1", "12")."""
-    spec = AlgebraSpec(family, 10)
+    spec = AlgebraSpec("affine_a", 10)
     values = (0, 1, 2, 12, 20, -1, -2, -20)
     rows = [hand_row(spec.size, dict(zip((1, 2, 10, 11), cs)))
             for cs in itertools.product(values, repeat=4)]
