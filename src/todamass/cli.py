@@ -129,8 +129,7 @@ def _cmd_chain(args, out) -> int:
         new, target = _block_rows(rows, lifts, spec, J, None, packing)
         out.write("target %s\n" % _generic_text(spec, target))
         want = tuple(new.get(s, row) for s, row in enumerate(packing[2], 1))
-        equal = _folds_to(plan.word, rows, spec, lifts, want,
-                          (*packing[:2], want))
+        equal = _folds_to(plan.word, spec, (*packing[:2], want))
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0

@@ -21,7 +21,7 @@ from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _scaled_value, _weight_map)
 from .action import (Word, _columns, _folds_to, _kernel_rows,
                      _neighbours, _packing, _residual, _unpack)
-from .errors import FormatError, NotMassForm
+from .errors import DomainError, FormatError, NotMassForm
 
 MEMBER = "member"
 NOT_IN_GAMMA_N = "not_in_gamma_n"
@@ -82,6 +82,8 @@ def _ranked_orbit(spec: AlgebraSpec, depth: int,
     other has '}' there (> ',' and '"') or a later index.  So the key of
     each c's text in that order, '}' for 0, sorts as JSON, and (level,
     entry ranks) as the canonical key in one spec: its JSON prefix-free."""
+    if depth < 0:
+        raise DomainError("depth must be at least 0, got %d" % depth)
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
     _, lifts, _, b = _packing(zero, lifts, spec, depth)[:4]
@@ -249,7 +251,8 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
     deltas = _deltas(rows, d, spec)
     phi = sum(map(sum, rows))
     applied: list[int] = []
-    while phi or not _folds_to(Word(tuple(applied[::-1])), rows, spec, lifts):
+    while phi or not _folds_to(Word(tuple(applied[::-1])), spec,
+                               _packing(rows, lifts, spec, len(applied))):
         if len(applied) >= max_steps:
             return applied, "step budget exhausted"
         for i, delta in enumerate(deltas):

@@ -6,8 +6,9 @@ rendering: `json.dumps` over `to_json_dict()` per vector and over the
 whole payload, `str(vector)` per node, and `MassVector.evaluate` per node.
 The form writer, which formats each form's texts with no `json.dumps`, is
 checked against `json.dumps` and the `str` it replaced; the orbit verb's
-`_Entry`s of ints against the `LinForm`s of the same rows; and the one-pass
-`_reflect` against the two-pass one it replaced.
+`_Entry`s of ints against the `LinForm`s of the same rows; and one letter
+of the packed kernel, a one-letter `apply_word`, against the two-pass row
+update that the one-pass tuple-row `_reflect` replaced.
 """
 
 import csv
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _entry,
                               _form, _form_text, _form_value, _json_compact,
                               _json_indented, _linform_to_json)
-from todamass.action import Word, _neighbours, _reflect
+from todamass.action import Word, _neighbours, apply_word
 from todamass.errors import EvaluationError, FormatError
 from todamass.orbit import (OrbitNode, _ranked_orbit, enumerate_orbit,
                             export_graph)
@@ -314,7 +315,8 @@ def test_orbit_entries_write_as_their_forms(family, n, depth):
 
 
 def two_pass_reflect(rows, i, nbrs, lift):
-    """`_reflect` as one pass per neighbour, the first also negating row_i."""
+    """R_{i+1} on tuple rows as one pass per neighbour, the first also
+    negating row_i, where ``lift`` is the sparse row of 2 w_i."""
     row, sign = rows[i], -1
     for t, k in nbrs[i]:
         row = [sign * a - k * b for a, b in zip(row, rows[t])]
@@ -327,18 +329,30 @@ def two_pass_reflect(rows, i, nbrs, lift):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(2, 11))
 def test_one_pass_reflect_matches_two_passes(family, n):
+    """A one-letter `apply_word` on random rows over d = 2 (so Fraction
+    coefficients), with mu and s columns, under a weight overlay whose
+    weight i has the random lift: the row update of two passes."""
     spec = AlgebraSpec(family, n)
     nbrs = _neighbours(spec)
     if family == "affine_ct":
         # the doubled bonds at the ends of Ct, one neighbour each
         assert nbrs[0] == ((1, -2),) and nbrs[-1] == ((n - 1, -2),)
     rng = random.Random(n)
+    layout = (2, tuple(spec.indices), (1, 2))
     width = spec.size + 3
     for _ in range(4):
         rows = tuple(tuple(rng.randint(-9, 9) for _ in range(width))
                      for _ in spec.indices)
+        v = MassVector(spec, tuple(_form(row, layout) for row in rows))
         for i in range(spec.size):
             lift = tuple(sorted({(rng.randrange(width), 2 * rng.randint(-3, 3))
                                  for _ in range(rng.randint(0, 2))}))
-            assert (_reflect(rows, i, nbrs, lift)
-                    == two_pass_reflect(rows, i, nbrs, lift)), (i, lift)
+            w = [0] * width
+            for p, c in lift:
+                w[p] += c // 2
+            weights = [_form(w if t == i else (0,) * width, layout)
+                       for t in range(spec.size)]
+            want = MassVector(spec, tuple(
+                _form(row, layout)
+                for row in two_pass_reflect(rows, i, nbrs, lift)))
+            assert apply_word(Word.of(i + 1), v, weights) == want, (i, lift)

@@ -5,7 +5,7 @@ import pytest
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word, pohozaev_residual
-from todamass.errors import FormatError, NotMassForm
+from todamass.errors import DomainError, FormatError, NotMassForm
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             coefficient_matrix, descend_to_zero,
                             enumerate_orbit, export_graph, gamma_n_test)
@@ -27,6 +27,14 @@ def brute_force_keys(spec, depth):
 def test_depth_zero():
     nodes = enumerate_orbit(a_spec(), 0)
     assert len(nodes) == 1 and nodes[0].vector.is_zero
+
+
+@pytest.mark.parametrize("family", ["affine_a", "affine_ct"])
+def test_negative_depth_is_refused(family):
+    """The reverse search stops at the depth, so below 0 it never would."""
+    for depth in (-1, -5):
+        with pytest.raises(DomainError, match="depth must be at least 0"):
+            enumerate_orbit(AlgebraSpec(family, 2), depth)
 
 
 def test_depth_one():

@@ -21,13 +21,14 @@ from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from row_fold import _fold, _reflect
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (Word, _fold, _folds_to, _form, _generic_packing,
+from todamass.action import (Word, _folds_to, _form, _generic_packing,
                              _generic_rows, _kernel_rows, _neighbours,
-                             _packing, _reach, _reflect, apply_generator,
-                             apply_word, verify_relation)
+                             _packing, _reach, apply_generator, apply_word,
+                             verify_relation)
 from todamass.cartan import ConsecutiveSet, build
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
@@ -267,13 +268,26 @@ def forms(size):
         st.dictionaries(st.integers(1, size), rationals, max_size=2))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(FAMILIES), st.integers(2, 6),
+def long_words(spec):
+    """Words of 60-300 letters, where the rows' coefficients grow
+    quadratically: powers of the Coxeter element R_1 ... R_{n+1}, in
+    either order, and random words."""
+    size = spec.size
+    powers = st.integers(60 // size + 1, 300 // size)
+    return (powers.map(lambda k: list(spec.indices) * k)
+            | powers.map(lambda k: list(reversed(spec.indices)) * k)
+            | st.lists(st.integers(1, size), min_size=60, max_size=300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(2, 12),
        st.sampled_from(["generic", "mixed", "overlay"]), st.data())
 def test_apply_word_matches_linform_fold(family, n, kind, data):
     spec = AlgebraSpec(family, n)
     size = spec.size
-    letters = data.draw(st.lists(st.integers(1, size), max_size=14))
+    # one draw in three a long word
+    letters = data.draw(long_words(spec) if data.draw(st.integers(0, 2)) == 0
+                        else st.lists(st.integers(1, size), max_size=14))
     if data.draw(st.integers(0, 4)) == 0:
         # one letter out of range: the first one applied raises
         bad = data.draw(st.sampled_from([0, -2, size + 1, size + 3]))
@@ -501,6 +515,11 @@ def moved(rows, j, p, dx, dy=0):
     return rows[:j] + (tuple(row),) + rows[j + 1:]
 
 
+def folds_to(word, rows, spec, lifts, want=None):
+    """`_folds_to` on `_packing` of rows, lifts and want for the word."""
+    return _folds_to(word, spec, _packing(rows, lifts, spec, len(word), want))
+
+
 def random_form(rng, size):
     """A form like those `forms` draws: Fractions (so d > 1), negative
     coefficients, a constant, s-terms and stray mu indices."""
@@ -529,10 +548,10 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
     v = MassVector(spec, tuple(random_form(rng, size) for _ in range(size)))
     weights = [random_form(rng, size) for _ in range(size)] if overlay \
         else None
-    _, rows, lifts = _kernel_rows(v, weights)
+    layout, rows, lifts = _kernel_rows(v, weights)
     if not all(1 <= i <= size for i in letters):
         want = outcome(lambda: _fold(word, rows, spec, lifts))
-        assert outcome(lambda: _folds_to(word, rows, spec, lifts)) == want
+        assert outcome(lambda: folds_to(word, rows, spec, lifts)) == want
         return
     got = _fold(word, rows, spec, lifts)
     m = max(abs(c) for row in rows for c in row)
@@ -553,15 +572,13 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
         p = min(p, len(rows[0]) - 2)
         want = moved(got, j, p, 1 << b, -1)
         assert kronecker(want, b) == kronecker(got, b)
-    # handed its packing or not, the packed verdict is the row fold's
-    packing = _packing(rows, lifts, spec, len(letters), want)
-    assert _folds_to(word, rows, spec, lifts, want) == (got == want) \
-        == _folds_to(word, rows, spec, lifts, want, packing) \
+    # the packed verdict, and apply_word's decoded rows, are the row fold's
+    assert apply_word(word, v, weights) == MassVector(
+        spec, tuple(_form(row, layout) for row in got))
+    assert folds_to(word, rows, spec, lifts, want) == (got == want) \
         == (kind == "true")
     zero = tuple((0,) * len(row) for row in rows)
-    assert _folds_to(word, rows, spec, lifts) == (got == zero) == \
-        _folds_to(word, rows, spec, lifts, None,
-                  _packing(rows, lifts, spec, len(letters)))
+    assert folds_to(word, rows, spec, lifts) == (got == zero)
 
 
 def prefix_peaks(spec, rows, lifts, letters):
@@ -717,9 +734,9 @@ def test_wide_slots_fold_the_rows():
             word = Word(tuple(rng.randint(1, spec.size) for _ in range(300)))
             _, rows, lifts = _kernel_rows(v)
             got = _fold(word, rows, spec, lifts)
-            assert _folds_to(word, rows, spec, lifts, got)
-            assert not _folds_to(word, rows, spec, lifts, moved(got, 0, 1, 1))
-            assert not _folds_to(word, rows, spec, lifts)
+            assert folds_to(word, rows, spec, lifts, got)
+            assert not folds_to(word, rows, spec, lifts, moved(got, 0, 1, 1))
+            assert not folds_to(word, rows, spec, lifts)
             m = max(abs(c) for row in rows + got for c in row)
             l = max(abs(c) for lift in lifts for _, c in lift)
             b = slot_bits(spec, 300, m, l)
@@ -727,10 +744,10 @@ def test_wide_slots_fold_the_rows():
             p = rng.randrange(len(rows[0]) - 1)
             alias = moved(got, 0, p, 1 << b, -1)
             assert kronecker(alias, b) == kronecker(got, b)
-            assert not _folds_to(word, rows, spec, lifts, alias)
+            assert not folds_to(word, rows, spec, lifts, alias)
             # a word times its reverse is the identity
             back = Word(word.letters[::-1])
-            assert _folds_to(word * back, rows, spec, lifts, rows)
+            assert folds_to(word * back, rows, spec, lifts, rows)
             order = 3 if family == "affine_a" else 4
             assert _generic_packing(spec, order * 80)[3:] == \
                 (slot_bits(spec, order * 80, 1, 2), 1, 2)
@@ -803,13 +820,13 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
                     (None, dict(zip(target, alias)), False)):
                 want = tuple(rows_new.get(t, r) for t, r in enumerate(rows, 1))
                 assert (got == want) is equal, (spec, J)
-                assert _folds_to(word, rows, spec, lifts, want) is equal
+                assert folds_to(word, rows, spec, lifts, want) is equal
                 if packed:
                     assert kronecker([off], b)[0] == new[s] + (step << b * p)
                     want = tuple(packed.get(t, r)
                                  for t, r in enumerate(packing[2], 1))
-                    assert _folds_to(word, rows, spec, lifts, want,
-                                     (*packing[:2], want)) is equal, (spec, J)
+                    assert _folds_to(word, spec, (*packing[:2], want)) \
+                        is equal, (spec, J)
             constant = (rng.choice([-3, 1, 7]),) + row[1:]
             zero = (0,) * width
             for target in (target, with_row(target, s, off),
