@@ -3,10 +3,11 @@
 The oracles below are the symbolic implementations that words,
 enumeration, DOT export and descent used before they moved onto integer
 rows; they build every vector with `linform_generator`, the generator
-rule as one `LinForm.combine` per letter.  The packed fold and the
-chain verdict on the cached generic packing are checked against the row
-fold, and the descent that picks its letters from the deltas against
-the one that reflected the rows at every step.
+rule as one `LinForm.combine` per letter.  The packed fold, `apply_word`
+and the chain verdict on the cached generic packing are checked against
+the tuple-row fold of `row_fold.py`, and the descent that picks its
+letters from the deltas against the one that reflected the rows at
+every step.
 Membership is also checked against the order it used to take:
 `gamma_n_test` first, then the integer descent.  Reverse-search
 enumeration is checked against the breadth-first search with a visited
