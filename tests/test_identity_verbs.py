@@ -7,16 +7,21 @@
 -1..n+1 at ranks 2-20, so invalid and empty sets come in too; relations
 for both families at ranks 2-40; sperm at --l 0..16 with words drawn
 from a fixed seed, with and without --check, with an out-of-range letter,
-a bad token and a negative --l.  Each group's cases hash into one sha256
-over the JSON list [exit code, stdout, stderr] of each case, in order.
+a bad token and a negative --l; and a "junk argv" group of argv lists
+drawn from a fixed seed out of the verb names and their flags, numbers,
+j:l and r2,r1 pairs and junk tokens (never -h or --help).  Each group's
+cases hash into one sha256 over the JSON list [exit code, stdout, stderr]
+of each case, in order; a junk case's stderr is cut at its first ':', as
+argparse words its messages differently across Python versions.
 The test compares the hashes with `identity_verbs_reference.json`;
 running this file as a script rewrites that file:
 
     PYTHONPATH=src python tests/test_identity_verbs.py
 
 so ``git diff --exit-code tests/identity_verbs_reference.json`` shows
-whether any output byte of these verbs changed.  No case meets argparse's
-invalid-choice text, whose wording differs between Python versions.
+whether any output byte of these verbs changed.  No other case meets
+argparse's invalid-choice text, whose wording differs between Python
+versions.
 """
 
 import hashlib
@@ -32,6 +37,31 @@ FLAGS = ("a", "ct")
 CHAIN_RANKS = range(2, 21)
 RELATION_RANKS = range(2, 41)
 SPERM_LENGTHS = range(0, 17)
+JUNK_CASES = 3000
+# each verb's flags; a verb draws its own most of the time
+VERB_FLAGS = {
+    "relations": ("--family", "--rank"),
+    "chain": ("--family", "--rank", "--set", "--wrap", "--verify"),
+    "orbit": ("--family", "--rank", "--depth", "--out", "--mu", "--workers"),
+    "member": ("--input", "--max-steps"),
+    "pohozaev": ("--input",),
+    "fold": ("--input",),
+    "rotate": ("--input", "--r"),
+    "sperm": ("--l", "--word", "--check"),
+    "blowup-step": ("--family", "--rank", "--case", "--blocks", "--input"),
+}
+FLAG_VALUES = {
+    "--family": ("a", "ct"), "--out": ("json", "dot", "csv"),
+    "--mu": ("ones", "1,2,3", "1/2,0,-1", ""),
+    "--case": ("A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV"),
+    "--blocks": ("2:1", "1:2,w:5:1", "w:4:1", "1:1,4:0"),
+    "--word": ("0,1", "1,0,1", "", "0,x"),
+    "--input": ("missing.json",), "--verify": (), "--check": (),
+}
+# the separator of each flag that takes a pair
+PAIRS = {"--set": ":", "--wrap": ","}
+JUNK = ("x", "", "1.5", "--bogus", "3/2", "w:4:1", "::", ",", "chain", "1e3",
+        "-")
 
 
 def chain_argv(flag, rank, block, value):
@@ -77,6 +107,42 @@ def cases():
         yield "sperm", ["sperm", "--l", str(l), "--word", "0,x", "--check"]
     yield "sperm", ["sperm", "--l", "-1"]
     yield "sperm", ["sperm", "--l", "2", "--word", "-1"]
+    rng = random.Random(25)
+    for _ in range(JUNK_CASES):
+        yield "junk argv", junk_argv(rng)
+
+
+def junk_value(rng, flag):
+    """A value for ``flag`` (None for a stray token): mostly one of its
+    own, else a number or pair, now and then junk."""
+    kind = rng.random()
+    if kind < 0.8 and FLAG_VALUES.get(flag):
+        return rng.choice(FLAG_VALUES[flag])
+    if kind < 0.9:
+        sep = PAIRS.get(flag, "") if flag else rng.choice(("", ":", ","))
+        return sep.join(str(rng.randint(-1, 5)) for _ in "ab"[:1 + bool(sep)])
+    return rng.choice(JUNK)
+
+
+def junk_argv(rng):
+    """A verb name (now and then junk), most of its flags in a drawn order,
+    each but the switches mostly followed by a value, and now and then a
+    stray token: another verb's flag, a value or junk."""
+    verb = rng.choice(list(VERB_FLAGS) + ["verify"])
+    flags = VERB_FLAGS.get(verb, ("--family", "--rank"))
+    if verb == "chain" and rng.random() < 0.8:  # mostly one of --set, --wrap
+        flags = tuple(f for f in flags if f != rng.choice(list(PAIRS)))
+    argv = [verb]
+    for flag in rng.sample(flags, len(flags)):
+        if rng.random() < 0.85:
+            argv.append(flag)
+            if flag not in ("--verify", "--check") and rng.random() < 0.9:
+                argv.append(junk_value(rng, flag))
+    if rng.random() < 0.3:
+        stray = rng.choice([rng.choice(rng.choice(list(VERB_FLAGS.values()))),
+                            junk_value(rng, None)])
+        argv.insert(rng.randint(1, len(argv)), stray)
+    return argv
 
 
 def record(argv):
@@ -90,8 +156,11 @@ def digests():
     """{group: {"cases": count, "sha256": hex}} over every case."""
     hashes, counts = {}, {}
     for group, argv in cases():
+        case = record(argv)
+        if group == "junk argv":
+            case[2] = case[2].split(":", 1)[0]
         hashes.setdefault(group, hashlib.sha256()).update(
-            json.dumps(record(argv)).encode() + b"\n")
+            json.dumps(case).encode() + b"\n")
         counts[group] = counts.get(group, 0) + 1
     return {group: {"cases": counts[group], "sha256": h.hexdigest()}
             for group, h in sorted(hashes.items())}

@@ -5,6 +5,11 @@
 deterministic set of files: orbit vectors, deep phi-raised members,
 bumped non-members, vectors with Fraction and s-term coefficients,
 integral vectors written in unusual but valid ways, and malformed files.
+Its own group, "member past the cap", runs `member` at ``--max-steps``
+equal to the level, one less and 0, and `pohozaev`, on orbit vectors
+ascended to levels 150 and 400 at ranks 3 and 12 and to level 1000 at
+rank 12, both families: the longest words the descent's zero check
+folds, far past the 320-bit slots that once capped packing.
 Each verb's cases hash into one sha256 over the JSON list [exit code,
 stdout, stderr] of each case, in order.  The test compares the hashes
 with `vector_verbs_reference.json`; running this file as a script
@@ -21,9 +26,13 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
+
+from test_orbit_kernel import ascended
 
 from todamass import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
                       apply_generator, enumerate_orbit)
@@ -32,6 +41,7 @@ from todamass.cli import run
 REFERENCE = Path(__file__).with_name("vector_verbs_reference.json")
 BUDGETS = (None, 0, 7, 45)
 ROTATIONS = (1, 3)
+PAST_CAP = ((3, 150), (12, 150), (3, 400), (12, 400), (12, 1000))
 
 
 def _phi(v):
@@ -140,6 +150,15 @@ def inputs():
     return out
 
 
+def past_cap_inputs():
+    """(level, text) of each vector `level` phi-raising letters from zero,
+    drawn as the CI step "Packed verdicts from the real process" draws
+    them: one `random.Random(rank)` per vector."""
+    return [(level, ascended(AlgebraSpec(family, n), level,
+                             random.Random(n)).to_json())
+            for family in (AFFINE_A, AFFINE_CT) for n, level in PAST_CAP]
+
+
 def _blowup_args(spec):
     if spec is None or spec.family == AFFINE_A:
         n = 3 if spec is None else spec.n
@@ -164,6 +183,15 @@ def cases(files):
                               "--input", path]
 
 
+def past_cap_cases(files):
+    """(group, argv) of every case over the (path, level) files."""
+    for path, level in files:
+        for budget in (level, level - 1, 0):
+            yield "member past the cap", ["member", "--input", path,
+                                          "--max-steps", str(budget)]
+        yield "member past the cap", ["pohozaev", "--input", path]
+
+
 def digests():
     """{verb: {"cases": count, "sha256": hex}} over every case."""
     hashes, counts = {}, {}
@@ -176,7 +204,11 @@ def digests():
                 Path("v%d.json" % k).write_text(text)
                 files.append(("v%d.json" % k, spec))
             files.append(("missing.json", None))
-            for verb, argv in cases(files):
+            deep = []
+            for k, (level, text) in enumerate(past_cap_inputs()):
+                Path("deep%d.json" % k).write_text(text)
+                deep.append(("deep%d.json" % k, level))
+            for verb, argv in chain(cases(files), past_cap_cases(deep)):
                 out, err = io.StringIO(), io.StringIO()
                 code = run(argv, out=out, err=err)
                 record = json.dumps([code, out.getvalue(), err.getvalue()])
