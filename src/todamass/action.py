@@ -12,10 +12,10 @@ R_{i_s} ... R_{i_1}.
 Words, orbits and descents share one rule: a vector is read once into
 integer rows over a common denominator, packed one int a row, each
 letter updates one row (`_letter`, looped by `_fold`), and the result is
-decoded and written back once.  Packing and decoding touch every slot,
-which costs more than a short word's letters at high rank: at rank 150
-a word of 1-151 letters takes 1.0-5.5x the time it took on the tuple
-rows this replaced, one of 2000 letters 0.24-0.54x.
+decoded and written back once.  `_packing` is the one packer: its caller
+names the slot width by the fold rule (`_fold_width`) or the mass rule
+(`_width`).  Packing and decoding touch every slot, which costs more
+than a short word's letters at high rank.
 """
 
 from __future__ import annotations
@@ -109,14 +109,20 @@ def _letters(w: Word, spec: AlgebraSpec) -> list[int]:
     return [i - 1 for i in reversed(w.letters)]
 
 
-def _pack(pairs, b: int) -> tuple[int, ...]:
-    """Each row of (column, value) pairs as one int, column p at bit b*p."""
-    return tuple(sum(c << b * p for p, c in row if c) for row in pairs)
+def _packing(rows: _Rows, lifts: _Lifts, b: int) -> tuple:
+    """(rows, lifts, b, width): each row, and each lift's (column, value)
+    pairs, as one int, column p at bit b*p (Kronecker substitution), then
+    b and the rows' width.  Packing is linear over Z, so only the final
+    rows need fit."""
+    packed = [tuple([sum(c << b * p for p, c in row if c) for row in pairs])
+              for pairs in (map(enumerate, rows), lifts)]
+    return (*packed, b, len(rows[0]) if rows else 0)
 
 
-def _unpack(xs, b: int, width: int) -> list[_Row]:
-    """The rows of ``width`` columns `_pack` put into the ints xs, exact
-    where every |value| < 2^(b-1): lifted by 2^(b-1), a slot is 0..2^b-1."""
+def _unpack(xs, packing: tuple) -> list[_Row]:
+    """The rows of ``packing``'s width in the ints xs, exact where every
+    |value| < 2^(b-1): lifted by 2^(b-1), a slot is 0..2^b-1."""
+    b, width = packing[2:]
     half, mask, slots = 1 << b - 1, (1 << b) - 1, range(0, b * width, b)
     lift = ((1 << b * width) - 1) // mask << b - 1  # half in every slot
     return [tuple([(x >> p & mask) - half for p in slots])
@@ -136,19 +142,16 @@ def _growth(spec: AlgebraSpec) -> int:
 
 
 def _reach(spec: AlgebraSpec, length: int, m: int, l: int) -> int:
-    """`_packing`'s bound P after ``length`` letters, roots rounded up."""
+    """`_fold_width`'s bound P after ``length`` letters, roots rounded up."""
     L, n0 = length, isqrt(9 * spec.size * m * m) + 1
     return (m + L * l + isqrt(2 * (L * n0 + l * L * (L - 1)) ** 2) + 1
             + isqrt(spec.n * (n0 + 2 * L * l) ** 2) + 1)
 
 
-def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
-             want: Optional[_Rows] = None) -> tuple:
-    """rows, lifts and want (zero rows by default) packed one int a row,
-    column p at bit b*p (Kronecker substitution), then b, M and l, the
-    `_peaks` of rows and want and of lifts; b is two bits past P, the
-    `_reach` of ``length`` letters, so a difference fits.  Packing is
-    linear over Z, so only the final rows need fit.  Proof of P: letter i
+def _fold_width(spec: AlgebraSpec, length: int, m: int, l: int) -> int:
+    """The fold rule: a slot width for ``length`` letters on rows at most
+    m with lifts at most l, their `_peaks`, two bits past P, the `_reach`
+    of ``length`` letters, so a difference fits.  Proof of P: letter i
     maps a column x of the rows (x_t in row t) to s_i x + c e_i, where
     s_i x = x - (Kx)_i e_i and |c| <= l.  q(x) = x^T D K x is s_i-invariant
     and positive semidefinite with kernel (1,...,1): sum_cyclic
@@ -158,25 +161,26 @@ def _packing(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec, length: int,
     l + sqrt(2) N; each |x_t - x_1| <= sqrt(n) N.  So within L letters no
     |x_t| passes M + L l + sqrt(2) (L N_0 + l L (L-1)) + sqrt(n) (N_0
     + 2 L l), quadratic in L."""
-    m, l = _peaks(rows + (want or ()), lifts)
-    b = _reach(spec, length, m, l).bit_length() + 2
-    want = _pack(map(enumerate, want), b) if want else (0,) * len(rows)
-    return _pack(map(enumerate, rows), b), _pack(lifts, b), want, b, m, l
+    return _reach(spec, length, m, l).bit_length() + 2
+
+
+def _width(e: int, m: int, l: int = 0, g: int = 0) -> int:
+    """The mass rule: a slot width b with |c| < 2^(b-1) for each c of a row
+    at most m plus the masses of e shifted weights (lifts at most l, g the
+    `_growth`) or, if l = g = 0, of e rows: a summand is at most S = l +
+    (g + 1) m, and a mass adds e prefix differences of e summands, so |c|
+    <= m + e^2 S."""
+    return (m + e * e * (l + (g + 1) * m)).bit_length() + 1
 
 
 def _fold(w: Word, spec: AlgebraSpec, packing: tuple) -> list[int]:
-    """The packed rows of ``packing`` (`_packing`'s, for at least the
+    """The packed rows of ``packing`` (at `_fold_width` for at least the
     word's length) after the word's letters, applied right to left, where
     a letter is a few big-int operations."""
     nbrs, rows, lifts = _neighbours(spec), list(packing[0]), packing[1]
     for i in _letters(w, spec):
         rows[i] = _letter(rows, i, nbrs, lifts)
     return rows
-
-
-def _folds_to(w: Word, spec: AlgebraSpec, packing: tuple) -> bool:
-    """Whether the word folds ``packing``'s rows to its packed want."""
-    return tuple(_fold(w, spec, packing)) == packing[2]
 
 
 def apply_word(w: Word, v: MassVector,
@@ -187,9 +191,10 @@ def apply_word(w: Word, v: MassVector,
     form standing in for mu_{t+1}.  The default is the plain mu basis.
     """
     layout, rows, lifts = _kernel_rows(v, weights)
-    packing = _packing(rows, lifts, v.spec, len(w))
+    packing = _packing(rows, lifts,
+                       _fold_width(v.spec, len(w), *_peaks(rows, lifts)))
     return MassVector(v.spec, tuple(_form(row, layout) for row in _unpack(
-        _fold(w, v.spec, packing), packing[3], len(rows[0]))))
+        _fold(w, v.spec, packing), packing)))
 
 
 def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
@@ -228,15 +233,19 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
 
 
 @cache
-def _generic_packing(spec: AlgebraSpec, length: int) -> tuple:
-    """`_packing` of the generic rows against themselves."""
+def _generic_packing(spec: AlgebraSpec, length: int, e: int = 0) -> tuple:
+    """`_packing` of the generic rows for ``length`` letters and the
+    masses of e shifted weights: the wider of the two rules' widths."""
     _, rows, lifts = _generic_rows(spec)
-    return _packing(rows, lifts, spec, length, rows)
+    m, l = _peaks(rows, lifts)
+    return _packing(rows, lifts, max(_fold_width(spec, length, m, l),
+                                     _width(e, m, l, _growth(spec))))
 
 
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
-    return _folds_to(w, spec, _generic_packing(spec, len(w)))
+    packing = _generic_packing(spec, len(w))
+    return tuple(_fold(w, spec, packing)) == packing[0]
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

@@ -404,9 +404,14 @@ class MassVector:
     entries: tuple[LinForm, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.spec.size:
+        size = self.spec.size
+        if len(self.entries) != size:
             raise RankError("expected %d entries, got %d"
-                            % (self.spec.size, len(self.entries)))
+                            % (size, len(self.entries)))
+        for e in self.entries:  # index tuples are sorted: check the ends
+            for i, _ in e.mu[:1] + e.mu[-1:] + e.s[:1] + e.s[-1:]:
+                if not 1 <= i <= size:
+                    raise DomainError("index %d outside 1..%d" % (i, size))
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "MassVector":

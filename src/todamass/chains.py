@@ -8,9 +8,10 @@ sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
 
 A chain's target is the permutation mass of the longest element (the
 reversal), summed on packed integer rows by `perms._block_rows`.  `chain
---verify` sums it on the generic rows packed for the word's fold, compares
-it packed and decodes it once, for its text: no target coefficient passes
-1 + 6 E^2, E the block's length after the mirror extension.
+--verify` sums it on the generic rows packed for the word's fold, wide
+enough for the target too (its coefficients are at most 1 + 6 E^2, E the
+block's length after the mirror extension), compares it packed and
+decodes it once, for its text.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
     spec = v.spec
     if spec.family != AFFINE_CT:
         raise DomainError("closed_form_ct needs an affine Ct spec")
-    _block(J, spec)
     if J.is_interior(spec.n):
         raise DomainError("interior blocks use closed_form_a")
     return sigma_f_ct(v, SPermC.reversal(J.length), J)

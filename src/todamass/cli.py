@@ -14,14 +14,14 @@ from functools import cache
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
                       _read_rows)
 from .cartan import ConsecutiveSet
-from .action import (Word, _folds_to, _generic_packing, _generic_rows,
-                     _residual, presentation_relations, verify_relation)
+from .action import (Word, _fold, _generic_packing, _residual,
+                     presentation_relations, verify_relation)
 from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
-from .perms import (CyclicRotation, SPermC, _block_rows, _generic_text,
-                    fold_ct_to_a, rotate_vector, sc_simple)
+from .perms import (CyclicRotation, SPermC, _block_rows, _extension,
+                    _generic_text, fold_ct_to_a, rotate_vector, sc_simple)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
 WORD_SLICE = 4096  # letters per piece of a written word
@@ -124,12 +124,12 @@ def _cmd_chain(args, out) -> int:
     out.write("length %d\n" % len(plan.word))
     if args.verify:
         # summed and compared on the packed rows the word folds
-        _, rows, lifts = _generic_rows(spec)
-        packing = _generic_packing(spec, len(plan.word))
-        new, target = _block_rows(rows, lifts, spec, J, None, packing)
+        packing = _generic_packing(spec, len(plan.word),
+                                   len(_extension(J, spec)[1]))
+        new, target = _block_rows(packing, spec, J)
         out.write("target %s\n" % _generic_text(spec, target))
-        want = tuple(new.get(s, row) for s, row in enumerate(packing[2], 1))
-        equal = _folds_to(plan.word, spec, (*packing[:2], want))
+        want = tuple(new.get(s, row) for s, row in enumerate(packing[0], 1))
+        equal = tuple(_fold(plan.word, spec, packing)) == want
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0

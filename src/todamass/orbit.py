@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _int_rows, _json_indented, _Layout, _Row, _Rows, _scaled,
                       _scaled_value, _weight_map)
-from .action import (Word, _columns, _folds_to, _kernel_rows,
-                     _neighbours, _packing, _residual, _unpack)
+from .action import (Word, _columns, _fold, _fold_width, _kernel_rows,
+                     _neighbours, _packing, _peaks, _residual, _unpack)
 from .errors import DomainError, FormatError, NotMassForm
 
 MEMBER = "member"
@@ -86,7 +86,9 @@ def _ranked_orbit(spec: AlgebraSpec, depth: int,
         raise DomainError("depth must be at least 0, got %d" % depth)
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
-    _, lifts, _, b = _packing(zero, lifts, spec, depth)[:4]
+    packing = _packing(zero, lifts,
+                       _fold_width(spec, depth, *_peaks(zero, lifts)))
+    lifts = packing[1]
     # zero packs to 0, row id 0; the loop meets nodes as it appends them,
     # each holding its parent's deltas, stepped if it has children
     row_of, ids = [0], {0: 0}
@@ -105,7 +107,7 @@ def _ranked_orbit(spec: AlgebraSpec, depth: int,
                 row_of.append(row)
             tree.append((node[:i] + (r,) + node[i + 1:], (i + 1,) + word,
                          deltas))
-    decoded = _unpack(row_of, b, len(zero[0]))
+    decoded = _unpack(row_of, packing)
     order = _json_order(decoded, spec)
     rank = sorted(range(len(order)), key=order.__getitem__)
     nodes = sorted([(len(word), tuple(map(rank.__getitem__, node)), word,
@@ -121,11 +123,10 @@ def _json_order(rows: Sequence[_Row], spec: AlgebraSpec) -> list[int]:
 
 
 def _mass_rows(layout: _Layout, rows: _Rows,
-               size: int) -> tuple[int, _Rows, bool]:
-    """(d, rows, stray) from entry rows read with the plain weights: each
-    row cut to the orbit layout, column 0 the constant 0 and column j d
-    times the coefficient of mu_j; stray says whether some entry mentions
-    a mu index outside 1..size, which no cut row holds."""
+               size: int) -> tuple[int, _Rows]:
+    """(d, rows) from entry rows read with the plain weights: each row cut
+    to the orbit layout, column 0 the constant 0 and column j d times the
+    coefficient of mu_j."""
     d, mu, _ = layout
     for i, row in enumerate(rows, 1):
         if row[0]:
@@ -134,8 +135,7 @@ def _mass_rows(layout: _Layout, rows: _Rows,
         if any(row[len(mu) + 1:]):
             raise NotMassForm("entry %d has generic s-indeterminates" % i)
     first = mu.index(1) + 1
-    return d, tuple((0,) + row[first:first + size] for row in rows), \
-        len(mu) > size
+    return d, tuple((0,) + row[first:first + size] for row in rows)
 
 
 def _nonneg_integral(d: int, mass: _Rows) -> bool:
@@ -145,7 +145,7 @@ def _nonneg_integral(d: int, mass: _Rows) -> bool:
 
 def coefficient_matrix(v: MassVector) -> CoefficientMatrix:
     """The matrix n_{ij} with entry i equal to 2 sum_j n_{ij} mu_j."""
-    d, rows, _ = _mass_rows(*_int_rows(v.entries, None)[:2], v.spec.size)
+    d, rows = _mass_rows(*_int_rows(v.entries, None)[:2], v.spec.size)
     return CoefficientMatrix(tuple(tuple(Fraction(c, 2 * d) for c in row[1:])
                                    for row in rows))
 
@@ -167,7 +167,7 @@ def gamma_n_test(v: MassVector) -> MembershipReport:
     order and returns this same report whenever it rejects a vector.
     """
     layout, rows, w = _int_rows(v.entries, None)
-    d, mass, _ = _mass_rows(layout, rows, v.spec.size)
+    d, mass = _mass_rows(layout, rows, v.spec.size)
     return _verdict(v.spec, layout, rows, w, _nonneg_integral(d, mass))
 
 
@@ -178,9 +178,7 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
     is not a nonnegative integer rejects v at once, with the report of
     `gamma_n_test`.  Only a stall of `_descend` computes the Pohozaev
     residual, whose nonzero value makes v a non-member: a descent that
-    reaches zero shows v = R_w(0), where it vanishes (criterion 6),
-    unless an entry mentions a mu index outside 1..n+1, which the descent
-    does not read.
+    reaches zero shows v = R_w(0), where it vanishes (criterion 6).
     """
     return _membership(v.spec, *_int_rows(v.entries, None), max_steps)
 
@@ -188,17 +186,14 @@ def descend_to_zero(v: MassVector, max_steps: int = 256) -> MembershipReport:
 def _membership(spec: AlgebraSpec, layout: _Layout, rows: _Rows, w: _Rows,
                 max_steps: int) -> MembershipReport:
     """`descend_to_zero` on the rows `_int_rows(entries, None)` reads."""
-    d, mass, stray = _mass_rows(layout, rows, spec.size)
+    d, mass = _mass_rows(layout, rows, spec.size)
     if not _nonneg_integral(d, mass):
         return _verdict(spec, layout, rows, w, False)
     applied, stall = _descend(mass, d, spec, max_steps)
-    if stall or stray:
-        base = _verdict(spec, layout, rows, w, True)
-        if base.verdict != MEMBER:
-            return base
     if stall:
-        return MembershipReport(DESCENT_STALLED, True, True, reason=stall,
-                                steps=len(applied))
+        base = _verdict(spec, layout, rows, w, True)
+        return base if base.verdict != MEMBER else MembershipReport(
+            DESCENT_STALLED, True, True, reason=stall, steps=len(applied))
     word = Word(tuple(reversed(applied)))
     return MembershipReport(MEMBER, True, True, word=word, steps=len(applied))
 
@@ -249,10 +244,10 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
     # the lifts of the plain weights: 2d at mu_i
     lifts = tuple(((i, 2 * d),) for i in spec.indices)
     deltas = _deltas(rows, d, spec)
-    phi = sum(map(sum, rows))
+    phi, peaks = sum(map(sum, rows)), _peaks(rows, lifts)
     applied: list[int] = []
-    while phi or not _folds_to(Word(tuple(applied[::-1])), spec,
-                               _packing(rows, lifts, spec, len(applied))):
+    while phi or any(_fold(Word(tuple(applied[::-1])), spec, _packing(
+            rows, lifts, _fold_width(spec, len(applied), *peaks)))):
         if len(applied) >= max_steps:
             return applied, "step budget exhausted"
         for i, delta in enumerate(deltas):

@@ -7,9 +7,9 @@ classifying the boundary-block masses of affine Ct.
 
 `_half_masses` is the only place the partial-sum mass formula is summed,
 on rows packed one int each; `finite_a_mass`, `sigma_f_ct` and every
-chain target read it.  Each packs once, at the `_width` of a bound on its
-coefficients (1 + 6 E^2 for a chain target on the generic rows, which
-chain --verify sums on the rows packed for its fold and compares packed).
+chain target read it.  Each packs once, by `action._packing` at the mass
+rule's width for its coefficients (chain --verify: the wider of that and
+its fold's), and chain --verify compares its target packed.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
-                      _form, _int_rows, _Rows)
+                      _form, _int_rows)
 from .action import (Word, _generic_rows, _growth, _kernel_rows, _letter,
-                     _letters, _Lifts, _neighbours, _pack, _peaks, _unpack)
+                     _letters, _neighbours, _packing, _peaks, _unpack,
+                     _width)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 
@@ -38,31 +39,32 @@ def _block(J: ConsecutiveSet, spec: AlgebraSpec) -> list[int]:
     return idx
 
 
-def _star_rows(rows: Sequence[int], lifts: Sequence[int], spec: AlgebraSpec,
+def _extension(J: ConsecutiveSet, spec: AlgebraSpec) -> tuple[list, list]:
+    """(order, ext): `_block`'s J in the order its entries take the masses,
+    and that order mirror-extended on a head or tail block of affine Ct."""
+    order = ext = _block(J, spec)
+    if spec.family == AFFINE_CT and not J.is_interior(spec.n):
+        order = order[::-1] if J.is_head(spec.n) else order
+        ext = order + order[-2::-1]
+    return order, ext
+
+
+def _star_rows(packing: tuple, spec: AlgebraSpec,
                idx: Sequence[int]) -> Iterator[int]:
     """Per s in idx, the packed row of 2 mu*_s = 2 w_s - sum_t k_st
-    sigma_t from packed entry rows and lifts: what R_s adds to entry s."""
-    nbrs = _neighbours(spec)
+    sigma_t from ``packing``'s rows and lifts: what R_s adds to entry s."""
+    nbrs, rows, lifts = _neighbours(spec), packing[0], packing[1]
     for s in idx:
         yield _letter(rows, s - 1, nbrs, lifts) - rows[s - 1]
-
-
-def _width(e: int, m: int, l: int = 0, g: int = 0) -> int:
-    """A slot width b with |c| < 2^(b-1) for each c of a row at most m plus
-    the masses of e shifted weights (lifts at most l, g the `_growth`) or,
-    if l = g = 0, of e rows: a summand is at most S = l + (g + 1) m, and a
-    mass adds e prefix differences of e summands, so |c| <= m + e^2 S."""
-    return (m + e * e * (l + (g + 1) * m)).bit_length() + 1
 
 
 def mu_star(v: MassVector) -> list[LinForm]:
     """Shifted weights mu*_s = mu_s - (1/2) sum_t k_{st} sigma_t."""
     (d, mu, s), rows, lifts = _kernel_rows(v)
-    b = _width(1, *_peaks(rows, lifts), _growth(v.spec))
-    stars = _star_rows(_pack(map(enumerate, rows), b), _pack(lifts, b),
-                       v.spec, v.spec.indices)
-    return [_form(row, (2 * d, mu, s))
-            for row in _unpack(stars, b, len(rows[0]))]
+    packing = _packing(rows, lifts,
+                       _width(1, *_peaks(rows, lifts), _growth(v.spec)))
+    return [_form(row, (2 * d, mu, s)) for row in _unpack(
+        _star_rows(packing, v.spec, v.spec.indices), packing)]
 
 
 @dataclass(frozen=True)
@@ -157,45 +159,33 @@ def finite_a_mass(f: FinitePermutation,
         raise DomainError("permutation must act on 0..%d" % m)
     layout, rows, _ = _int_rows(weights)
     # twice the half masses of rows at most M: the masses of rows at most 2M
-    b, width = _width(m, 2 * _peaks(rows)[0]), sum(map(len, layout[1:])) + 1
-    masses = _half_masses(f.values, _pack(map(enumerate, rows), b), m)
+    packing = _packing(rows, (), _width(m, 2 * _peaks(rows)[0]))
+    masses = _half_masses(f.values, packing[0], m)
     return [_form(row, layout)
-            for row in _unpack([2 * x for x in masses], b, width)]
+            for row in _unpack([2 * x for x in masses], packing)]
 
 
-def _block_rows(rows: _Rows, lifts: _Lifts, spec: AlgebraSpec,
-                J: ConsecutiveSet, f: Optional[FinitePermutation] = None,
-                packing: Optional[tuple] = None) -> tuple:
+def _block_rows(packing: tuple, spec: AlgebraSpec, J: ConsecutiveSet,
+                f: Optional[FinitePermutation] = None) -> tuple:
     """({s: entry row s plus its gain} for s in J packed, the same
     decoded): the partial-sum masses of f (by default the longest element)
-    over J's shifted weights, mirror-extended on a head or tail block of
-    affine Ct, summed on ``packing`` (`_packing` of these rows and lifts),
-    whose slots must hold their `_width`, or without one on the rows
-    packed at that width."""
-    order = ext = _block(J, spec)
-    if spec.family == AFFINE_CT and not J.is_interior(spec.n):
-        # J in the order its entries take the masses, then mirrored
-        order = order[::-1] if J.is_head(spec.n) else order
-        ext = order + order[-2::-1]
-    b = _width(len(ext), *(packing[4:] if packing else _peaks(rows, lifts)),
-               _growth(spec))
-    if packing and b > packing[3]:
-        raise DomainError("block targets need %d-bit slots, the packing "
-                          "has %d" % (b, packing[3]))
-    packed, packed_lifts, b = (*packing[:2], packing[3]) if packing else (
-        _pack(map(enumerate, rows), b), _pack(lifts, b), b)
-    stars = dict(zip(order, _star_rows(packed, packed_lifts, spec, order)))
+    over J's shifted weights in `_extension`'s order, summed on ``packing``
+    (entry rows and lifts at slots that hold `_width` of ext's length)."""
+    order, ext = _extension(J, spec)
+    stars = dict(zip(order, _star_rows(packing, spec, order)))
     f = f.values if f else range(len(ext), -1, -1)
     gains = _half_masses(f, [stars[s] for s in ext], len(order))
-    new = {s: packed[s - 1] + g for s, g in zip(order, gains)}
-    return new, dict(zip(new, _unpack(new.values(), b, len(rows[0]))))
+    new = {s: packing[0][s - 1] + g for s, g in zip(order, gains)}
+    return new, dict(zip(new, _unpack(new.values(), packing)))
 
 
 def _block_masses(v: MassVector, J: ConsecutiveSet,
                   f: Optional[FinitePermutation] = None) -> MassVector:
     """v with each entry s in J written once from its target row."""
     layout, rows, lifts = _kernel_rows(v)
-    new = _block_rows(rows, lifts, v.spec, J, f)[1]
+    b = _width(len(_extension(J, v.spec)[1]), *_peaks(rows, lifts),
+               _growth(v.spec))
+    new = _block_rows(_packing(rows, lifts, b), v.spec, J, f)[1]
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
                                     for s, e in enumerate(v.entries, 1)))
 

@@ -288,12 +288,13 @@ def test_residual_diagonal_symmetrises_the_cartan_matrix():
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
-def forms(size, seeded):
-    """Forms with constants, Fractions, negative coefficients and mu
-    indices outside 1..size; s-terms only when ``seeded``."""
+def forms(size, seeded, stray=True):
+    """Forms with constants, Fractions, negative coefficients and, if
+    ``stray``, mu indices outside 1..size; s-terms only when ``seeded``."""
+    index = st.integers(-1, size + 2) if stray else st.integers(1, size)
     return st.builds(
         LinForm.make, rationals,
-        st.dictionaries(st.integers(-1, size + 2), rationals, max_size=4),
+        st.dictionaries(index, rationals, max_size=4),
         st.dictionaries(st.integers(1, size), rationals,
                         max_size=2 if seeded else 0))
 
@@ -317,8 +318,9 @@ def test_residual_matches_the_branching_oracle(family, n, overlay, seeded,
                                                data):
     spec = AlgebraSpec(family, n)
     size = spec.size
-    entries = data.draw(st.lists(forms(size, seeded), min_size=size,
-                                 max_size=size))
+    # a Ct vector to fold holds mu indices 1..size only
+    entries = data.draw(st.lists(forms(size, seeded, overlay != "fold"),
+                                 min_size=size, max_size=size))
     weights = None
     if overlay == "random":
         weights = data.draw(st.lists(forms(size, seeded), min_size=size,
@@ -336,9 +338,12 @@ def test_residual_matches_the_branching_oracle(family, n, overlay, seeded,
         assert new == (EvaluationError,
                        "generic s-indeterminates present; "
                        "evaluate them before forming residuals")
-    else:
+    elif all(1 <= i <= spec.size for f in entries for i, _ in f.mu):
         v = MassVector(spec, tuple(entries))
         assert pohozaev_residual(v, weights) == old
+    else:  # rows may hold any index, a vector only 1..n+1
+        with pytest.raises(DomainError, match="outside 1..%d" % spec.size):
+            MassVector(spec, tuple(entries))
 
 
 @pytest.mark.parametrize("letter", ["1", 1.0, True, None, Fraction(1)])

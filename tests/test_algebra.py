@@ -206,3 +206,32 @@ def test_entry_parsing_matches_make_path(obj):
     assert all(c for _, c in got.mu + got.s)
     assert [i for i, _ in got.mu] == sorted({i for i, _ in got.mu})
     assert [i for i, _ in got.s] == sorted({i for i, _ in got.s})
+
+
+@pytest.mark.parametrize("field", ["mu", "s"])
+@pytest.mark.parametrize("family,n", [("affine_a", 2), ("affine_ct", 3)])
+def test_a_vector_holds_indices_1_to_n_plus_1_only(field, family, n):
+    """An entry naming mu_i or s_i with i outside 1..n+1 (0 or n+2) is
+    refused when the vector is built, as `from_json` refuses its JSON;
+    indices 1 and n+1 build and round-trip."""
+    spec = AlgebraSpec(family, n)
+    rest = (LinForm.zero(),) * n
+    for i in (0, n + 2):
+        entry = LinForm.make(**{field: {1: 1, i: 2}})
+        with pytest.raises(DomainError, match="^index %d outside 1..%d$"
+                           % (i, n + 1)):
+            MassVector(spec, rest + (entry,))
+    v = MassVector(spec, (LinForm.make(**{field: {1: 1, n + 1: 2}}),) + rest)
+    assert MassVector.from_json(v.to_json()) == v
+
+
+def test_a_weight_overlay_cannot_write_a_stray_index():
+    """`apply_word` under weights naming mu_4 at rank 2 is refused when its
+    result would hold mu_4, and not when a letter cancels it."""
+    from todamass.action import Word, apply_word
+    spec = AlgebraSpec("affine_a", 2)
+    weights = [LinForm.weight(4)] + [LinForm.weight(i) for i in (2, 3)]
+    with pytest.raises(DomainError, match="index 4 outside 1..3"):
+        apply_word(Word.of(1), MassVector.zero(spec), weights)
+    assert apply_word(Word.of(1, 1), MassVector.zero(spec), weights) == \
+        MassVector.zero(spec)

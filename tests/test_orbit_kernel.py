@@ -26,9 +26,10 @@ from row_fold import _fold, _reflect
 from test_algebra import replaced
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (Word, _folds_to, _form, _generic_packing,
-                             _generic_rows, _kernel_rows, _neighbours,
-                             _packing, _reach, apply_generator, apply_word,
+from todamass.action import (Word, _fold as packed_fold, _fold_width,
+                             _form, _generic_packing, _generic_rows,
+                             _kernel_rows, _neighbours, _packing, _peaks,
+                             _reach, apply_generator, apply_word,
                              verify_relation)
 from todamass.cartan import ConsecutiveSet, build
 from todamass.chains import chain_word_a, chain_word_ct
@@ -39,7 +40,7 @@ from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             coefficient_matrix,
                             descend_to_zero, enumerate_orbit, export_graph,
                             gamma_n_test)
-from todamass.perms import _block_rows, _generic_text
+from todamass.perms import _block_rows, _extension, _generic_text
 
 FAMILIES = ("affine_a", "affine_ct")
 CRITERION_12_SWEEP = (("affine_a", 2, 6), ("affine_a", 3, 4),
@@ -261,11 +262,11 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
 def forms(size):
-    """Forms with constants, Fractions, s-terms and mu indices outside
-    1..size, stray ones below and above."""
+    """Forms with constants, Fractions and s-terms, on mu indices 1..size,
+    the only ones a vector holds."""
     return st.builds(
         LinForm.make, rationals,
-        st.dictionaries(st.integers(-1, size + 2), rationals, max_size=4),
+        st.dictionaries(st.integers(1, size), rationals, max_size=4),
         st.dictionaries(st.integers(1, size), rationals, max_size=2))
 
 
@@ -398,6 +399,14 @@ DEFECTS = {"member": None, "half": 1, "third": Fraction(2, 3),
            "negative": -2, "residual": 2, "stray": 2}
 
 
+def stray_refused(v, rng):
+    """The "stray" defect, 2 mu_{n+2} added to an entry: no vector holds
+    it, so it cannot be built."""
+    with pytest.raises(DomainError, match="index %d outside 1..%d"
+                       % (v.spec.size + 1, v.spec.size)):
+        bumped(v, rng, DEFECTS["stray"], v.spec.size + 1)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(FAMILIES), st.integers(2, 7), st.integers(0, 25),
        st.sampled_from(sorted(DEFECTS)), st.integers(0, 10 ** 6))
@@ -405,10 +414,10 @@ def test_membership_matches_gamma_first_order(family, n, level, defect, seed):
     spec = AlgebraSpec(family, n)
     rng = random.Random(seed)
     v = ascent(spec, level, rng)
+    if defect == "stray":
+        return stray_refused(v, rng)
     if defect != "member":
-        # "stray" puts the term on mu_{n+2}, which no orbit entry has
-        stray = spec.size + 1 if defect == "stray" else None
-        v = bumped(v, rng, DEFECTS[defect], stray)
+        v = bumped(v, rng, DEFECTS[defect])
     budgets = {256, 0, rng.randint(0, level), level}
     for budget in sorted(budgets):
         report = descend_to_zero(v, max_steps=budget)
@@ -430,15 +439,16 @@ def test_gamma_n_test_matches_the_coefficient_matrix(family, n, level, kind,
     spec = AlgebraSpec(family, n)
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     if kind == "random":
-        # constants, Fractions, s-terms and stray mu indices: NotMassForm
-        # comes before any residual is formed
+        # constants, Fractions and s-terms: NotMassForm comes before any
+        # residual is formed
         v = MassVector(spec, tuple(data.draw(st.lists(
             forms(spec.size), min_size=spec.size, max_size=spec.size))))
     else:
         v = ascent(spec, level, rng)
+        if kind == "stray":
+            return stray_refused(v, rng)
         if kind != "member":
-            stray = spec.size + 1 if kind == "stray" else None
-            v = bumped(v, rng, DEFECTS[kind], stray)
+            v = bumped(v, rng, DEFECTS[kind])
     assert outcome(lambda: gamma_n_test(v), TodamassError) == \
         outcome(lambda: coefficient_matrix_gamma_n_test(v), TodamassError)
 
@@ -469,10 +479,8 @@ def test_membership_reports_on_each_path():
             (residual, 256, MembershipReport(
                 NOT_IN_GAMMA_N, False, True,
                 reason="Pohozaev residual is nonzero")),
-            (bumped(MassVector.zero(spec), rng, 2, spec.size + 1), 256,
-             MembershipReport(NOT_IN_GAMMA_N, False, True,
-                              reason="Pohozaev residual is nonzero")),
         ]
+        stray_refused(MassVector.zero(spec), rng)
         for v, budget, want in cases:
             assert descend_to_zero(v, max_steps=budget) == want
             assert gamma_first_descent(v, max_steps=budget) == want
@@ -487,7 +495,7 @@ def growth(spec):
 
 def reach(spec, length, m, l):
     """P = M + L l + sqrt(2) (L N_0 + l L (L-1)) + sqrt(n) (N_0 + 2 L l),
-    the bound `_packing`'s docstring proves on every |value| within L
+    the bound `_fold_width`'s docstring proves on every |value| within L
     letters from rows at most M with lifts at most l, where N_0 = 3
     sqrt(n+1) M; each root r(x) of an integer x is isqrt(x) + 1 > sqrt(x)."""
     def r(x):
@@ -498,7 +506,7 @@ def reach(spec, length, m, l):
 
 
 def slot_bits(spec, length, m, l):
-    """`_packing`'s slot width: two bits past P, so a difference fits."""
+    """`_fold_width`: two bits past P, so a difference fits."""
     return reach(spec, length, m, l).bit_length() + 2
 
 
@@ -517,16 +525,21 @@ def moved(rows, j, p, dx, dy=0):
 
 
 def folds_to(word, rows, spec, lifts, want=None):
-    """`_folds_to` on `_packing` of rows, lifts and want for the word."""
-    return _folds_to(word, spec, _packing(rows, lifts, spec, len(word), want))
+    """The packed verdict: the word's packed fold of rows and lifts, packed
+    at `_fold_width` of the `_peaks` of rows and want and of lifts, equals
+    want (zero rows by default) packed at that width."""
+    m, l = _peaks(rows + (want or ()), lifts)
+    packing = _packing(rows, lifts, _fold_width(spec, len(word), m, l))
+    return tuple(packed_fold(word, spec, packing)) == kronecker(
+        want or [()] * len(rows), packing[2])
 
 
 def random_form(rng, size):
     """A form like those `forms` draws: Fractions (so d > 1), negative
-    coefficients, a constant, s-terms and stray mu indices."""
+    coefficients, a constant and s-terms."""
     def rational():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return LinForm.make(rational(), {rng.randint(-1, size + 2): rational()
+    return LinForm.make(rational(), {rng.randint(1, size): rational()
                                      for _ in range(rng.randint(0, 4))},
                         {rng.randint(1, size): rational()
                          for _ in range(rng.randint(0, 2))})
@@ -559,8 +572,13 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
     l = max((abs(c) for lift in lifts for _, c in lift), default=0)
     b = slot_bits(spec, len(letters), m, l)
     # the proved slot width, and no narrower: rows pack at exactly b bits
-    packing = _packing(rows, lifts, spec, len(letters), None)
-    assert packing[0] == kronecker(rows, b) and packing[3:] == (b, m, l)
+    assert _peaks(rows, lifts) == (m, l)
+    assert _fold_width(spec, len(letters), m, l) == b
+    packing = _packing(rows, lifts, b)
+    dense = [[dict(lift).get(p, 0) for p in range(len(rows[0]))]
+             for lift in lifts]
+    assert packing == (kronecker(rows, b), kronecker(dense, b), b,
+                       len(rows[0]))
     j = data.draw(st.integers(0, size - 1))
     p = data.draw(st.integers(0, len(rows[0]) - 1))
     if kind == "true":
@@ -665,7 +683,7 @@ def rowwise_descend(rows, d, spec, max_steps):
 def mass_rows(v):
     """(rows, d) as `_membership` hands them to `_descend`."""
     layout, rows, _ = _int_rows(v.entries, None)
-    d, mass, _ = _mass_rows(layout, rows, v.spec.size)
+    d, mass = _mass_rows(layout, rows, v.spec.size)
     return mass, d
 
 
@@ -710,10 +728,10 @@ def test_descent_from_deltas_matches_rowwise_deep_and_off_the_orbit():
                 budgets |= {max(level - 1, 0), level, 2 * level + 8, 256}
                 assert_descents_agree(v, budgets)
                 assert len(_descend(*mass_rows(v), spec, 256)[0]) == level
-                for defect in ("half", "residual", "stray"):
-                    stray = spec.size + 1 if defect == "stray" else None
-                    bad = bumped(v, rng, DEFECTS[defect], stray)
-                    assert_descents_agree(bad, budgets)
+                for defect in ("half", "residual"):
+                    assert_descents_agree(bumped(v, rng, DEFECTS[defect]),
+                                          budgets)
+                stray_refused(v, rng)
 
 
 def test_wide_slots_fold_the_rows():
@@ -729,8 +747,10 @@ def test_wide_slots_fold_the_rows():
             rows, d = mass_rows(v)
             lifts = tuple(((i, 2 * d),) for i in spec.indices)
             m = max(abs(c) for row in rows for c in row)
-            assert _packing(rows, lifts, spec, 260)[3:] == \
-                (slot_bits(spec, 260, m, 2 * d), m, 2 * d)
+            # the descent's zero check packs at this width
+            assert _peaks(rows, lifts) == (m, 2 * d)
+            assert _fold_width(spec, 260, m, 2 * d) == \
+                slot_bits(spec, 260, m, 2 * d)
             assert_descents_agree(v, {0, 259, 260, 600})
             word = Word(tuple(rng.randint(1, spec.size) for _ in range(300)))
             _, rows, lifts = _kernel_rows(v)
@@ -741,7 +761,7 @@ def test_wide_slots_fold_the_rows():
             m = max(abs(c) for row in rows + got for c in row)
             l = max(abs(c) for lift in lifts for _, c in lift)
             b = slot_bits(spec, 300, m, l)
-            assert _packing(rows, lifts, spec, 300, got)[3] == b
+            assert _fold_width(spec, 300, *_peaks(rows + got, lifts)) == b
             p = rng.randrange(len(rows[0]) - 1)
             alias = moved(got, 0, p, 1 << b, -1)
             assert kronecker(alias, b) == kronecker(got, b)
@@ -750,8 +770,9 @@ def test_wide_slots_fold_the_rows():
             back = Word(word.letters[::-1])
             assert folds_to(word * back, rows, spec, lifts, rows)
             order = 3 if family == "affine_a" else 4
-            assert _generic_packing(spec, order * 80)[3:] == \
-                (slot_bits(spec, order * 80, 1, 2), 1, 2)
+            assert _peaks(*_generic_rows(spec)[1:]) == (1, 2)
+            assert _generic_packing(spec, order * 80)[2] == \
+                slot_bits(spec, order * 80, 1, 2)
             assert verify_relation(Word.of(1, 2).power(order * 80), spec)
             assert not verify_relation(Word.of(1, 2).power(order * 80 + 1),
                                        spec)
@@ -763,9 +784,10 @@ def test_wide_slots_fold_the_rows():
 
 def chain_blocks(family, n):
     """Every block chain --set j:l, and in affine A --wrap r2,r1, names at
-    rank n."""
+    rank n: tail blocks, which end at n+1, included, the whole index set
+    not."""
     for j in range(1, n + 2):
-        for l in range(0, n + 1 - j):
+        for l in range(0, n + 2 - j - (j == 1)):
             yield ConsecutiveSet(j, l)
     if family == "affine_a":
         for r2 in range(3, n + 2):
@@ -799,13 +821,14 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
         for J in chain_blocks(family, n):
             word = builder(J, spec).word
             got = _fold(word, rows, spec, lifts)
-            packing = _generic_packing(spec, len(word))
-            # the proved slot width, M = 1 the generic rows, l = 2 the lift
-            b = slot_bits(spec, len(word), 1, 2)
-            assert packing[3:] == (b, 1, 2)
-            new, target = _block_rows(rows, lifts, spec, J, None, packing)
             e = len(J.indices(n))
             e += e - 1 if family == "affine_ct" and not J.is_interior(n) else 0
+            assert len(_extension(J, spec)[1]) == e
+            packing = _generic_packing(spec, len(word), e)
+            # the proved slot width, M = 1 the generic rows, l = 2 the lift
+            b = slot_bits(spec, len(word), 1, 2)
+            assert packing[2:] == (b, width)
+            new, target = _block_rows(packing, spec, J)
             assert 1 + 6 * e * e < 1 << b - 1, (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
             step = rng.choice([-1, 1])
@@ -825,8 +848,8 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
                 if packed:
                     assert kronecker([off], b)[0] == new[s] + (step << b * p)
                     want = tuple(packed.get(t, r)
-                                 for t, r in enumerate(packing[2], 1))
-                    assert _folds_to(word, spec, (*packing[:2], want)) \
+                                 for t, r in enumerate(packing[0], 1))
+                    assert (tuple(packed_fold(word, spec, packing)) == want) \
                         is equal, (spec, J)
             constant = (rng.choice([-3, 1, 7]),) + row[1:]
             zero = (0,) * width

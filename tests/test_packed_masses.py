@@ -1,13 +1,15 @@
 """Differential tests: the packed partial-sum kernels against dense rows.
 
 `perms._star_rows`, `_half_masses` and `_block_rows` sum on rows packed
-one int each (`action._pack`), at a slot width `perms._width` fixes from
-a bound before anything is summed, and `action._unpack` decodes them.
+one int each (`action._packing`), at a slot width `action._width` fixes
+from a bound before anything is summed (chain --verify: the wider of that
+and `action._fold_width`), and `action._unpack` decodes them.
 The list versions below are the kernels as they ran on dense rows, one
 list per row; they share no code with the packed ones but the Cartan
 table.  Every chain block at ranks 2-20, every palindromic permutation
 with l <= 3, every permutation of 0..m for m <= 5, `mu_star` and drawn
-rows are checked against them, and every chain target against the bound.
+rows are checked against them, and every chain target against the bound
+and the packing chain --verify builds for it.
 """
 
 import random
@@ -22,13 +24,13 @@ from test_orbit_kernel import (chain_blocks, forms, growth, kronecker,
 
 from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _form,
                               _int_rows)
-from todamass.action import (_generic_packing, _generic_rows, _kernel_rows,
-                             _neighbours, _pack, _unpack)
+from todamass.action import (_fold_width, _generic_packing, _generic_rows,
+                             _kernel_rows, _neighbours, _packing, _peaks,
+                             _unpack, _width)
 from todamass.cartan import ConsecutiveSet
 from todamass.chains import chain_word_a, chain_word_ct
-from todamass.errors import DomainError
-from todamass.perms import (FinitePermutation, SPermC, _block_rows, _width,
-                            finite_a_mass, mu_star, sigma_f_ct)
+from todamass.perms import (FinitePermutation, SPermC, _block_rows,
+                            _extension, finite_a_mass, mu_star, sigma_f_ct)
 
 FAMILIES = ("affine_a", "affine_ct")
 
@@ -59,7 +61,7 @@ def dense_half_masses(f, rows, count):
 
 def extension(J, spec):
     """J in the order its entries take the masses, and mirror-extended on
-    a head or tail block of affine Ct."""
+    a head or tail block of affine Ct: `perms._extension`'s oracle."""
     order = ext = J.indices(spec.n)
     if spec.family == "affine_ct" and not J.is_interior(spec.n):
         order = order[::-1] if J.is_head(spec.n) else order
@@ -99,56 +101,57 @@ def chain_word(spec, J):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
     """Every --set/--wrap block at ranks 2-20, summed on the generic
-    packing of its chain's length, at P's slot width b: decoded, the rows
-    the dense kernel gives; packed, the same rows at that width; and no
-    coefficient past 1 + 6 E^2 < 2^(b-1), E the block's length after the
-    mirror extension, so every target fits the packing."""
+    packing chain --verify builds for it, at P's slot width b: decoded,
+    the rows the dense kernel gives; packed, the same rows at that width;
+    and no coefficient past 1 + 6 E^2 < 2^(b-1), E the block's length
+    after the mirror extension, so every target fits the packing."""
     for n in range(2, 21):
         spec = AlgebraSpec(family, n)
         _, rows, lifts = _generic_rows(spec)
         for J in chain_blocks(family, n):
             length = len(chain_word(spec, J))
-            packing = _generic_packing(spec, length)
-            new, target = _block_rows(rows, lifts, spec, J, None, packing)
+            e = len(extension(J, spec)[1])
+            assert _extension(J, spec) == extension(J, spec)
+            packing = _generic_packing(spec, length, e)
+            new, target = _block_rows(packing, spec, J)
             want = dense_block_rows(rows, lifts, spec, J)
             assert target == want, (spec, J)
-            e = len(extension(J, spec)[1])
             bound = 1 + 6 * e * e
             assert bound == 1 + e * e * (2 + (growth(spec) + 1) * 1)
             assert max(abs(c) for row in want.values() for c in row) <= bound
-            b = packing[3]
+            b = packing[2]
             assert b == slot_bits(spec, length, 1, 2), (spec, J)
             assert bound < 1 << b - 1
             assert list(new.values()) == list(kronecker(want.values(), b))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_a_slot_too_narrow_for_the_target_is_not_used(family):
-    """Handed a packing of the generic rows at 6-bit slots, which hold
-    only |c| < 32, for every block at rank 20, the kernel refuses each
-    target whose bound passes it (Ct head and tail targets reach 64
-    there, which 6 bits would alias) and sums the others on it; handed
-    none, it sums every target at its own width."""
-    spec = AlgebraSpec(family, 20)
-    _, rows, lifts = _generic_rows(spec)
-    narrow = (_pack(map(enumerate, rows), 6), _pack(lifts, 6), None, 6, 1, 2)
-    refused = 0
-    for J in chain_blocks(family, 20):
-        e = len(extension(J, spec)[1])
-        want = dense_block_rows(rows, lifts, spec, J)
-        new, target = _block_rows(rows, lifts, spec, J)
-        b = _width(e, 1, 2, growth(spec))
-        assert target == want and (b > 6) == (1 + 6 * e * e >= 32), J
-        assert list(new.values()) == list(kronecker(want.values(), b)), J
-        if b > 6:
-            refused += 1
-            with pytest.raises(DomainError, match="need %d-bit" % b):
-                _block_rows(rows, lifts, spec, J, None, narrow)
-            continue
-        new, target = _block_rows(rows, lifts, spec, J, None, narrow)
-        assert target == want, J
-        assert list(new.values()) == list(kronecker(want.values(), 6)), J
-    assert refused
+def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
+    """chain --verify packs the generic rows at the wider of the fold's
+    width for its word and the target's `_width`, E the block's length
+    after the mirror extension.  For every --set/--wrap block at ranks
+    2-40 that is P's width for the word, at least the target's: the max
+    changes no width.  At rank 20 each target also sums, on a packing at
+    exactly its own `_width` (Ct head and tail targets reach 64 there),
+    to the dense kernel's rows, packed at that width."""
+    for n in range(2, 41):
+        spec, g = AlgebraSpec(family, n), 3
+        assert growth(spec) == g
+        _, rows, lifts = _generic_rows(spec)
+        assert _peaks(rows, lifts) == (1, 2)
+        for J in chain_blocks(family, n):
+            length = len(chain_word(spec, J))
+            e = len(extension(J, spec)[1])
+            b, own = slot_bits(spec, length, 1, 2), _width(e, 1, 2, g)
+            assert _fold_width(spec, length, 1, 2) == b >= own, (spec, J)
+            assert _generic_packing(spec, length, e)[2] == b
+            if n == 20:
+                want = dense_block_rows(rows, lifts, spec, J)
+                new, target = _block_rows(_packing(rows, lifts, own), spec, J)
+                assert target == want, J
+                assert list(new.values()) == list(kronecker(want.values(),
+                                                            own)), J
+        _generic_packing.cache_clear()  # the packings of 40 ranks, uncached
 
 
 @cache
@@ -216,9 +219,10 @@ def blocks(draw, spec):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(FAMILIES), st.integers(2, 9), st.data())
 def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
-    """Drawn entries (Fractions, so d > 1, negatives, constants, s-terms
-    and stray mu indices) and, on a Ct boundary block, a drawn SPermC:
-    the decoded targets equal the dense kernel's, within the bound."""
+    """Drawn entries (Fractions, so d > 1, negatives, constants and
+    s-terms) and, on a Ct boundary block, a drawn SPermC, packed at
+    `_width`: the decoded targets equal the dense kernel's, within the
+    bound, and packed, the same rows at that width."""
     spec = AlgebraSpec(family, n)
     v = MassVector(spec, tuple(data.draw(st.lists(
         forms(spec.size), min_size=spec.size, max_size=spec.size))))
@@ -227,12 +231,15 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
     if family == "affine_ct" and not J.is_interior(n) and J.length <= 2:
         f = data.draw(st.none() | st.sampled_from(palindromic(J.length)))
     layout, rows, lifts = _kernel_rows(v)
-    new, target = _block_rows(rows, lifts, spec, J, f)
-    want = dense_block_rows(rows, lifts, spec, J, f)
-    assert target == want
     m = max(abs(c) for row in rows for c in row)
     l = max(abs(c) for lift in lifts for _, c in lift)
     e = len(extension(J, spec)[1])
+    assert _peaks(rows, lifts) == (m, l)
+    b = _width(e, m, l, growth(spec))
+    new, target = _block_rows(_packing(rows, lifts, b), spec, J, f)
+    want = dense_block_rows(rows, lifts, spec, J, f)
+    assert target == want
+    assert list(new.values()) == list(kronecker(want.values(), b))
     bound = m + e * e * (l + (growth(spec) + 1) * m)
     assert max(abs(c) for row in want.values() for c in row) <= bound
 
@@ -240,14 +247,15 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 400), st.integers(1, 30), st.data())
 def test_decode_round_trips_every_value_the_slot_holds(b, width, data):
-    """`_unpack` inverts `_pack` on every |c| <= 2^(b-1) - 1, the ends of
-    that range included."""
+    """`_unpack` inverts `_packing` on every |c| <= 2^(b-1) - 1, the ends
+    of that range included."""
     top = (1 << b - 1) - 1
     value = st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top)
     rows = data.draw(st.lists(st.lists(value, min_size=width,
                                        max_size=width), max_size=4))
-    packed = _pack(map(enumerate, rows), b)
-    assert _unpack(packed, b, width) == [tuple(row) for row in rows]
+    packing = _packing(rows, (), b)
+    assert packing[2:] == (b, width if rows else 0)
+    assert _unpack(packing[0], packing) == [tuple(row) for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,6 +265,5 @@ def test_width_holds_its_bound(e, m, l, g):
     """A coefficient at the bound m + e^2 (l + (g + 1) m), either sign,
     packs and decodes at `_width`."""
     bound = m + e * e * (l + (g + 1) * m)
-    b = _width(e, m, l, g)
-    assert _unpack(_pack([[(0, bound), (1, -bound)]], b), b, 2) == \
-        [(bound, -bound)]
+    packing = _packing([(bound, -bound)], (), _width(e, m, l, g))
+    assert _unpack(packing[0], packing) == [(bound, -bound)]

@@ -108,7 +108,10 @@ def node_lists(draw, mixed):
     nodes = []
     for k in range(draw(st.integers(0, 14))):
         spec = draw(st.sampled_from(specs))
-        entries = tuple(draw(st.sampled_from(pool)) for _ in spec.indices)
+        # the pool's forms on indices 1..n+1, the only ones a vector holds
+        held = [f for f in pool if max(dict(f.mu + f.s), default=0)
+                <= spec.size] or [LinForm.zero()]
+        entries = tuple(draw(st.sampled_from(held)) for _ in spec.indices)
         # distinct witnesses tell apart nodes with equal keys, and the
         # first node's empty word is the parent of all others in DOT
         nodes.append(OrbitNode(MassVector(spec, entries),
