@@ -149,18 +149,17 @@ def _reach(spec: AlgebraSpec, length: int, m: int, l: int) -> int:
 
 
 def _fold_width(spec: AlgebraSpec, length: int, m: int, l: int) -> int:
-    """The fold rule: a slot width for ``length`` letters on rows at most
-    m with lifts at most l, their `_peaks`, two bits past P, the `_reach`
-    of ``length`` letters, so a difference fits.  Proof of P: letter i
-    maps a column x of the rows (x_t in row t) to s_i x + c e_i, where
-    s_i x = x - (Kx)_i e_i and |c| <= l.  q(x) = x^T D K x is s_i-invariant
-    and positive semidefinite with kernel (1,...,1): sum_cyclic
-    (x_i - x_{i+1})^2 for A, 2 sum_path (x_i - x_{i+1})^2 for Ct.  So
-    N = sqrt(q) gains at most |c| sqrt(2 d_i) <= 2l a letter, from
-    N_0 <= 3 sqrt(n+1) M; x_1 moves only under R_1, by at most
-    l + sqrt(2) N; each |x_t - x_1| <= sqrt(n) N.  So within L letters no
-    |x_t| passes M + L l + sqrt(2) (L N_0 + l L (L-1)) + sqrt(n) (N_0
-    + 2 L l), quadratic in L."""
+    """The fold rule: two bits past P, the `_reach` of ``length`` letters
+    on rows at most M = m with lifts at most l, so a difference fits.
+    Proof of P: letter i maps a column x of the rows (x_t in row t) to
+    s_i x + c e_i, where s_i x = x - (Kx)_i e_i and |c| <= l.
+    q(x) = x^T D K x is s_i-invariant and positive semidefinite with
+    kernel (1,...,1): sum_cyclic (x_i - x_{i+1})^2 for A, 2 sum_path
+    (x_i - x_{i+1})^2 for Ct.  So N = sqrt(q) gains at most |c| sqrt(2 d_i)
+    <= 2l a letter, from N_0 <= 3 sqrt(n+1) M; x_1 moves only under R_1,
+    by at most l + sqrt(2) N; each |x_t - x_1| <= sqrt(n) N.  So within L
+    letters no |x_t| passes M + L l + sqrt(2) (L N_0 + l L (L-1))
+    + sqrt(n) (N_0 + 2 L l), quadratic in L."""
     return _reach(spec, length, m, l).bit_length() + 2
 
 

@@ -409,9 +409,11 @@ class MassVector:
             raise RankError("expected %d entries, got %d"
                             % (size, len(self.entries)))
         for e in self.entries:  # index tuples are sorted: check the ends
-            for i, _ in e.mu[:1] + e.mu[-1:] + e.s[:1] + e.s[-1:]:
-                if not 1 <= i <= size:
-                    raise DomainError("index %d outside 1..%d" % (i, size))
+            mu, s = e.mu, e.s
+            if (mu and (mu[0][0] < 1 or mu[-1][0] > size)
+                    or s and (s[0][0] < 1 or s[-1][0] > size)):
+                raise DomainError("index %d outside 1..%d" % (next(
+                    i for i, _ in mu + s if not 1 <= i <= size), size))
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "MassVector":
