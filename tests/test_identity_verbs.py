@@ -11,8 +11,10 @@ a bad token and a negative --l; and a "junk argv" group of argv lists
 drawn from a fixed seed out of the verb names and their flags, numbers,
 j:l and r2,r1 pairs and junk tokens (never -h or --help).  Each group's
 cases hash into one sha256 over the JSON list [exit code, stdout, stderr]
-of each case, in order; a junk case's stderr is cut at its first ':', as
-argparse words its messages differently across Python versions.
+of each case, in order.  A junk case whose error argparse worded has its
+stderr cut to "usage error", as argparse words its messages differently
+across Python versions; every other stderr, the program's own usage
+errors included, is hashed whole.
 The test compares the hashes with `identity_verbs_reference.json`;
 running this file as a script rewrites that file:
 
@@ -30,7 +32,7 @@ import json
 import random
 from pathlib import Path
 
-from todamass.cli import run
+from todamass.cli import _Parser, run
 
 REFERENCE = Path(__file__).with_name("identity_verbs_reference.json")
 FLAGS = ("a", "ct")
@@ -152,13 +154,30 @@ def record(argv):
     return [code, out.getvalue(), err.getvalue()]
 
 
+def junk_record(argv):
+    """`record`, with stderr cut to "usage error" if argparse worded the
+    error: `_Parser.error` is where argparse hands its messages over."""
+    worded, error = [], _Parser.error
+
+    def note(parser, message):
+        worded.append(message)
+        error(parser, message)
+    _Parser.error = note
+    try:
+        case = record(argv)
+    finally:
+        _Parser.error = error
+    if worded:
+        assert case[2] == "usage error: %s\n" % worded[0]
+        case[2] = "usage error"
+    return case
+
+
 def digests():
     """{group: {"cases": count, "sha256": hex}} over every case."""
     hashes, counts = {}, {}
     for group, argv in cases():
-        case = record(argv)
-        if group == "junk argv":
-            case[2] = case[2].split(":", 1)[0]
+        case = junk_record(argv) if group == "junk argv" else record(argv)
         hashes.setdefault(group, hashlib.sha256()).update(
             json.dumps(case).encode() + b"\n")
         counts[group] = counts.get(group, 0) + 1
