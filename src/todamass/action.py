@@ -186,10 +186,12 @@ def apply_word(w: Word, v: MassVector,
                weights: Optional[Sequence[LinForm]] = None) -> MassVector:
     """Apply the word's letters right to left, under optional weights.
 
-    ``weights`` optionally replaces the symbolic weights: entry t is the
-    form standing in for mu_{t+1}.  The default is the plain mu basis.
+    ``weights`` optionally replaces the plain mu basis: entry t is the
+    form, on indices 1..n+1 only, standing in for mu_{t+1}.
     """
     layout, rows, lifts = _kernel_rows(v, weights)
+    if weights is not None:  # refused before any letter, like a vector's
+        MassVector(v.spec, tuple(weights[:v.spec.size]))
     packing = _packing(rows, lifts,
                        _fold_width(v.spec, len(w), *_peaks(rows, lifts)))
     return MassVector(v.spec, tuple(_form(row, layout) for row in _unpack(
@@ -232,13 +234,11 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
 
 
 @cache
-def _generic_packing(spec: AlgebraSpec, length: int, e: int = 0) -> tuple:
-    """`_packing` of the generic rows for ``length`` letters and the
-    masses of e shifted weights: the wider of the two rules' widths."""
+def _generic_packing(spec: AlgebraSpec, length: int) -> tuple:
+    """`_packing` of the generic rows at the fold width for ``length``."""
     _, rows, lifts = _generic_rows(spec)
-    m, l = _peaks(rows, lifts)
-    return _packing(rows, lifts, max(_fold_width(spec, length, m, l),
-                                     _width(e, m, l, _growth(spec))))
+    return _packing(rows, lifts, _fold_width(spec, length,
+                                             *_peaks(rows, lifts)))
 
 
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:

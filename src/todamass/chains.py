@@ -8,10 +8,13 @@ sweeps of length (l+1)^2 and interior blocks reuse the A-type word.
 
 A chain's target is the permutation mass of the longest element (the
 reversal), summed on packed integer rows by `perms._block_rows`.  `chain
---verify` sums it on the generic rows packed for the word's fold, wide
-enough for the target too (its coefficients are at most 1 + 6 E^2, E the
-block's length after the mirror extension), compares it packed and
-decodes it once, for its text.
+--verify` sums it on the generic rows packed at its word's fold width,
+compares it packed and decodes it once, for its text.  The target fits:
+its coefficients are at most 1 + 6 E^2, E the block's length after the
+mirror extension, and the fold's P on L letters (M = 1, lifts 2, N_0 >=
+6) exceeds 2 sqrt(2) L (L + 2), where L (L + 2) >= 2 e^2 + e on e
+indices (L = e(e+1)/2, E = e), and >= 1.5 E^2 (3 if e = 1) at a Ct
+boundary (L = e^2, E = 2e - 1).  So 2P > 1 + 6 E^2: b >= `_width` of E.
 """
 
 from __future__ import annotations

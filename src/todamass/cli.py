@@ -20,8 +20,8 @@ from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
-from .perms import (CyclicRotation, SPermC, _block_rows, _extension,
-                    _generic_text, fold_ct_to_a, rotate_vector, sc_simple)
+from .perms import (CyclicRotation, SPermC, _block_rows, _generic_text,
+                    fold_ct_to_a, rotate_vector, sc_simple)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
 WORD_SLICE = 4096  # letters per piece of a written word
@@ -123,9 +123,8 @@ def _cmd_chain(args, out) -> int:
     _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
-        # summed and compared on the packed rows the word folds
-        packing = _generic_packing(spec, len(plan.word),
-                                   len(_extension(J, spec)[1]))
+        # on the rows packed for the fold, proved wide enough (`chains`)
+        packing = _generic_packing(spec, len(plan.word))
         new, target = _block_rows(packing, spec, J)
         out.write("target %s\n" % _generic_text(spec, target))
         want = tuple(new.get(s, row) for s, row in enumerate(packing[0], 1))

@@ -8,8 +8,7 @@ classifying the boundary-block masses of affine Ct.
 `_half_masses` is the only place the partial-sum mass formula is summed,
 on rows packed one int each; `finite_a_mass`, `sigma_f_ct` and every
 chain target read it.  Each packs once, by `action._packing` at the mass
-rule's width for its coefficients (chain --verify: the wider of that and
-its fold's), and chain --verify compares its target packed.
+rule's width (chain --verify: at its fold's, which holds it too).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Iterator, Optional, Sequence
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
                       _form, _int_rows)
 from .action import (Word, _generic_rows, _growth, _kernel_rows, _letter,
-                     _letters, _neighbours, _packing, _peaks, _unpack,
-                     _width)
+                     _letters, _neighbours, _packing, _peaks, _unpack, _width)
 from .cartan import ConsecutiveSet
 from .errors import DomainError, EvaluationError, SymmetryError
 

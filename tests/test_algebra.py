@@ -225,13 +225,20 @@ def test_a_vector_holds_indices_1_to_n_plus_1_only(field, family, n):
     assert MassVector.from_json(v.to_json()) == v
 
 
-def test_a_weight_overlay_cannot_write_a_stray_index():
-    """`apply_word` under weights naming mu_4 at rank 2 is refused when its
-    result would hold mu_4, and not when a letter cancels it."""
-    from todamass.action import Word, apply_word
+def test_a_weight_overlay_cannot_name_a_stray_index():
+    """`apply_word` under weights naming mu_4 at rank 2 is refused before
+    any letter, even where a letter would cancel it or none reads it, as
+    letter-by-letter application is; a fourth weight is never read."""
+    from todamass.action import Word, apply_generator, apply_word
     spec = AlgebraSpec("affine_a", 2)
-    weights = [LinForm.weight(4)] + [LinForm.weight(i) for i in (2, 3)]
-    with pytest.raises(DomainError, match="index 4 outside 1..3"):
-        apply_word(Word.of(1), MassVector.zero(spec), weights)
-    assert apply_word(Word.of(1, 1), MassVector.zero(spec), weights) == \
-        MassVector.zero(spec)
+    zero, plain = MassVector.zero(spec), [LinForm.weight(i) for i in (1, 2, 3)]
+    for stray in (LinForm.weight(4), LinForm.make(s={0: 1})):
+        weights = [stray] + plain[1:]
+        for w in (Word.of(1), Word.of(1, 1), Word.of(2), Word()):
+            with pytest.raises(DomainError, match="^index %d outside 1..3$"
+                               % (stray.mu + stray.s)[0][0]):
+                apply_word(w, zero, weights)
+        with pytest.raises(DomainError, match="outside 1..3"):
+            apply_generator(2, zero, weights)
+    assert apply_word(Word.of(1, 2), zero, plain + [LinForm.weight(4)]) == \
+        apply_word(Word.of(1, 2), zero)

@@ -73,6 +73,13 @@ def linform_generator(i, v, weights=None):
 
 
 def linform_word(w, v, weights=None):
+    """The word's letters applied one at a time, right to left, once an
+    overlay naming an index outside 1..n+1 is refused."""
+    size = v.spec.size
+    for t in weights[:size] if weights is not None else ():
+        stray = [i for i, _ in t.mu + t.s if not 1 <= i <= size]
+        if stray:
+            raise DomainError("index %d outside 1..%d" % (stray[0], size))
     for i in reversed(w.letters):
         v = linform_generator(i, v, weights)
     return v
@@ -261,12 +268,14 @@ def outcome(call, errors=DomainError):
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
-def forms(size):
-    """Forms with constants, Fractions and s-terms, on mu indices 1..size,
-    the only ones a vector holds."""
+def forms(size, stray=True):
+    """Forms with constants, Fractions, s-terms and, if ``stray``, mu
+    indices outside 1..size, stray ones below and above; a vector holds
+    none of those, a weight overlay is refused for them."""
+    index = st.integers(-1, size + 2) if stray else st.integers(1, size)
     return st.builds(
         LinForm.make, rationals,
-        st.dictionaries(st.integers(1, size), rationals, max_size=4),
+        st.dictionaries(index, rationals, max_size=4),
         st.dictionaries(st.integers(1, size), rationals, max_size=2))
 
 
@@ -298,7 +307,7 @@ def test_apply_word_matches_linform_fold(family, n, kind, data):
     v, weights = MassVector.generic(spec), None
     if kind != "generic":
         v = MassVector(spec, tuple(data.draw(st.lists(
-            forms(size), min_size=size, max_size=size))))
+            forms(size, stray=False), min_size=size, max_size=size))))
     if kind == "overlay":
         weights = data.draw(st.lists(forms(size), min_size=size,
                                      max_size=size + 2))
@@ -309,7 +318,8 @@ def test_apply_word_matches_linform_fold(family, n, kind, data):
         assert verify_relation(word, spec) == (linform_word(word, g) == g)
         assert verify_relation(word * Word(tuple(reversed(letters))), spec)
     else:
-        assert outcome(lambda: verify_relation(word, spec)) == want
+        assert outcome(lambda: verify_relation(word, spec)) == \
+            outcome(lambda: linform_word(word, g))
 
 
 @pytest.mark.parametrize("family,n,depth", CRITERION_12_SWEEP)
@@ -442,7 +452,8 @@ def test_gamma_n_test_matches_the_coefficient_matrix(family, n, level, kind,
         # constants, Fractions and s-terms: NotMassForm comes before any
         # residual is formed
         v = MassVector(spec, tuple(data.draw(st.lists(
-            forms(spec.size), min_size=spec.size, max_size=spec.size))))
+            forms(spec.size, stray=False), min_size=spec.size,
+            max_size=spec.size))))
     else:
         v = ascent(spec, level, rng)
         if kind == "stray":
@@ -534,12 +545,14 @@ def folds_to(word, rows, spec, lifts, want=None):
         want or [()] * len(rows), packing[2])
 
 
-def random_form(rng, size):
+def random_form(rng, size, stray=True):
     """A form like those `forms` draws: Fractions (so d > 1), negative
-    coefficients, a constant and s-terms."""
+    coefficients, a constant, s-terms and, if ``stray``, stray mu
+    indices."""
     def rational():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return LinForm.make(rational(), {rng.randint(1, size): rational()
+    low, high = (-1, size + 2) if stray else (1, size)
+    return LinForm.make(rational(), {rng.randint(low, high): rational()
                                      for _ in range(rng.randint(0, 4))},
                         {rng.randint(1, size): rational()
                          for _ in range(rng.randint(0, 2))})
@@ -559,7 +572,8 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
         letters.insert(data.draw(st.integers(0, len(letters))), bad)
     word = Word(tuple(letters))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    v = MassVector(spec, tuple(random_form(rng, size) for _ in range(size)))
+    v = MassVector(spec, tuple(random_form(rng, size, stray=False)
+                               for _ in range(size)))
     weights = [random_form(rng, size) for _ in range(size)] if overlay \
         else None
     layout, rows, lifts = _kernel_rows(v, weights)
@@ -591,9 +605,14 @@ def test_packed_fold_matches_row_fold(family, n, kind, overlay, data):
         p = min(p, len(rows[0]) - 2)
         want = moved(got, j, p, 1 << b, -1)
         assert kronecker(want, b) == kronecker(got, b)
-    # the packed verdict, and apply_word's decoded rows, are the row fold's
-    assert apply_word(word, v, weights) == MassVector(
-        spec, tuple(_form(row, layout) for row in got))
+    # the packed verdict, and apply_word's decoded rows, are the row fold's;
+    # apply_word refuses an overlay naming a stray index before it folds
+    if any(not 1 <= i <= size for w in weights or () for i, _ in w.mu):
+        with pytest.raises(DomainError, match="outside 1..%d" % size):
+            apply_word(word, v, weights)
+    else:
+        assert apply_word(word, v, weights) == MassVector(
+            spec, tuple(_form(row, layout) for row in got))
     assert folds_to(word, rows, spec, lifts, want) == (got == want) \
         == (kind == "true")
     zero = tuple((0,) * len(row) for row in rows)
@@ -824,7 +843,7 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
             e = len(J.indices(n))
             e += e - 1 if family == "affine_ct" and not J.is_interior(n) else 0
             assert len(_extension(J, spec)[1]) == e
-            packing = _generic_packing(spec, len(word), e)
+            packing = _generic_packing(spec, len(word))
             # the proved slot width, M = 1 the generic rows, l = 2 the lift
             b = slot_bits(spec, len(word), 1, 2)
             assert packing[2:] == (b, width)

@@ -112,7 +112,7 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
             length = len(chain_word(spec, J))
             e = len(extension(J, spec)[1])
             assert _extension(J, spec) == extension(J, spec)
-            packing = _generic_packing(spec, length, e)
+            packing = _generic_packing(spec, length)
             new, target = _block_rows(packing, spec, J)
             want = dense_block_rows(rows, lifts, spec, J)
             assert target == want, (spec, J)
@@ -127,11 +127,10 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
-    """chain --verify packs the generic rows at the wider of the fold's
-    width for its word and the target's `_width`, E the block's length
-    after the mirror extension.  For every --set/--wrap block at ranks
-    2-40 that is P's width for the word, at least the target's: the max
-    changes no width.  At rank 20 each target also sums, on a packing at
+    """chain --verify packs the generic rows at P's width for its word,
+    which `chains` proves at least the target's `_width`, E the block's
+    length after the mirror extension.  For every --set/--wrap block at
+    ranks 2-40 it is.  At rank 20 each target also sums, on a packing at
     exactly its own `_width` (Ct head and tail targets reach 64 there),
     to the dense kernel's rows, packed at that width."""
     for n in range(2, 41):
@@ -144,7 +143,7 @@ def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
             e = len(extension(J, spec)[1])
             b, own = slot_bits(spec, length, 1, 2), _width(e, 1, 2, g)
             assert _fold_width(spec, length, 1, 2) == b >= own, (spec, J)
-            assert _generic_packing(spec, length, e)[2] == b
+            assert _generic_packing(spec, length)[2] == b
             if n == 20:
                 want = dense_block_rows(rows, lifts, spec, J)
                 new, target = _block_rows(_packing(rows, lifts, own), spec, J)
@@ -225,7 +224,8 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
     bound, and packed, the same rows at that width."""
     spec = AlgebraSpec(family, n)
     v = MassVector(spec, tuple(data.draw(st.lists(
-        forms(spec.size), min_size=spec.size, max_size=spec.size))))
+        forms(spec.size, stray=False), min_size=spec.size,
+        max_size=spec.size))))
     J = data.draw(blocks(spec))
     f = None
     if family == "affine_ct" and not J.is_interior(n) and J.length <= 2:
