@@ -235,10 +235,18 @@ def _generic_rows(spec: AlgebraSpec) -> tuple[_Layout, _Rows, _Lifts]:
 
 @cache
 def _generic_packing(spec: AlgebraSpec, length: int) -> tuple:
-    """`_packing` of the generic rows at the fold width for ``length``."""
+    """`_packing` of the generic rows at the fold width for ``length``: the
+    one packing of its width, shared by every length of that width."""
     _, rows, lifts = _generic_rows(spec)
-    return _packing(rows, lifts, _fold_width(spec, length,
+    return _generic_packed(spec, _fold_width(spec, length,
                                              *_peaks(rows, lifts)))
+
+
+@cache
+def _generic_packed(spec: AlgebraSpec, b: int) -> tuple:
+    """`_packing` of the generic rows at slot width b, built once."""
+    _, rows, lifts = _generic_rows(spec)
+    return _packing(rows, lifts, b)
 
 
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:

@@ -408,12 +408,10 @@ class MassVector:
         if len(self.entries) != size:
             raise RankError("expected %d entries, got %d"
                             % (size, len(self.entries)))
-        for e in self.entries:  # index tuples are sorted: check the ends
-            mu, s = e.mu, e.s
-            if (mu and (mu[0][0] < 1 or mu[-1][0] > size)
-                    or s and (s[0][0] < 1 or s[-1][0] > size)):
-                raise DomainError("index %d outside 1..%d" % (next(
-                    i for i, _ in mu + s if not 1 <= i <= size), size))
+        for e in self.entries:  # every index: a hand-built form's pairs
+            for i, _ in e.mu + e.s:  # may be out of order, or not ints
+                if type(i) is not int or not 0 < i <= size:  # nor a bool
+                    raise DomainError("index %r outside 1..%d" % (i, size))
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "MassVector":

@@ -141,11 +141,11 @@ def _cmd_orbit(args, out) -> int:
         raise UsageError("--mu needs --out csv")
     spec = _spec(args)
     mu = _parse_mu(args.mu, spec.size) if args.mu is not None else None
-    data = _write_graph(*_ranked_orbit(spec, args.depth), args.out, mu)
-    if hasattr(out, "buffer"):
-        out.buffer.write(data)
-    else:
-        out.write(data.decode())
+    # each level's pieces go out as they are made, as bytes where out has
+    # a binary buffer; every check is made before the first one
+    write = out.write if not hasattr(out, "buffer") else (
+        lambda text: out.buffer.write(text.encode()))
+    _write_graph(*_ranked_orbit(spec, args.depth), args.out, mu, write)
     return 0
 
 

@@ -7,6 +7,10 @@ reverse search (Avis & Fukuda, 1996), to a bounded depth and with no
 visited set.  Orbit entries are 2 sum_j n_ij mu_j with integers n_ij, so
 both run on integer rows by `action`'s rule, enumeration on rows packed
 one int each; it writes, sorts and exports one form per distinct entry.
+A node is held as (parent, letter), not as its witness word.  Each level
+is sorted on its own and written, in pieces, once its children are made;
+then it is dropped.  Every check comes before the first byte, so a
+failed export writes nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
@@ -64,62 +69,93 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     its lexicographically smallest shortest word, of length its level.
     Sorted by (level, canonical key); ``workers`` is accepted and ignored.
     """
-    forms, nodes = _ranked_orbit(spec, depth, _form)
-    return [OrbitNode(MassVector(spec, tuple(map(forms.__getitem__, ranks))),
-                      Word(word), level) for level, ranks, word, _ in nodes]
+    forms, levels = _ranked_orbit(spec, depth, _form)
+    nodes: list[OrbitNode] = []
+    words: list[tuple] = []
+    for _, level, group, _ in levels:
+        words = [(a,) + words[p] if p >= 0 else () for _, p, a in group]
+        nodes += [OrbitNode(MassVector(spec, tuple(map(forms.__getitem__,
+                                                       ids))), Word(w), level)
+                  for (ids, _, _), w in zip(group, words)]
+    return nodes
 
 
-def _ranked_orbit(spec: AlgebraSpec, depth: int,
-                  make=_entry) -> tuple[list, list[tuple]]:
-    """`enumerate_orbit` with no vector built, on rows packed one int each
-    and interned as letters make them: (forms, ranked nodes), forms each
-    distinct row decoded once and written once by ``make``, in compact JSON
-    order, a ranked node (level, entry ranks, witness letters, spec) with
-    entry k forms[ranks[k]].  An entry's JSON is its members '"i":"c"',
-    c != 0, in the string order of i, joined by ',' and closed by '}'.  At
-    the first i where two entries differ, they compare as c and c' (a '"'
-    closes c, < digits), or else the entry with a member at i is less: the
-    other has '}' there (> ',' and '"') or a later index.  So the key of
-    each c's text in that order, '}' for 0, sorts as JSON, and (level,
-    entry ranks) as the canonical key in one spec: its JSON prefix-free."""
+def _ranked_orbit(spec: AlgebraSpec, depth: int, make=_entry) -> tuple:
+    """`enumerate_orbit` with no vector built: (forms, levels).  levels is
+    a generator of `_write_graph` groups (spec, level, nodes, None), one
+    per level, each held only while it is written and its children made.
+    forms gets each distinct row, decoded by ``make``, when the level that
+    first reaches it comes.  A node is (entry ids, parent, letter): entry
+    k is forms[ids[k]], and its witness is the letter, then the witness of
+    node number parent of the level before (-1 for the root, whose witness
+    is empty).  A level is sorted on its own, by the ranks of its entries
+    under `_json_keys`: that is (level, canonical key) order in one spec,
+    and no two nodes of the orbit of 0 are equal.  The depth is checked
+    here, before any level is made."""
     if depth < 0:
         raise DomainError("depth must be at least 0, got %d" % depth)
+    forms: list = []
+    return forms, _levels(spec, depth, make, forms)
+
+
+def _levels(spec: AlgebraSpec, depth: int, make, forms: list):
+    """`_ranked_orbit`'s levels, by reverse search on rows packed one int
+    each and interned as letters make them."""
     nbrs, cols = _neighbours(spec), _columns(spec)
-    layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
-    packing = _packing(zero, lifts,
-                       _fold_width(spec, depth, *_peaks(zero, lifts)))
+    layout, packing, root = _orbit_start(spec, depth)
     lifts = packing[1]
-    # zero packs to 0, row id 0; the loop meets nodes as it appends them,
-    # each holding its parent's deltas, stepped if it has children
-    row_of, ids = [0], {0: 0}
-    tree = [((0,) * spec.size, (), _deltas(zero, 1, spec))]
-    for node, word, deltas in tree:
-        if len(word) == depth:
-            break
-        if word:
-            deltas = _stepped(deltas, word[0] - 1, cols)
-        for i in _children(deltas, cols):
-            row = lifts[i] - row_of[node[i]]  # `_letter` on the ids
-            for t, k in nbrs[i]:
-                row -= k * row_of[node[t]]
-            r = ids.setdefault(row, len(row_of))
-            if r == len(row_of):
-                row_of.append(row)
-            tree.append((node[:i] + (r,) + node[i + 1:], (i + 1,) + word,
-                         deltas))
-    decoded = _unpack(row_of, packing)
-    order = _json_order(decoded, spec)
-    rank = sorted(range(len(order)), key=order.__getitem__)
-    nodes = sorted([(len(word), tuple(map(rank.__getitem__, node)), word,
-                     spec) for node, word, _ in tree])
-    return [make(decoded[r], layout) for r in order], nodes
+    # zero packs to 0, row id 0
+    row_of, ids, keys = [0], {0: 0}, []
+    nodes, deltas = [([0] * spec.size, -1, 0)], [root]
+    for level in range(depth + 1):
+        new = _unpack(row_of[len(forms):], packing)
+        forms.extend([make(row, layout) for row in new])
+        keys.extend(_json_keys(new, spec))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = sorted(range(len(keys)), key=order.__getitem__)  # inverse
+        nodes.sort(key=lambda nd: tuple(map(rank.__getitem__, nd[0])))
+        yield spec, level, nodes, None
+        if level == depth:
+            return
+        children, stepped = [], []
+        for j, (node, p, a) in enumerate(nodes):
+            # a node's deltas: its parent's, stepped by its letter
+            d = _stepped(deltas[p], a - 1, cols) if p >= 0 else root
+            stepped.append(d)
+            for i in _children(d, cols):
+                row = lifts[i] - row_of[node[i]]  # `_letter` on the ids
+                for t, k in nbrs[i]:
+                    row -= k * row_of[node[t]]
+                r = ids.setdefault(row, len(row_of))
+                if r == len(row_of):
+                    row_of.append(row)
+                child = node.copy()
+                child[i] = r
+                children.append((child, j, i + 1))
+        nodes, deltas = children, stepped
 
 
-def _json_order(rows: Sequence[_Row], spec: AlgebraSpec) -> list[int]:
-    """The row numbers, sorted by `_ranked_orbit`'s key of the rows."""
+@cache
+def _orbit_start(spec: AlgebraSpec, depth: int) -> tuple:
+    """(layout, packing, deltas) of the zero vector for `_ranked_orbit`,
+    packed at the fold width of ``depth`` letters: made once per spec and
+    depth."""
+    layout, zero, lifts = _kernel_rows(MassVector.zero(spec))
+    return layout, _packing(zero, lifts, _fold_width(
+        spec, depth, *_peaks(zero, lifts))), tuple(_deltas(zero, 1, spec))
+
+
+def _json_keys(rows: Sequence[_Row], spec: AlgebraSpec) -> list[tuple]:
+    """`_ranked_orbit`'s key of each row.  An entry's JSON is its members
+    '"i":"c"', c != 0, in the string order of i, joined by ',' and closed
+    by '}'.  At the first i where two entries differ, they compare as c and
+    c' (a '"' closes c, < digits), or else the entry with a member at i is
+    less: the other has '}' there (> ',' and '"') or a later index.  So
+    the key, each c's text in that order and '}' for 0, sorts as the JSON,
+    and a vector's entry keys in turn as its canonical key in one spec:
+    its JSON is prefix-free."""
     pick = sorted(spec.indices, key=str)
-    keys = [tuple([str(r[i]) if r[i] else "}" for i in pick]) for r in rows]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    return [tuple([str(r[i]) if r[i] else "}" for i in pick]) for r in rows]
 
 
 def _mass_rows(layout: _Layout, rows: _Rows,
@@ -263,8 +299,58 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
     return applied, ""
 
 
+def export_graph(nodes: Sequence[OrbitNode], fmt: str,
+                 mu: Optional[Sequence] = None) -> bytes:
+    """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
+
+    Nodes come out sorted by (level, canonical key), ties in the order
+    given.  The JSON equals ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"`` byte for byte, where payload is ``{"nodes":
+    [{"vector": v.to_json_dict(), "witness": [letters], "level": level},
+    ...]}``; it is assembled from each distinct entry's rendering.
+    CSV rows hold every entry's value at ``mu`` or, without ``mu``, the
+    vector as text.  A DOT edge runs to each node from the last node whose
+    witness is the node's minus its first letter.
+    """
+    nodes = sorted(nodes, key=lambda nd: (nd.level,
+                                          nd.vector.canonical_key()))
+    # each distinct entry numbered by its first appearance
+    first = {e.json_compact: e for nd in nodes for e in nd.vector.entries}
+    number = {text: k for k, text in enumerate(first)}
+    entries = [tuple([number[e.json_compact] for e in nd.vector.entries])
+               for nd in nodes]
+    words = [nd.witness.letters for nd in nodes]
+    # a hand-made list has no parent links: up at k holds the position of
+    # the last node whose witness is node k's less its first letter, and
+    # the JSON tail of that shorter witness
+    at = {w: k for k, w in enumerate(words)}
+    up = ([at.get(w[1:]) for w in words],
+          ["".join([_LETTER_SEP + str(a) for a in w[1:]]) + _WITNESS_END
+           for w in words] if fmt == "json" else None)
+    if fmt == "dot":
+        for w, k in zip(words, up[0]):
+            if w and k is None:
+                raise FormatError("node with witness %s has no parent node"
+                                  % Word(w))
+    every, forms = list(first.values()), []
+
+    def groups():
+        for (spec, level), run in groupby(range(len(nodes)), lambda k: (
+                nodes[k].vector.spec, nodes[k].level)):
+            run = [(entries[k], *((k, words[k][0]) if words[k] else (-1, 0)))
+                   for k in run]
+            forms.extend(every[len(forms):1 + max([max(ids)
+                                                   for ids, _, _ in run])])
+            yield spec, level, run, up
+
+    pieces: list[str] = []
+    _write_graph(forms, groups(), fmt, mu, pieces.append)
+    return "".join(pieces).encode()
+
+
 # one node of the JSON export, at the depth json.dumps(..., indent=2)
-# puts it; an entry sits 10 spaces in, a witness letter 8
+# puts it; an entry sits 10 spaces in, a witness letter 8, and a witness's
+# tail is each of its letters after the first, then the closing bracket
 _JSON_NODE = """    {
       "level": %d,
       "vector": {
@@ -277,77 +363,88 @@ _JSON_NODE = """    {
       "witness": %s
     }"""
 _ENTRY_PAD = "\n" + " " * 10
+_LETTER_SEP, _WITNESS_END = ",\n" + " " * 8, "\n      ]"
+# the line of a node and the separator of its entries, beside JSON; the
+# csv module quotes a field with a comma
+_LINES = {"dot": ('  v%d [label="(%s)"];\n', ", "),
+          "csv": ('%d,"(%s)"\n', ", "), "csv --mu": ("%d,%s\n", " ")}
+_PIECE = 2048  # the nodes or edges held before a write
 
 
-def export_graph(nodes: Sequence[OrbitNode], fmt: str,
-                 mu: Optional[Sequence] = None) -> bytes:
-    """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
-
-    Nodes come out sorted by (level, canonical key), ties in the order
-    given.  The JSON equals ``json.dumps(payload, sort_keys=True,
-    indent=2) + "\n"`` byte for byte, where payload is ``{"nodes":
-    [{"vector": v.to_json_dict(), "witness": [letters], "level": level},
-    ...]}``; it is assembled from each distinct entry's rendering.
-    CSV rows hold every entry's value at ``mu`` or, without ``mu``, the
-    vector as text.
-    """
-    nodes = sorted(nodes, key=lambda nd: (nd.level,
-                                          nd.vector.canonical_key()))
-    # each distinct entry numbered by its first appearance
-    first = {e.json_compact: e for nd in nodes for e in nd.vector.entries}
-    number = {text: k for k, text in enumerate(first)}
-    return _write_graph(list(first.values()), [
-        (nd.level, tuple([number[e.json_compact] for e in nd.vector.entries]),
-         nd.witness.letters, nd.vector.spec) for nd in nodes], fmt, mu)
-
-
-def _write_graph(forms: Sequence, nodes: Sequence[tuple], fmt: str,
-                 mu: Optional[Sequence] = None) -> bytes:
-    """`export_graph`'s bytes for numbered nodes, in the order given, each
-    entry of ``forms`` rendered once into a list indexed by number."""
-    if fmt == "json":
-        if not nodes:
-            return b'{\n  "nodes": []\n}\n'
-        texts = [_json_indented(e).replace("\n", _ENTRY_PAD) for e in forms]
-        sep, letters = "," + _ENTRY_PAD, cache(str)  # a letter's text once
-        items = ",\n".join([_JSON_NODE % (
-            level, sep.join(map(texts.__getitem__, ranks)), spec.family,
-            spec.n, "[\n        " + ",\n        ".join(map(letters, word))
-            + "\n      ]" if word else "[]")
-            for level, ranks, word, spec in nodes])
-        return ('{\n  "nodes": [\n' + items + "\n  ]\n}\n").encode()
-    if fmt not in ("dot", "csv"):
+def _write_graph(forms: Sequence, groups, fmt: str, mu: Optional[Sequence],
+                 write) -> None:
+    """Write `export_graph`'s text for groups (spec, level, nodes, up) in
+    output order, through ``write`` once at least `_PIECE` nodes or edges
+    are made, and once at the end.  A node is (entry ids, parent, letter),
+    entry k forms[ids[k]].  forms grows between groups: those added before
+    a group are the ones it names first, rendered (or evaluated at ``mu``)
+    then in forms' order, which is their first use.  up is a pair
+    (positions, tails) indexed by parent, or None for the nodes of the
+    group before.  A node's witness is its letter, then the tail of up at
+    parent, or empty if parent is -1; only JSON reads tails.  No byte is
+    written before the first piece is made, so an error in the format,
+    the weights or the first group leaves nothing written."""
+    if fmt not in ("json", "dot", "csv"):
         raise FormatError("unknown export format %r" % (fmt,))
-    if fmt == "csv" and mu is not None:
-        # each distinct entry is evaluated once, in the order the entries
-        # come, so the first failure is the one per-node evaluation raises
-        values, lines, at = [None] * len(forms), ["index,mass"], None
-        for k, (_, ranks, _, spec) in enumerate(nodes):
-            if at is None or len(ranks) != len(mu):
-                at = _scaled(_weight_map(spec, mu))
-            for r in ranks:
-                if values[r] is None:
-                    values[r] = str(_scaled_value(forms[r], *at))
-            lines.append("%d,%s" % (k, " ".join(map(values.__getitem__,
-                                                    ranks))))
-        return ("\n".join(lines) + "\n").encode()
-    texts = list(map(_form_text, forms))
-    labels = ["(%s)" % ", ".join(map(texts.__getitem__, nd[1]))
-              for nd in nodes]
-    if fmt == "csv":
-        # the csv module's quoting: a comma in the field, and no quote
-        lines = ["index,mass"] + ['%d,"%s"' % kl for kl in enumerate(labels)]
-    else:
-        # discovery-tree edges: a node's parent has its witness minus the
-        # first letter
-        ids = {nd[2]: k for k, nd in enumerate(nodes)}
-        try:
-            edges = ["  v%d -> v%d [label=%d];" % (ids[word[1:]], k, word[0])
-                     for k, (_, _, word, _) in enumerate(nodes) if word]
-        except KeyError:
-            raise FormatError("node with witness %s has no parent node" % Word(
-                next(nd[2] for nd in nodes if nd[2][1:] not in ids))) from None
-        lines = (["digraph orbit {"]
-                 + ['  v%d [label="%s"];' % kl for kl in enumerate(labels)]
-                 + edges + ["}"])
-    return ("\n".join(lines) + "\n").encode()
+    valued = fmt == "csv" and mu is not None
+    line, joiner = _LINES.get(fmt + " --mu" if valued else fmt, (None, None))
+    out, held = [{"json": '{\n  "nodes": [\n', "dot": "digraph orbit {\n",
+                  "csv": "index,mass\n"}[fmt]], 0
+
+    def emit(text: str, count: int) -> None:
+        """Hold text for count nodes or edges; write once _PIECE are held."""
+        nonlocal out, held
+        out.append(text)
+        held += count
+        if held >= _PIECE:
+            write("".join(out))
+            out, held = [], 0
+
+    sep, joint = "," + _ENTRY_PAD, ""
+    texts, edges, at, at_spec = [], [], None, None
+    last, pos = (range(0), []), 0
+    for spec, level, nodes, up in groups:
+        parents, tails = up or last
+        new = forms[len(texts):]
+        if fmt == "json":
+            texts += [_json_indented(f).replace("\n", _ENTRY_PAD)
+                      for f in new]
+            if up is None:  # the tails of the group before
+                tails = [_LETTER_SEP + w if w else _WITNESS_END for w in tails]
+            node = _JSON_NODE % (level, "%s", spec.family, spec.n, "%s")
+        elif not valued:
+            texts += map(_form_text, new)
+        else:
+            if spec is not at_spec:
+                at, at_spec = _scaled(_weight_map(spec, mu)), spec
+            texts += [str(_scaled_value(f, *at)) for f in new]
+        witnesses: list[str] = []
+        for k in range(0, len(nodes), _PIECE):
+            piece = nodes[k:k + _PIECE] if len(nodes) > _PIECE else nodes
+            if fmt == "json":
+                ws = [str(a) + tails[p] if p >= 0 else "" for _, p, a in piece]
+                witnesses += ws
+                text = joint + ",\n".join([node % (
+                    sep.join(map(texts.__getitem__, ids)),
+                    "[\n        " + w if w else "[]")
+                    for (ids, _, _), w in zip(piece, ws)])
+                joint = ",\n"
+            else:
+                text = "".join([
+                    line % (j, joiner.join(map(texts.__getitem__, ids)))
+                    for j, (ids, _, _) in enumerate(piece, pos + k)])
+                if fmt == "dot":  # discovery-tree edges, after every node
+                    edges += [(parents[p], j, a) for j, (_, p, a)
+                              in enumerate(piece, pos + k) if p >= 0]
+            emit(text, len(piece))
+        last, pos = (range(pos, pos + len(nodes)), witnesses), pos + len(nodes)
+    for k in range(0, len(edges), _PIECE):
+        piece = edges[k:k + _PIECE]
+        emit("".join(["  v%d -> v%d [label=%d];\n" % e for e in piece]),
+             len(piece))
+    if fmt == "json":
+        out = out + ["\n  ]\n}\n"] if pos else ['{\n  "nodes": []\n}\n']
+    elif fmt == "dot":
+        out.append("}\n")
+    if out:
+        write("".join(out))

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,23 @@ def test_a_vector_holds_indices_1_to_n_plus_1_only(field, family, n):
             MassVector(spec, rest + (entry,))
     v = MassVector(spec, (LinForm.make(**{field: {1: 1, n + 1: 2}}),) + rest)
     assert MassVector.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize("field", ["mu", "s"])
+@pytest.mark.parametrize("pairs,bad", [
+    (((1, 1), (0, 1), (2, 1)), 0), (((1, 1), (4, 1), (2, 1)), 4),
+    (((1.5, 1),), 1.5), (((True, 1),), True), (((2, 1), ("1", 1)), "1")])
+def test_a_vector_checks_every_index_of_a_hand_built_form(field, pairs,
+                                                          bad):
+    """A form built as LinForm(...) skips `make`: its pairs may be out of
+    order, with a stray index between two good ones, or name an index that
+    is not an int (1.5 would print as mu_1 and write the key "1.5").  The
+    vector refuses every index that is not an int in 1..n+1."""
+    spec = AlgebraSpec("affine_a", 2)
+    entry = LinForm(**{field: pairs})
+    with pytest.raises(DomainError, match="^index %s outside 1..3$"
+                       % re.escape(repr(bad))):
+        MassVector(spec, (LinForm.zero(),) * 2 + (entry,))
 
 
 def test_a_weight_overlay_cannot_name_a_stray_index():

@@ -122,6 +122,18 @@ def test_indented_vector_json_matches_json_dumps(v):
             v.to_json_dict(), indent=indent, sort_keys=True)
 
 
+def ranked_nodes(spec, depth, make=_entry):
+    """`_ranked_orbit` run to the end: its forms, and its nodes in output
+    order as (level, entry ids, witness letters), each witness rebuilt
+    from the node's parent and letter."""
+    forms, levels = _ranked_orbit(spec, depth, make)
+    nodes, words = [], []
+    for _, level, group, _ in levels:
+        words = [(a,) + words[p] if p >= 0 else () for _, p, a in group]
+        nodes += [(level, ids, w) for (ids, _, _), w in zip(group, words)]
+    return forms, nodes
+
+
 def random_mu(rng, size):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for _ in range(size)]
@@ -292,8 +304,8 @@ def test_writer_sorts_two_digit_keys_as_strings():
 def test_orbit_entries_write_as_their_forms(family, n, depth):
     """The verb's `_Entry`s of ints and `enumerate_orbit`'s `LinForm`s."""
     spec = AlgebraSpec(family, n)
-    entries, nodes = _ranked_orbit(spec, depth)
-    forms, form_nodes = _ranked_orbit(spec, depth, _form)
+    entries, nodes = ranked_nodes(spec, depth)
+    forms, form_nodes = ranked_nodes(spec, depth, _form)
     assert nodes == form_nodes and len(entries) == len(forms)
     rng = random.Random(n * depth)
     at = dict(enumerate(random_mu(rng, spec.size), 1))

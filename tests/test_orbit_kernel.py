@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from row_fold import _fold, _reflect
 from test_algebra import replaced
+from test_export_fragments import ranked_nodes
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
 from todamass.action import (Word, _fold as packed_fold, _fold_width,
@@ -36,8 +37,7 @@ from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
 from todamass.orbit import (DESCENT_STALLED, MEMBER, NOT_IN_GAMMA_N,
                             MembershipReport, OrbitNode, _deltas, _descend,
-                            _mass_rows, _ranked_orbit, _verdict,
-                            coefficient_matrix,
+                            _mass_rows, _verdict, coefficient_matrix,
                             descend_to_zero, enumerate_orbit, export_graph,
                             gamma_n_test)
 from todamass.perms import _block_rows, _extension, _generic_text
@@ -671,11 +671,11 @@ def test_packed_bfs_matches_the_tuple_bfs(family):
         spec = AlgebraSpec(family, n)
         want = bfs_rows(spec, 8)
         for depth in range(9):
-            forms, nodes = _ranked_orbit(spec, depth)
+            forms, nodes = ranked_nodes(spec, depth)
             rows = [(e.const,) + tuple(dict(e.mu).get(i, 0)
                                        for i in spec.indices) for e in forms]
-            got = {(tuple(map(rows.__getitem__, ranks)), word)
-                   for _, ranks, word, _ in nodes}
+            got = {(tuple(map(rows.__getitem__, ids)), word)
+                   for _, ids, word in nodes}
             assert len(got) == len(nodes)
             assert got == {(r, w) for r, w in want if len(w) <= depth}, \
                 (spec, depth)

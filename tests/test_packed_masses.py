@@ -12,6 +12,7 @@ rows are checked against them, and every chain target against the bound
 and the packing chain --verify builds for it.
 """
 
+import io
 import random
 from fractions import Fraction
 from functools import cache
@@ -24,10 +25,11 @@ from test_orbit_kernel import (chain_blocks, forms, growth, kronecker,
 
 from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _form,
                               _int_rows)
-from todamass.action import (_fold_width, _generic_packing, _generic_rows,
-                             _kernel_rows, _neighbours, _packing, _peaks,
-                             _unpack, _width)
+from todamass.action import (_fold_width, _generic_packed, _generic_packing,
+                             _generic_rows, _kernel_rows, _neighbours,
+                             _packing, _peaks, _unpack, _width)
 from todamass.cartan import ConsecutiveSet
+from todamass.cli import run
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.perms import (FinitePermutation, SPermC, _block_rows,
                             _extension, finite_a_mass, mu_star, sigma_f_ct)
@@ -151,6 +153,40 @@ def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
                 assert list(new.values()) == list(kronecker(want.values(),
                                                             own)), J
         _generic_packing.cache_clear()  # the packings of 40 ranks, uncached
+        _generic_packed.cache_clear()
+
+
+def chain_argv(spec, J):
+    """chain --verify's argv for the block J at the spec's rank."""
+    flag = {"affine_a": "a", "affine_ct": "ct"}[spec.family]
+    block = (["--wrap", "%d,%d" % (J.start, J.start + J.length - spec.size)]
+             if J.wrap else ["--set", "%d:%d" % (J.start, J.length)])
+    return ["chain", "--family", flag, "--rank", str(spec.n), *block,
+            "--verify"]
+
+
+def test_generic_packings_are_shared_per_slot_width():
+    """chain --verify on every --set/--wrap block at rank 20 of both
+    families prints EQUAL; the words take many lengths, but the packings
+    held are one per (spec, `_fold_width`), each length's packing the
+    one of its width."""
+    _generic_packing.cache_clear()
+    _generic_packed.cache_clear()
+    widths, lengths = {}, set()
+    for family in FAMILIES:
+        spec = AlgebraSpec(family, 20)
+        _, rows, lifts = _generic_rows(spec)
+        for J in chain_blocks(family, 20):
+            out = io.StringIO()
+            assert run(chain_argv(spec, J), out, io.StringIO()) == 0, J
+            assert out.getvalue().endswith("\nEQUAL\n"), J
+            length = len(chain_word(spec, J))
+            b = _fold_width(spec, length, *_peaks(rows, lifts))
+            packing = _generic_packing(spec, length)
+            assert widths.setdefault((spec, b), packing) is packing, J
+            lengths.add((spec, length))
+    assert _generic_packed.cache_info().currsize == len(widths)
+    assert len(lengths) > 2 * len(widths)  # 57 lengths, 25 widths
 
 
 @cache

@@ -2,12 +2,13 @@
 
 `todamass orbit` runs `_ranked_orbit` and `_write_graph` and builds no
 vector; `enumerate_orbit` and `export_graph` wrap the same two functions.
-These tests check that both paths give the same bytes, that `export_graph`
-on any node list gives the bytes of the per-node export it replaced, and
-that the reverse search's child test agrees with stepping the deltas and
-finding the first descent.  The ranking by member keys is checked against
-the rule it replaced, which sorted the distinct rows by the compact JSON
-of their entries, on orbits and on hand-made rows.
+These tests check that both paths give the same bytes, also when the verb
+writes in pieces of a few nodes, that an error writes nothing, that
+`export_graph` on any node list gives the bytes of the per-node export it
+replaced, and that the reverse search's child test agrees with stepping
+the deltas and finding the first descent.  The ranking by member keys
+is checked against the rule it replaced, which sorted the distinct rows
+by the compact JSON of their entries, on orbits and on hand-made rows.
 """
 
 import io
@@ -17,15 +18,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_export_fragments import old_export
+from test_export_fragments import old_export, ranked_nodes
 
 from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _entry,
                               _int_rows, _json_compact)
 from todamass.action import Word, _columns
 from todamass.cli import run
-from todamass.orbit import (OrbitNode, _children, _deltas, _json_order,
-                            _ranked_orbit, _stepped, enumerate_orbit,
-                            export_graph)
+from todamass import orbit
+from todamass.errors import DomainError, EvaluationError, FormatError
+from todamass.orbit import (OrbitNode, _children, _deltas, _json_keys,
+                            _ranked_orbit, _stepped, _write_graph,
+                            enumerate_orbit, export_graph)
 
 FAMILIES = {"a": "affine_a", "ct": "affine_ct"}
 # (rank, depths): two-digit indices from rank 9 on, depth 0 to 3 and more
@@ -70,6 +73,94 @@ def test_orbit_verb_equals_export_of_enumerated_nodes(flag, rank, depths):
         text = io.StringIO()
         assert run(argv + ["--out", "dot"], text, io.StringIO()) == 0
         assert text.getvalue().encode() == export_graph(nodes, "dot")
+
+
+class Writes(io.BytesIO):
+    """A binary buffer that keeps each write made to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+        return super().write(data)
+
+
+def streamed(argv):
+    """(exit code, stdout bytes, stderr, writes to the buffer) of `run`."""
+    buffer = Writes()
+    out, err = io.TextIOWrapper(buffer, encoding="utf-8", newline=""), \
+        io.StringIO()
+    rc = run(argv, out, err)
+    out.flush()
+    return rc, buffer.getvalue(), err.getvalue(), buffer.writes
+
+
+# (rank, depth): a few hundred nodes or fewer, over several levels
+PIECE_SWEEP = ((2, 7), (3, 5), (4, 4), (5, 3), (6, 3), (7, 2), (8, 2), (9, 2),
+               (10, 2))
+
+
+@pytest.mark.parametrize("flag", sorted(FAMILIES))
+@pytest.mark.parametrize("piece", (1, 7, orbit._PIECE))
+def test_orbit_verb_written_in_pieces_equals_export(flag, piece,
+                                                     monkeypatch):
+    """The verb writes a piece once `_PIECE` nodes or edges are made: with
+    pieces of 1 and 7 nodes, and the default, the bytes are those of
+    `export_graph` on `enumerate_orbit`, at ranks 2-10, as json, dot, csv
+    and csv --mu, and no write carries 2 `_PIECE` JSON nodes."""
+    monkeypatch.setattr(orbit, "_PIECE", piece)
+    for rank, depth in PIECE_SWEEP:
+        spec = AlgebraSpec(FAMILIES[flag], rank)
+        nodes = enumerate_orbit(spec, depth)
+        mu = [Fraction(k % 3 - 1, k % 4 + 1) for k in range(spec.size)]
+        argv = ["orbit", "--family", flag, "--rank", str(rank),
+                "--depth", str(depth), "--out"]
+        for fmt, extra, want in (
+                ("json", [], export_graph(nodes, "json")),
+                ("dot", [], export_graph(nodes, "dot")),
+                ("csv", [], export_graph(nodes, "csv")),
+                ("csv", ["--mu=" + ",".join(map(str, mu))],
+                 export_graph(nodes, "csv", mu))):
+            rc, data, err, writes = streamed(argv + [fmt] + extra)
+            assert (rc, err) == (0, "") and data == want, (rank, fmt)
+            assert 2 * piece * len(writes) > len(nodes), (rank, fmt)
+            if fmt == "json":
+                assert max(w.count(b'"level"') for w in writes) < 2 * piece
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depth", "-1"], ["--depth", "2", "--mu", "ones"],
+    ["--depth", "2", "--out", "json", "--mu", "1"],
+    ["--depth", "2", "--out", "csv", "--mu", "1,x,2,3"],
+    ["--depth", "2", "--out", "csv", "--mu", "1,1/0,2,3"],
+    ["--depth", "2", "--out", "csv", "--mu", ""],
+    ["--depth", "2", "--out", "csv", "--mu", "1,2"],
+    ["--depth", "2", "--out", "csv", "--mu", "1,2,3,4,5"],
+    ["--depth", "2", "--workers", "0"]])
+@pytest.mark.parametrize("flag", sorted(FAMILIES))
+def test_orbit_errors_write_nothing(flag, argv):
+    """Negative depth, --mu without csv, a bad --mu and a wrong --mu count
+    exit 1 with one usage line, and nothing reaches the buffer."""
+    rc, data, err, writes = streamed(["orbit", "--family", flag, "--rank",
+                                      "3", *argv])
+    assert (rc, data, writes) == (1, b"", [])
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_export_errors_write_nothing():
+    """The search refuses a negative depth when it is called, and the
+    writer an unknown format or a wrong weight count, before any write."""
+    spec = AlgebraSpec("affine_a", 3)
+    with pytest.raises(DomainError, match="depth must be at least 0"):
+        _ranked_orbit(spec, -1)
+    for fmt, mu, error in (("xml", None, FormatError),
+                           ("csv", [1, 2], EvaluationError)):
+        pieces = []
+        with pytest.raises(error):
+            _write_graph(*_ranked_orbit(spec, 3), fmt, mu, pieces.append)
+        assert pieces == []
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES.values()))
@@ -189,6 +280,12 @@ def rows_of(row, layout):
     return row
 
 
+def json_order(rows, spec):
+    """The row numbers, sorted by `_ranked_orbit`'s key of the rows."""
+    keys = _json_keys(rows, spec)
+    return sorted(range(len(rows)), key=keys.__getitem__)
+
+
 def json_sorted(rows, spec):
     """The rule the member keys replaced: row numbers sorted by the compact
     JSON of each row's entry."""
@@ -200,21 +297,25 @@ def json_sorted(rows, spec):
 def old_ranking(spec, depth):
     """`_ranked_orbit`'s rows and nodes, ranked again by the old rule: the
     rows by `json_sorted`, the nodes by (level, entry ranks)."""
-    rows, nodes = _ranked_orbit(spec, depth, rows_of)
+    rows, nodes = ranked_nodes(spec, depth, rows_of)
     order = json_sorted(rows, spec)
     rank = {k: r for r, k in enumerate(order)}
     return [rows[k] for k in order], sorted(
-        (level, tuple(rank[k] for k in ranks), word, spec)
-        for level, ranks, word, spec in nodes)
+        (level, tuple(rank[k] for k in ids), word)
+        for level, ids, word in nodes)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES.values()))
 @pytest.mark.parametrize("rank,depth", RANK_SWEEP)
 def test_member_keys_rank_as_compact_json(family, rank, depth):
     spec = AlgebraSpec(family, rank)
-    rows, nodes = _ranked_orbit(spec, depth, rows_of)
-    assert (rows, nodes) == old_ranking(spec, depth)
-    forms, entry_nodes = _ranked_orbit(spec, depth)
+    rows, nodes = ranked_nodes(spec, depth, rows_of)
+    order = json_order(rows, spec)
+    rank = {k: r for r, k in enumerate(order)}
+    assert ([rows[k] for k in order], [
+        (level, tuple(rank[k] for k in ids), word)
+        for level, ids, word in nodes]) == old_ranking(spec, depth)
+    forms, entry_nodes = ranked_nodes(spec, depth)
     layout = (1, tuple(spec.indices), ())
     assert entry_nodes == nodes
     assert forms == [_entry(row, layout) for row in rows]
@@ -232,7 +333,7 @@ def test_member_keys_on_interleaved_indices():
     values = (0, 1, 2, 12, 20, -1, -2, -20)
     rows = [hand_row(spec.size, dict(zip((1, 2, 10, 11), cs)))
             for cs in itertools.product(values, repeat=4)]
-    assert _json_order(rows, spec) == json_sorted(rows, spec)
+    assert json_order(rows, spec) == json_sorted(rows, spec)
 
 
 @pytest.mark.parametrize("n", (9, 10, 12))
@@ -246,4 +347,4 @@ def test_member_keys_put_a_member_list_before_its_prefixes(n):
         {1: 20}, {1: -2}, {10: 1}, {2: 1}, {}, {1: 2, 3: 1}, {2: 1, 10: 1})]
     want = [5, 3, 2, 1, 9, 0, 4, 10, 6, 7, 8]
     assert json_sorted(rows, spec) == want
-    assert _json_order(rows, spec) == want
+    assert json_order(rows, spec) == want
