@@ -20,12 +20,12 @@ than a short word's letters at high rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import isqrt
-from typing import Optional, Sequence
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
                       _form, _int_rows, _Layout, _Row, _Rows)
@@ -33,9 +33,11 @@ from .cartan import build
 from .errors import DomainError, EvaluationError
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[int, ...] = ()
+class Word(namedtuple("Word", "letters", defaults=((),))):
+    """A word in the generators, its letters a tuple of indices; its
+    length is the number of letters."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(*letters: int) -> "Word":
@@ -77,7 +79,7 @@ def _columns(spec: AlgebraSpec) -> tuple[dict[int, int], ...]:
                   for j, k in nb if j == i} for i in range(spec.size))
 
 
-def _kernel_rows(v: MassVector, weights: Optional[Sequence[LinForm]] = None
+def _kernel_rows(v: MassVector, weights: Sequence[LinForm] | None = None
                  ) -> tuple[_Layout, _Rows, _Lifts]:
     """v's entry rows, and each weight's lift, for `_packing`."""
     layout, rows, w = _int_rows(v.entries, weights)
@@ -95,7 +97,7 @@ def _letter(rows, i: int, nbrs: _Neighbours, lifts) -> int:
 
 
 def apply_generator(i: int, v: MassVector,
-                    weights: Optional[Sequence[LinForm]] = None) -> MassVector:
+                    weights: Sequence[LinForm] | None = None) -> MassVector:
     """Apply the reflection with index i to v: the one-letter word."""
     return apply_word(Word((i,)), v, weights)
 
@@ -183,7 +185,7 @@ def _fold(w: Word, spec: AlgebraSpec, packing: tuple) -> list[int]:
 
 
 def apply_word(w: Word, v: MassVector,
-               weights: Optional[Sequence[LinForm]] = None) -> MassVector:
+               weights: Sequence[LinForm] | None = None) -> MassVector:
     """Apply the word's letters right to left, under optional weights.
 
     ``weights`` optionally replaces the plain mu basis: entry t is the
@@ -258,11 +260,11 @@ def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j
 
 
-@dataclass(frozen=True)
-class QuadPoly:
-    """Exact polynomial of degree <= 2 in the mu indeterminates."""
+class QuadPoly(namedtuple("QuadPoly", "terms", defaults=((),))):
+    """Exact polynomial of degree <= 2 in the mu indeterminates: terms is
+    a sorted tuple of (Monomial, Fraction) pairs."""
 
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def from_dict(d: dict[Monomial, Fraction]) -> "QuadPoly":
@@ -313,7 +315,7 @@ def _quad(products: Sequence[tuple[int, _Row, _Row]],
 
 
 def pohozaev_residual(v: MassVector,
-                      weights: Optional[Sequence[LinForm]] = None) -> QuadPoly:
+                      weights: Sequence[LinForm] | None = None) -> QuadPoly:
     """The quadratic constraint residual; identically zero on the orbit.
 
     1/2 s^T D K s - 2 sum_i d_i mu_i s_i for both families, where K is
@@ -341,7 +343,7 @@ def _residual(spec: AlgebraSpec, layout: _Layout, e: Sequence[_Row],
 
 def pohozaev_residual_cyclic_difference(
         v: MassVector,
-        weights: Optional[Sequence[LinForm]] = None) -> QuadPoly:
+        weights: Sequence[LinForm] | None = None) -> QuadPoly:
     """Affine A residual in the squared-difference form.
 
     sum_i (s_i - s_{i+1})^2 - 4 sum_i mu_i s_i, cyclic in i: the shape

@@ -16,37 +16,35 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, EvaluationError, FormatError, RankError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 AFFINE_A = "affine_a"
 AFFINE_CT = "affine_ct"
 FAMILIES = (AFFINE_A, AFFINE_CT)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(namedtuple("AlgebraSpec", "family n")):
     """Which affine family we work in, and at which rank.
 
     The index set is always I = {1, ..., n+1}.  For family ``affine_a``
     index arithmetic on I is cyclic; for ``affine_ct`` it is not.
     """
 
-    family: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError("unknown family %r" % (self.family,))
-        if self.n < 2:
-            raise RankError("rank must be at least 2, got %d" % self.n)
+    def __new__(cls, family: str, n: int):
+        if family not in FAMILIES:
+            raise DomainError("unknown family %r" % (family,))
+        if n < 2:
+            raise RankError("rank must be at least 2, got %d" % n)
+        return super().__new__(cls, family, n)
 
     @property
     def size(self) -> int:
@@ -109,8 +107,8 @@ def _form_text(f) -> str:
     return " + ".join([str(f.const)] + parts if f.const else parts) or "0"
 
 
-def _form_value(f, mu: Optional[Mapping[int, Scalar]] = None,
-                s: Optional[Mapping[int, Scalar]] = None) -> Fraction:
+def _form_value(f, mu: Mapping[int, Scalar] | None = None,
+                s: Mapping[int, Scalar] | None = None) -> Fraction:
     """Evaluate at the given indeterminate values; EvaluationError unless
     every indeterminate that actually occurs has one."""
     total = f.const
@@ -139,23 +137,21 @@ def _scaled_value(f, scaled: Mapping[int, int], d: int) -> Fraction:
     return f.const + Fraction(dot, d)
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(namedtuple("LinForm", "const mu s",
+                          defaults=(Fraction(0), (), ()))):
     """const + sum c_i mu_i + sum d_i s_i, coefficients exact rationals.
 
     Instances are immutable and hashable; the stored coefficient tuples
     are sorted by index with zero coefficients dropped, so structural
-    equality is semantic equality.
+    equality is semantic equality.  The fields are const, a Fraction, and
+    mu and s, tuples of (index, Fraction) pairs.  Unlike the other
+    records, a form has a __dict__: it holds the cached JSON below.
     """
-
-    const: Fraction = Fraction(0)
-    mu: tuple[tuple[int, Fraction], ...] = ()
-    s: tuple[tuple[int, Fraction], ...] = ()
 
     @staticmethod
     def make(const: Scalar = 0,
-             mu: Optional[Mapping[int, Scalar]] = None,
-             s: Optional[Mapping[int, Scalar]] = None) -> "LinForm":
+             mu: Mapping[int, Scalar] | None = None,
+             s: Mapping[int, Scalar] | None = None) -> "LinForm":
         mu, s = mu or {}, s or {}
         for i in (*mu, *s):
             if type(i) is not int:  # nor a bool
@@ -232,7 +228,7 @@ _INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _int_rows(forms: Sequence[LinForm],
-              weights: Optional[Sequence[LinForm]] = None
+              weights: Sequence[LinForm] | None = None
               ) -> tuple[_Layout, list[_Row], list[_Row]]:
     """(layout, form rows, weight rows), every form read once.
 
@@ -327,7 +323,7 @@ def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Scalar]]:
     return [(i, c) for i, c in out.items() if c]
 
 
-def _bulk_row(entry, size: int) -> Optional[_Row]:
+def _bulk_row(entry, size: int) -> _Row | None:
     """An entry's row, mu_i at column i, read in bulk; None where `_coeffs`
     must read it.  A repeated index keeps its later value, as there."""
     try:  # an entry not an object has no get(), a mu not one no values
@@ -396,22 +392,21 @@ def _weight_map(spec: AlgebraSpec, mu_values) -> dict[int, Fraction]:
     return {i + 1: _as_fraction(x) for i, x in enumerate(mu_values)}
 
 
-@dataclass(frozen=True)
-class MassVector:
+class MassVector(namedtuple("MassVector", "spec entries")):
     """A vector of n+1 symbolic entries attached to an algebra."""
 
-    spec: AlgebraSpec
-    entries: tuple[LinForm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        size = self.spec.size
-        if len(self.entries) != size:
+    def __new__(cls, spec: AlgebraSpec, entries: tuple[LinForm, ...]):
+        size = spec.size
+        if len(entries) != size:
             raise RankError("expected %d entries, got %d"
-                            % (size, len(self.entries)))
-        for e in self.entries:  # every index: a hand-built form's pairs
+                            % (size, len(entries)))
+        for e in entries:  # every index: a hand-built form's pairs
             for i, _ in e.mu + e.s:  # may be out of order, or not ints
                 if type(i) is not int or not 0 < i <= size:  # nor a bool
                     raise DomainError("index %r outside 1..%d" % (i, size))
+        return super().__new__(cls, spec, entries)
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "MassVector":
@@ -460,7 +455,7 @@ class MassVector:
                 "n": self.spec.n,
                 "entries": [_linform_to_json(e) for e in self.entries]}
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def to_json(self, indent: int | None = None) -> str:
         """json.dumps(self.to_json_dict(), indent=indent, sort_keys=True);
         at indent 2 assembled from each entry's cached rendering."""
         if type(indent) is not int or indent != 2:

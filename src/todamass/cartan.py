@@ -12,7 +12,7 @@ inverses are exact.  Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AFFINE_A, AFFINE_CT
@@ -25,11 +25,11 @@ FINITE_C = "finite_c"
 MATRIX_FAMILIES = (AFFINE_A, AFFINE_CT, FINITE_A, FINITE_B, FINITE_C)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    family: str
-    size: int
-    entries: tuple[tuple[Fraction, ...], ...]
+class CartanMatrix(namedtuple("CartanMatrix", "family size entries")):
+    """A size x size matrix of the family, its entries a tuple of rows of
+    Fractions; m[i, j] reads them 1-based."""
+
+    __slots__ = ()
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         """1-based entry access: m[i, j]."""
@@ -83,24 +83,23 @@ def inverse_finite_a(l: int) -> CartanMatrix:
     return CartanMatrix(FINITE_A, l, _rows(l, entry))
 
 
-@dataclass(frozen=True)
-class ConsecutiveSet:
+class ConsecutiveSet(namedtuple("ConsecutiveSet", "start length wrap")):
     """The index block {j, j+1, ..., j+l}, possibly wrapping past n+1.
 
+    ``start`` is j and ``length`` is l >= 0: the set has l+1 elements.
     Wrap sets (affine A only) list their elements in the order
     r2, r2+1, ..., n+1, 1, ..., r1; ``start`` is then r2 and the last
     element is r1 = start + length - (n+1).
     """
 
-    start: int
-    length: int  # l >= 0; the set has l+1 elements
-    wrap: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __new__(cls, start: int, length: int, wrap: bool = False):
+        if length < 0:
             raise DomainError("length parameter must be >= 0")
-        if self.start < 1:
+        if start < 1:
             raise DomainError("start index must be >= 1")
+        return super().__new__(cls, start, length, wrap)
 
     @property
     def size(self) -> int:

@@ -19,20 +19,19 @@ boundary (L = e^2, E = 2e - 1).  So 2P > 1 + 6 E^2: b >= `_width` of E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
 from .action import Word, apply_word
-from .perms import SPermC, _block, _block_masses, sigma_f_ct
+from .perms import SPermC, _block_masses, _extension, sigma_f_ct
 
 
-@dataclass(frozen=True)
-class ChainPlan:
-    target_set: ConsecutiveSet
-    word: Word
-    family: str
+class ChainPlan(namedtuple("ChainPlan", "target_set word family")):
+    """The chain word of the block target_set in the family."""
+
+    __slots__ = ()
 
 
 def _std_chain(l: int) -> tuple[int, ...]:
@@ -58,26 +57,27 @@ def chain_word_a(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """A-type chain word for a proper consecutive (or wrap) block."""
     if spec.family != AFFINE_A:
         raise DomainError("A-type chains need an affine A spec")
-    idx = _block(J, spec)
-    letters = tuple(idx[p - 1] for p in _std_chain(J.length))
-    return ChainPlan(J, Word(letters), spec.family)
+    return _chain(J, spec)[0]
 
 
 def chain_word_ct(J: ConsecutiveSet, spec: AlgebraSpec) -> ChainPlan:
     """Ct-type chain word: sweep powers at the boundary, A-type inside."""
     if spec.family != AFFINE_CT:
         raise DomainError("Ct-type chains need an affine Ct spec")
-    idx = _block(J, spec)
-    j, l = J.start, J.length
-    if l == 0:
-        letters: tuple[int, ...] = (j,)
-    elif J.is_head(spec.n):
-        letters = tuple(range(j + l, j - 1, -1)) * (l + 1)
-    elif J.is_tail(spec.n):
-        letters = tuple(range(j, j + l + 1)) * (l + 1)
+    return _chain(J, spec)[0]
+
+
+def _chain(J: ConsecutiveSet, spec: AlgebraSpec) -> tuple[ChainPlan, tuple]:
+    """(J's chain plan in spec's family, `_extension(J, spec)`), J read
+    once.  A block of more than one index that the extension mirrors, a
+    boundary block of Ct, takes its sweep in the extension's order l+1
+    times; any other takes the A-type word on its elements."""
+    order, ext = extension = _extension(J, spec)
+    if len(ext) > len(order):
+        letters = tuple(order) * (J.length + 1)
     else:
-        letters = tuple(idx[p - 1] for p in _std_chain(l))
-    return ChainPlan(J, Word(letters), spec.family)
+        letters = tuple(order[p - 1] for p in _std_chain(J.length))
+    return ChainPlan(J, Word(letters), spec.family), extension
 
 
 def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
@@ -93,10 +93,10 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
     is a finite A system of size m.
     """
     spec = v.spec
-    _block(J, spec)
+    extension = _extension(J, spec)
     if spec.family == AFFINE_CT and not J.is_interior(spec.n):
         raise DomainError("boundary blocks of affine Ct use closed_form_ct")
-    return _block_masses(v, J)
+    return _block_masses(v, extension)
 
 
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
@@ -118,14 +118,14 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
 CASE_TAGS = ("A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A validated splitting of the index set into blocks plus a null set."""
+class Decomposition(namedtuple("Decomposition",
+                               "spec case_tag blocks null_set",
+                               defaults=(frozenset(),))):
+    """A splitting of the index set into blocks (a tuple of
+    ConsecutiveSet) plus a null set (a frozenset of indices), checked by
+    `validate`."""
 
-    spec: AlgebraSpec
-    case_tag: str
-    blocks: tuple[ConsecutiveSet, ...]
-    null_set: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
     def validate(self) -> None:
         spec = self.spec
@@ -189,10 +189,10 @@ class Decomposition:
                 raise DecompositionError(message)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    vector: MassVector
-    word: Word
+class BlowupResult(namedtuple("BlowupResult", "vector word")):
+    """The vector a blow-up step reaches, and the word it applied."""
+
+    __slots__ = ()
 
 
 def blowup_step(v: MassVector, d: Decomposition) -> BlowupResult:

@@ -16,7 +16,7 @@ from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
 from .cartan import ConsecutiveSet
 from .action import (Word, _fold, _generic_packing, _residual,
                      presentation_relations, verify_relation)
-from .chains import Decomposition, blowup_step, chain_word_a, chain_word_ct
+from .chains import Decomposition, _chain, blowup_step
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
@@ -118,14 +118,13 @@ def _cmd_chain(args, out) -> int:
         if not args.set:
             raise UsageError("either --set or --wrap is required")
         J = ConsecutiveSet(*_parse_pair(args.set, ":", "--set j:l"))
-    builder = chain_word_a if spec.family == AFFINE_A else chain_word_ct
-    plan = builder(J, spec)
+    plan, extension = _chain(J, spec)
     _write_word(out, plan.word)
     out.write("length %d\n" % len(plan.word))
     if args.verify:
         # on the rows packed for the fold, proved wide enough (`chains`)
         packing = _generic_packing(spec, len(plan.word))
-        new, target = _block_rows(packing, spec, J)
+        new, target = _block_rows(packing, spec, extension)
         out.write("target %s\n" % _generic_text(spec, target))
         want = tuple(new.get(s, row) for s, row in enumerate(packing[0], 1))
         equal = tuple(_fold(plan.word, spec, packing)) == want
@@ -158,7 +157,7 @@ def _cmd_member(args, out) -> int:
         out.write("NotInGammaN: %s\n" % exc)
         return 2
     if report.verdict == MEMBER:
-        out.write("Member %s\n" % report.word)
+        out.write("Member %s\n" % (report.word,))
         return 0
     if report.verdict == DESCENT_STALLED:
         out.write("DescentStalled after %d steps\n" % report.steps)
@@ -169,7 +168,7 @@ def _cmd_member(args, out) -> int:
 
 def _cmd_pohozaev(args, out) -> int:
     residual = _residual(*_read_rows(_read(args.input)))
-    out.write("residual %s\n" % residual)
+    out.write("residual %s\n" % (residual,))
     return 0 if residual.is_zero else 2
 
 

@@ -15,11 +15,11 @@ failed export writes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import groupby
-from typing import Optional, Sequence
 
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _int_rows, _json_indented, _Layout, _Row, _Rows, _scaled,
@@ -33,30 +33,30 @@ NOT_IN_GAMMA_N = "not_in_gamma_n"
 DESCENT_STALLED = "descent_stalled"
 
 
-@dataclass(frozen=True)
-class OrbitNode:
-    vector: MassVector
-    witness: Word
-    level: int
+class OrbitNode(namedtuple("OrbitNode", "vector witness level")):
+    """An orbit vector, its witness word and its level (the word's
+    length)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+class CoefficientMatrix(namedtuple("CoefficientMatrix", "entries")):
+    """The n_ij of a mass vector, a tuple of rows of Fractions."""
+
+    __slots__ = ()
 
     def is_nonneg_integral(self) -> bool:
         return all(c >= 0 and c.denominator == 1
                    for row in self.entries for c in row)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    verdict: str
-    pohozaev_ok: bool
-    coeffs_ok: bool
-    word: Optional[Word] = None
-    reason: str = ""
-    steps: int = 0
+class MembershipReport(namedtuple(
+        "MembershipReport", "verdict pohozaev_ok coeffs_ok word reason steps",
+        defaults=(None, "", 0))):
+    """A membership verdict, its two conditions, and the descent word (a
+    Word or None), the reason it is not a member and the steps taken."""
+
+    __slots__ = ()
 
 
 def enumerate_orbit(spec: AlgebraSpec, depth: int,
@@ -300,7 +300,7 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
 
 
 def export_graph(nodes: Sequence[OrbitNode], fmt: str,
-                 mu: Optional[Sequence] = None) -> bytes:
+                 mu: Sequence | None = None) -> bytes:
     """Serialize an enumerated orbit as DOT, JSON, or CSV bytes.
 
     Nodes come out sorted by (level, canonical key), ties in the order
@@ -331,7 +331,7 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
         for w, k in zip(words, up[0]):
             if w and k is None:
                 raise FormatError("node with witness %s has no parent node"
-                                  % Word(w))
+                                  % (Word(w),))
     every, forms = list(first.values()), []
 
     def groups():
@@ -371,7 +371,7 @@ _LINES = {"dot": ('  v%d [label="(%s)"];\n', ", "),
 _PIECE = 2048  # the nodes or edges held before a write
 
 
-def _write_graph(forms: Sequence, groups, fmt: str, mu: Optional[Sequence],
+def _write_graph(forms: Sequence, groups, fmt: str, mu: Sequence | None,
                  write) -> None:
     """Write `export_graph`'s text for groups (spec, level, nodes, up) in
     output order, through ``write`` once at least `_PIECE` nodes or edges

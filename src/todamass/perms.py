@@ -13,10 +13,10 @@ rule's width (chain --verify: at its fold's, which holds it too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
                       _form, _int_rows)
@@ -65,11 +65,10 @@ def mu_star(v: MassVector) -> list[LinForm]:
         _star_rows(packing, v.spec, v.spec.indices), packing)]
 
 
-@dataclass(frozen=True)
-class CyclicRotation:
+class CyclicRotation(namedtuple("CyclicRotation", "r")):
     """The rotation of I = {1..n+1} sending position 1 to value r."""
 
-    r: int
+    __slots__ = ()
 
     def apply(self, i: int, n: int) -> int:
         return (self.r - 1 + i - 1) % (n + 1) + 1
@@ -113,17 +112,20 @@ def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
     return [LinForm.weight(j) for j in _rotation(rot, spec)]
 
 
-@dataclass(frozen=True)
-class FinitePermutation:
+class FinitePermutation(namedtuple("FinitePermutation", "values")):
     """A bijection of {0, 1, ..., m}, stored as its value tuple."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = len(self.values) - 1
-        if sorted(self.values) != list(range(m + 1)):
-            raise DomainError("not a permutation of 0..%d: %r"
-                              % (m, self.values))
+    def __new__(cls, values: tuple[int, ...]):
+        cls._check(values)
+        return super().__new__(cls, values)
+
+    @staticmethod
+    def _check(values) -> None:
+        m = len(values) - 1
+        if sorted(values) != list(range(m + 1)):
+            raise DomainError("not a permutation of 0..%d: %r" % (m, values))
 
     def __call__(self, j: int) -> int:
         return self.values[j]
@@ -163,13 +165,14 @@ def finite_a_mass(f: FinitePermutation,
             for row in _unpack([2 * x for x in masses], packing)]
 
 
-def _block_rows(packing: tuple, spec: AlgebraSpec, J: ConsecutiveSet,
-                f: Optional[FinitePermutation] = None) -> tuple:
+def _block_rows(packing: tuple, spec: AlgebraSpec, extension: tuple,
+                f: FinitePermutation | None = None) -> tuple:
     """({s: entry row s plus its gain} for s in J packed, the same
     decoded): the partial-sum masses of f (by default the longest element)
-    over J's shifted weights in `_extension`'s order, summed on ``packing``
-    (entry rows and lifts at slots that hold `_width` of ext's length)."""
-    order, ext = _extension(J, spec)
+    over J's shifted weights in the order of ``extension``, J's
+    `_extension`, summed on ``packing`` (entry rows and lifts at slots
+    that hold `_width` of ext's length)."""
+    order, ext = extension
     stars = dict(zip(order, _star_rows(packing, spec, order)))
     f = f.values if f else range(len(ext), -1, -1)
     gains = _half_masses(f, [stars[s] for s in ext], len(order))
@@ -177,13 +180,13 @@ def _block_rows(packing: tuple, spec: AlgebraSpec, J: ConsecutiveSet,
     return new, dict(zip(new, _unpack(new.values(), packing)))
 
 
-def _block_masses(v: MassVector, J: ConsecutiveSet,
-                  f: Optional[FinitePermutation] = None) -> MassVector:
-    """v with each entry s in J written once from its target row."""
+def _block_masses(v: MassVector, extension: tuple,
+                  f: FinitePermutation | None = None) -> MassVector:
+    """v with each entry s in J written once from its target row, for
+    ``extension`` J's `_extension`."""
     layout, rows, lifts = _kernel_rows(v)
-    b = _width(len(_extension(J, v.spec)[1]), *_peaks(rows, lifts),
-               _growth(v.spec))
-    new = _block_rows(_packing(rows, lifts, b), v.spec, J, f)[1]
+    b = _width(len(extension[1]), *_peaks(rows, lifts), _growth(v.spec))
+    new = _block_rows(_packing(rows, lifts, b), v.spec, extension, f)[1]
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
                                     for s, e in enumerate(v.entries, 1)))
 
@@ -205,17 +208,18 @@ def _generic_text(spec: AlgebraSpec, new: dict) -> str:
         if s in new else "1*s_%d" % s for s in spec.indices])
 
 
-@dataclass(frozen=True)
 class SPermC(FinitePermutation):
     """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1."""
 
-    def __post_init__(self):
-        top = len(self.values) - 1
-        if len(self.values) % 2 or sorted(self.values) != list(range(top + 1)):
-            raise DomainError("not a permutation of 0..2l+1: %r"
-                              % (self.values,))
+    __slots__ = ()
+
+    @staticmethod
+    def _check(values) -> None:
+        top = len(values) - 1
+        if len(values) % 2 or sorted(values) != list(range(top + 1)):
+            raise DomainError("not a permutation of 0..2l+1: %r" % (values,))
         for j in range(top + 1):
-            if self.values[j] + self.values[top - j] != top:
+            if values[j] + values[top - j] != top:
                 raise DomainError("palindromic constraint fails at j=%d" % j)
 
     @property
@@ -261,17 +265,17 @@ def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:
     spec = v.spec
     if spec.family != AFFINE_CT:
         raise DomainError("sigma_f_ct needs an affine Ct spec")
-    _block(J, spec)
+    extension = _extension(J, spec)
     if f.l != J.length:
         raise DomainError("permutation acts on 0..%d, block needs 0..%d"
                           % (2 * f.l + 1, 2 * J.length + 1))
     if J.is_interior(spec.n):
         raise DomainError("interior blocks have no boundary mass formula")
-    return _block_masses(v, J, f)
+    return _block_masses(v, extension, f)
 
 
 def fold_ct_to_a(v: MassVector,
-                 weights: Optional[Sequence[LinForm]] = None
+                 weights: Sequence[LinForm] | None = None
                  ) -> tuple[MassVector, list[LinForm]]:
     """Mirror a rank-n Ct vector into a rank-(2n-1) affine A vector.
 

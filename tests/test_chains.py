@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -8,9 +10,11 @@ from todamass.algebra import AlgebraSpec, LinForm, MassVector
 from todamass.action import Word, apply_word
 from todamass.cartan import (ConsecutiveSet, build, inverse_finite_a,
                              inverse_submatrix)
+from todamass import perms
 from todamass.chains import (CASE_TAGS, Decomposition, _std_chain, blowup_step,
                              chain_word_a, chain_word_ct, closed_form_a,
                              closed_form_ct)
+from todamass.cli import run
 from todamass.errors import DecompositionError, DomainError
 from todamass.orbit import MEMBER, descend_to_zero
 from todamass.perms import SPermC, mu_star, sigma_f_ct
@@ -106,6 +110,34 @@ def test_closed_form_inverse_applies_to_every_accepted_block():
     # (n+1)(n+2)/2 - 1 proper A blocks, n(n-1)/2 wrap blocks and as many
     # Ct interior blocks at each rank: 1,012 in all
     assert kinds == {"a": 440, "wrap": 286, "ct": 286}
+
+
+def test_each_chain_target_reads_its_block_once(monkeypatch):
+    calls, block = [], perms._block
+
+    def counted(J, spec):
+        calls.append(J)
+        return block(J, spec)
+
+    for module in list(sys.modules.values()):  # wherever it is bound
+        if getattr(module, "_block", None) is block:
+            monkeypatch.setattr(module, "_block", counted)
+    a, ct = MassVector.generic(a_spec(6)), MassVector.generic(ct_spec(6))
+    out = io.StringIO()
+    for call in (
+            lambda: closed_form_a(a, ConsecutiveSet(2, 3)),
+            lambda: closed_form_a(a, ConsecutiveSet(6, 3, wrap=True)),
+            lambda: closed_form_a(ct, ConsecutiveSet(2, 3)),
+            lambda: closed_form_ct(ct, ConsecutiveSet(1, 2)),
+            lambda: sigma_f_ct(ct, SPermC.identity(2), ConsecutiveSet(5, 2)),
+            lambda: run(["chain", "--family", "a", "--rank", "6", "--set",
+                         "2:3", "--verify"], out=out),
+            lambda: run(["chain", "--family", "ct", "--rank", "6", "--set",
+                         "1:2", "--verify"], out=out)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    assert out.getvalue().count("\nEQUAL\n") == 2
 
 
 def test_every_chain_word_is_reduced():

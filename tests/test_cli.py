@@ -235,7 +235,7 @@ def test_word_written_in_slices_equals_its_string():
         word = Word(tuple(rng.randint(1, 12) for _ in range(length)))
         out = io.StringIO()
         _write_word(out, word)
-        assert out.getvalue() == "word %s\n" % word, length
+        assert out.getvalue() == "word %s\n" % (word,), length
     # the set {2, .., 2+l} has a chain of (l+1)(l+2)/2 letters: 4095 at
     # l = 89, 4186 at l = 90
     for flag, builder in (("a", chain_word_a), ("ct", chain_word_ct)):

@@ -847,7 +847,7 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
             # the proved slot width, M = 1 the generic rows, l = 2 the lift
             b = slot_bits(spec, len(word), 1, 2)
             assert packing[2:] == (b, width)
-            new, target = _block_rows(packing, spec, J)
+            new, target = _block_rows(packing, spec, _extension(J, spec))
             assert 1 + 6 * e * e < 1 << b - 1, (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
             step = rng.choice([-1, 1])

@@ -115,7 +115,7 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
             e = len(extension(J, spec)[1])
             assert _extension(J, spec) == extension(J, spec)
             packing = _generic_packing(spec, length)
-            new, target = _block_rows(packing, spec, J)
+            new, target = _block_rows(packing, spec, _extension(J, spec))
             want = dense_block_rows(rows, lifts, spec, J)
             assert target == want, (spec, J)
             bound = 1 + 6 * e * e
@@ -148,7 +148,8 @@ def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
             assert _generic_packing(spec, length)[2] == b
             if n == 20:
                 want = dense_block_rows(rows, lifts, spec, J)
-                new, target = _block_rows(_packing(rows, lifts, own), spec, J)
+                new, target = _block_rows(_packing(rows, lifts, own), spec,
+                                           _extension(J, spec))
                 assert target == want, J
                 assert list(new.values()) == list(kronecker(want.values(),
                                                             own)), J
@@ -272,7 +273,8 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
     e = len(extension(J, spec)[1])
     assert _peaks(rows, lifts) == (m, l)
     b = _width(e, m, l, growth(spec))
-    new, target = _block_rows(_packing(rows, lifts, b), spec, J, f)
+    new, target = _block_rows(_packing(rows, lifts, b), spec,
+                              _extension(J, spec), f)
     want = dense_block_rows(rows, lifts, spec, J, f)
     assert target == want
     assert list(new.values()) == list(kronecker(want.values(), b))
