@@ -239,8 +239,8 @@ class SPermC(FinitePermutation):
         if self.l != other.l:
             raise DomainError("cannot compose permutations of 0..%d and 0..%d"
                               % (self.top, other.top))
-        return SPermC(tuple(self.values[other.values[j]]
-                            for j in range(len(self.values))))
+        values = self.values
+        return SPermC(tuple([values[j] for j in other.values]))
 
 
 def sc_simple(i: int, l: int) -> SPermC:
