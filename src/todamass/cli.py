@@ -101,7 +101,7 @@ def _cmd_relations(args, out) -> int:
 
 
 def _write_word(out, word: Word) -> None:
-    """Write "word %s\n" % word, the letters joined WORD_SLICE at a time,
+    """Write "word %s\n" % (word,), the letters joined WORD_SLICE at a time,
     so that a word of millions of letters is never one string."""
     out.write("word [")
     for k in range(0, len(word), WORD_SLICE):

@@ -188,7 +188,7 @@ BLOWUP_CASES = (
     ("ct", 4, "Ct-IV", "2:0,4:0"), ("ct", 5, "Ct-IV", "3:1"),
 )
 # sha256 over one JSON line [exit code, stdout, stderr] per blowup-step
-# call below, taken when the verb wrote "word %s\n" % result.word
+# call below, taken when the verb wrote "word %s\n" % (result.word,)
 BLOWUP_SHA256 = \
     "15978d16539ab6ff68117c4f5ef1b18af1abffebb33c7e1a455ea6782874c267"
 
