@@ -20,7 +20,6 @@ than a short word's letters at high rank.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
@@ -28,12 +27,12 @@ from itertools import chain
 from math import isqrt
 
 from .algebra import (AFFINE_A, AlgebraSpec, LinForm, MassVector, Scalar,
-                      _form, _int_rows, _Layout, _Row, _Rows)
+                      _form, _int_rows, _Layout, _record, _Row, _Rows)
 from .cartan import build
 from .errors import DomainError, EvaluationError
 
 
-class Word(namedtuple("Word", "letters", defaults=((),))):
+class Word(_record("Word", "letters", defaults=((),))):
     """A word in the generators, its letters a tuple of indices; its
     length is the number of letters."""
 
@@ -260,7 +259,7 @@ def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j
 
 
-class QuadPoly(namedtuple("QuadPoly", "terms", defaults=((),))):
+class QuadPoly(_record("QuadPoly", "terms", defaults=((),))):
     """Exact polynomial of degree <= 2 in the mu indeterminates: terms is
     a sorted tuple of (Monomial, Fraction) pairs."""
 

@@ -30,7 +30,15 @@ AFFINE_CT = "affine_ct"
 FAMILIES = (AFFINE_A, AFFINE_CT)
 
 
-class AlgebraSpec(namedtuple("AlgebraSpec", "family n")):
+def _record(name: str, fields: str, defaults=None) -> type:
+    """The namedtuple base of a record, whose `_make`, and so `_replace`,
+    calls the record's constructor, checks and all."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class AlgebraSpec(_record("AlgebraSpec", "family n")):
     """Which affine family we work in, and at which rank.
 
     The index set is always I = {1, ..., n+1}.  For family ``affine_a``
@@ -137,8 +145,8 @@ def _scaled_value(f, scaled: Mapping[int, int], d: int) -> Fraction:
     return f.const + Fraction(dot, d)
 
 
-class LinForm(namedtuple("LinForm", "const mu s",
-                          defaults=(Fraction(0), (), ()))):
+class LinForm(_record("LinForm", "const mu s",
+                      defaults=(Fraction(0), (), ()))):
     """const + sum c_i mu_i + sum d_i s_i, coefficients exact rationals.
 
     Instances are immutable and hashable; the stored coefficient tuples
@@ -292,20 +300,16 @@ def _entry(row: _Row, layout: _Layout) -> _Entry:
                   ())
 
 
-def _rational(text) -> Scalar:
+def _rational(text) -> Fraction:
     if not isinstance(text, str):
         raise FormatError("rational must be a string, got %r" % (text,))
     try:
-        # int() reads ASCII digits after minus signs as Fraction() would
-        # (more than one sign fails in both); all else goes to Fraction()
-        if text.isascii() and text.lstrip("-").isdigit():
-            return int(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("bad rational %r" % (text,)) from exc
 
 
-def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Scalar]]:
+def _coeffs(entry: dict, key: str, size: int) -> list[tuple[int, Fraction]]:
     """An entry's nonzero mu or s coefficients by index; a repeated index
     (as "1" and "01") keeps its later value."""
     raw = entry.get(key, {})
@@ -348,7 +352,7 @@ def _read_rows(text: str) -> tuple[AlgebraSpec, _Layout, list[_Row],
                                    list[_Row]]:
     """Vector JSON as (spec, layout, entry rows, weight rows), the rows
     `_int_rows(entries, None)` reads: by `_bulk_row` if it reads every
-    entry, else field by field, integral strings by int(), not Fraction."""
+    entry, else field by field."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -392,7 +396,7 @@ def _weight_map(spec: AlgebraSpec, mu_values) -> dict[int, Fraction]:
     return {i + 1: _as_fraction(x) for i, x in enumerate(mu_values)}
 
 
-class MassVector(namedtuple("MassVector", "spec entries")):
+class MassVector(_record("MassVector", "spec entries")):
     """A vector of n+1 symbolic entries attached to an algebra."""
 
     __slots__ = ()

@@ -12,10 +12,9 @@ inverses are exact.  Families:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import AFFINE_A, AFFINE_CT
+from .algebra import AFFINE_A, AFFINE_CT, _record
 from .errors import DomainError, RankError, SingularError
 
 FINITE_A = "finite_a"
@@ -25,7 +24,7 @@ FINITE_C = "finite_c"
 MATRIX_FAMILIES = (AFFINE_A, AFFINE_CT, FINITE_A, FINITE_B, FINITE_C)
 
 
-class CartanMatrix(namedtuple("CartanMatrix", "family size entries")):
+class CartanMatrix(_record("CartanMatrix", "family size entries")):
     """A size x size matrix of the family, its entries a tuple of rows of
     Fractions; m[i, j] reads them 1-based."""
 
@@ -83,7 +82,7 @@ def inverse_finite_a(l: int) -> CartanMatrix:
     return CartanMatrix(FINITE_A, l, _rows(l, entry))
 
 
-class ConsecutiveSet(namedtuple("ConsecutiveSet", "start length wrap")):
+class ConsecutiveSet(_record("ConsecutiveSet", "start length wrap")):
     """The index block {j, j+1, ..., j+l}, possibly wrapping past n+1.
 
     ``start`` is j and ``length`` is l >= 0: the set has l+1 elements.

@@ -19,16 +19,14 @@ boundary (L = e^2, E = 2e - 1).  So 2P > 1 + 6 E^2: b >= `_width` of E.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector
+from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector, _record
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
 from .action import Word, apply_word
 from .perms import SPermC, _block_masses, _extension, sigma_f_ct
 
 
-class ChainPlan(namedtuple("ChainPlan", "target_set word family")):
+class ChainPlan(_record("ChainPlan", "target_set word family")):
     """The chain word of the block target_set in the family."""
 
     __slots__ = ()
@@ -118,9 +116,9 @@ def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
 CASE_TAGS = ("A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV")
 
 
-class Decomposition(namedtuple("Decomposition",
-                               "spec case_tag blocks null_set",
-                               defaults=(frozenset(),))):
+class Decomposition(_record("Decomposition",
+                            "spec case_tag blocks null_set",
+                            defaults=(frozenset(),))):
     """A splitting of the index set into blocks (a tuple of
     ConsecutiveSet) plus a null set (a frozenset of indices), checked by
     `validate`."""
@@ -189,7 +187,7 @@ class Decomposition(namedtuple("Decomposition",
                 raise DecompositionError(message)
 
 
-class BlowupResult(namedtuple("BlowupResult", "vector word")):
+class BlowupResult(_record("BlowupResult", "vector word")):
     """The vector a blow-up step reaches, and the word it applied."""
 
     __slots__ = ()

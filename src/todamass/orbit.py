@@ -15,7 +15,6 @@ failed export writes nothing.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
@@ -23,7 +22,7 @@ from itertools import groupby
 
 from .algebra import (AlgebraSpec, MassVector, _entry, _form, _form_text,
                       _int_rows, _json_indented, _Layout, _Row, _Rows, _scaled,
-                      _scaled_value, _weight_map)
+                      _record, _scaled_value, _weight_map)
 from .action import (Word, _columns, _fold, _fold_width, _kernel_rows,
                      _neighbours, _packing, _peaks, _residual, _unpack)
 from .errors import DomainError, FormatError, NotMassForm
@@ -33,14 +32,14 @@ NOT_IN_GAMMA_N = "not_in_gamma_n"
 DESCENT_STALLED = "descent_stalled"
 
 
-class OrbitNode(namedtuple("OrbitNode", "vector witness level")):
+class OrbitNode(_record("OrbitNode", "vector witness level")):
     """An orbit vector, its witness word and its level (the word's
     length)."""
 
     __slots__ = ()
 
 
-class CoefficientMatrix(namedtuple("CoefficientMatrix", "entries")):
+class CoefficientMatrix(_record("CoefficientMatrix", "entries")):
     """The n_ij of a mass vector, a tuple of rows of Fractions."""
 
     __slots__ = ()
@@ -50,7 +49,7 @@ class CoefficientMatrix(namedtuple("CoefficientMatrix", "entries")):
                    for row in self.entries for c in row)
 
 
-class MembershipReport(namedtuple(
+class MembershipReport(_record(
         "MembershipReport", "verdict pohozaev_ok coeffs_ok word reason steps",
         defaults=(None, "", 0))):
     """A membership verdict, its two conditions, and the descent word (a
@@ -69,10 +68,13 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     its lexicographically smallest shortest word, of length its level.
     Sorted by (level, canonical key); ``workers`` is accepted and ignored.
     """
-    forms, levels = _ranked_orbit(spec, depth, _form)
+    if depth < 0:
+        raise DomainError("depth must be at least 0, got %d" % depth)
+    forms: list = []
     nodes: list[OrbitNode] = []
     words: list[tuple] = []
-    for _, level, group, _ in levels:
+    for _, level, new, group, _ in _ranked_orbit(spec, depth, _form):
+        forms += new
         words = [(a,) + words[p] if p >= 0 else () for _, p, a in group]
         nodes += [OrbitNode(MassVector(spec, tuple(map(forms.__getitem__,
                                                        ids))), Word(w), level)
@@ -80,27 +82,19 @@ def enumerate_orbit(spec: AlgebraSpec, depth: int,
     return nodes
 
 
-def _ranked_orbit(spec: AlgebraSpec, depth: int, make=_entry) -> tuple:
-    """`enumerate_orbit` with no vector built: (forms, levels).  levels is
-    a generator of `_write_graph` groups (spec, level, nodes, None), one
-    per level, each held only while it is written and its children made.
-    forms gets each distinct row, decoded by ``make``, when the level that
-    first reaches it comes.  A node is (entry ids, parent, letter): entry
-    k is forms[ids[k]], and its witness is the letter, then the witness of
-    node number parent of the level before (-1 for the root, whose witness
-    is empty).  A level is sorted on its own, by the ranks of its entries
-    under `_json_keys`: that is (level, canonical key) order in one spec,
-    and no two nodes of the orbit of 0 are equal.  The depth is checked
-    here, before any level is made."""
-    if depth < 0:
-        raise DomainError("depth must be at least 0, got %d" % depth)
-    forms: list = []
-    return forms, _levels(spec, depth, make, forms)
-
-
-def _levels(spec: AlgebraSpec, depth: int, make, forms: list):
-    """`_ranked_orbit`'s levels, by reverse search on rows packed one int
-    each and interned as letters make them."""
+def _ranked_orbit(spec: AlgebraSpec, depth: int, make=_entry):
+    """`enumerate_orbit` with no vector built, by reverse search on rows
+    packed one int each and interned as letters make them: the
+    `_write_graph` groups (spec, level, forms, nodes, None), one per level,
+    each held only while it is written and its children made.  forms are
+    the distinct rows the level reaches first, decoded by ``make``; with
+    those of the levels before, in order, they are numbered from 0.  A
+    node is (entry ids, parent, letter): its entry k is form number
+    ids[k], and its witness is the letter, then the witness of node number
+    parent of the level before (-1 for the root, whose witness is empty).
+    A level is sorted on its own, by the ranks of its entries under
+    `_json_keys`: that is (level, canonical key) order in one spec, and no
+    two nodes of the orbit of 0 are equal."""
     nbrs, cols = _neighbours(spec), _columns(spec)
     layout, packing, root = _orbit_start(spec, depth)
     lifts = packing[1]
@@ -108,13 +102,12 @@ def _levels(spec: AlgebraSpec, depth: int, make, forms: list):
     row_of, ids, keys = [0], {0: 0}, []
     nodes, deltas = [([0] * spec.size, -1, 0)], [root]
     for level in range(depth + 1):
-        new = _unpack(row_of[len(forms):], packing)
-        forms.extend([make(row, layout) for row in new])
+        new = _unpack(row_of[len(keys):], packing)
         keys.extend(_json_keys(new, spec))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         rank = sorted(range(len(keys)), key=order.__getitem__)  # inverse
         nodes.sort(key=lambda nd: tuple(map(rank.__getitem__, nd[0])))
-        yield spec, level, nodes, None
+        yield spec, level, [make(row, layout) for row in new], nodes, None
         if level == depth:
             return
         children, stepped = [], []
@@ -332,19 +325,20 @@ def export_graph(nodes: Sequence[OrbitNode], fmt: str,
             if w and k is None:
                 raise FormatError("node with witness %s has no parent node"
                                   % (Word(w),))
-    every, forms = list(first.values()), []
+    every = list(first.values())
 
     def groups():
+        done = 0  # the entries the groups before named
         for (spec, level), run in groupby(range(len(nodes)), lambda k: (
                 nodes[k].vector.spec, nodes[k].level)):
             run = [(entries[k], *((k, words[k][0]) if words[k] else (-1, 0)))
                    for k in run]
-            forms.extend(every[len(forms):1 + max([max(ids)
-                                                   for ids, _, _ in run])])
-            yield spec, level, run, up
+            top = max(done, 1 + max([max(ids) for ids, _, _ in run]))
+            yield spec, level, every[done:top], run, up
+            done = top
 
     pieces: list[str] = []
-    _write_graph(forms, groups(), fmt, mu, pieces.append)
+    _write_graph(groups(), fmt, mu, pieces.append)
     return "".join(pieces).encode()
 
 
@@ -371,19 +365,18 @@ _LINES = {"dot": ('  v%d [label="(%s)"];\n', ", "),
 _PIECE = 2048  # the nodes or edges held before a write
 
 
-def _write_graph(forms: Sequence, groups, fmt: str, mu: Sequence | None,
-                 write) -> None:
-    """Write `export_graph`'s text for groups (spec, level, nodes, up) in
-    output order, through ``write`` once at least `_PIECE` nodes or edges
-    are made, and once at the end.  A node is (entry ids, parent, letter),
-    entry k forms[ids[k]].  forms grows between groups: those added before
-    a group are the ones it names first, rendered (or evaluated at ``mu``)
-    then in forms' order, which is their first use.  up is a pair
-    (positions, tails) indexed by parent, or None for the nodes of the
-    group before.  A node's witness is its letter, then the tail of up at
-    parent, or empty if parent is -1; only JSON reads tails.  No byte is
-    written before the first piece is made, so an error in the format,
-    the weights or the first group leaves nothing written."""
+def _write_graph(groups, fmt: str, mu: Sequence | None, write) -> None:
+    """Write `export_graph`'s text for groups (spec, level, forms, nodes,
+    up) in output order, through ``write`` once at least `_PIECE` nodes or
+    edges are made, and once at the end.  A group's forms are the entries
+    it names first, in order of first use; rendered (or evaluated at
+    ``mu``) then, they are numbered on from those of the groups before.  A
+    node is (entry ids, parent, letter), its entry k form number ids[k].
+    up is a pair (positions, tails) indexed by parent, or None for the
+    nodes of the group before.  A node's witness is its letter, then the
+    tail of up at parent, or empty if parent is -1; only JSON reads tails.
+    No byte is written before the first piece is made, so an error in the
+    format, the weights or the first group leaves nothing written."""
     if fmt not in ("json", "dot", "csv"):
         raise FormatError("unknown export format %r" % (fmt,))
     valued = fmt == "csv" and mu is not None
@@ -403,9 +396,8 @@ def _write_graph(forms: Sequence, groups, fmt: str, mu: Sequence | None,
     sep, joint = "," + _ENTRY_PAD, ""
     texts, edges, at, at_spec = [], [], None, None
     last, pos = (range(0), []), 0
-    for spec, level, nodes, up in groups:
+    for spec, level, new, nodes, up in groups:
         parents, tails = up or last
-        new = forms[len(texts):]
         if fmt == "json":
             texts += [_json_indented(f).replace("\n", _ENTRY_PAD)
                       for f in new]
@@ -420,7 +412,7 @@ def _write_graph(forms: Sequence, groups, fmt: str, mu: Sequence | None,
             texts += [str(_scaled_value(f, *at)) for f in new]
         witnesses: list[str] = []
         for k in range(0, len(nodes), _PIECE):
-            piece = nodes[k:k + _PIECE] if len(nodes) > _PIECE else nodes
+            piece = nodes[k:k + _PIECE]
             if fmt == "json":
                 ws = [str(a) + tails[p] if p >= 0 else "" for _, p, a in piece]
                 witnesses += ws

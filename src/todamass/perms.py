@@ -13,13 +13,12 @@ rule's width (chain --verify: at its fold's, which holds it too).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate
 
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, LinForm, MassVector,
-                      _form, _int_rows)
+                      _form, _int_rows, _record)
 from .action import (Word, _generic_rows, _growth, _kernel_rows, _letter,
                      _letters, _neighbours, _packing, _peaks, _unpack, _width)
 from .cartan import ConsecutiveSet
@@ -65,7 +64,7 @@ def mu_star(v: MassVector) -> list[LinForm]:
         _star_rows(packing, v.spec, v.spec.indices), packing)]
 
 
-class CyclicRotation(namedtuple("CyclicRotation", "r")):
+class CyclicRotation(_record("CyclicRotation", "r")):
     """The rotation of I = {1..n+1} sending position 1 to value r."""
 
     __slots__ = ()
@@ -112,7 +111,7 @@ def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
     return [LinForm.weight(j) for j in _rotation(rot, spec)]
 
 
-class FinitePermutation(namedtuple("FinitePermutation", "values")):
+class FinitePermutation(_record("FinitePermutation", "values")):
     """A bijection of {0, 1, ..., m}, stored as its value tuple."""
 
     __slots__ = ()

@@ -123,12 +123,17 @@ def test_indented_vector_json_matches_json_dumps(v):
 
 
 def ranked_nodes(spec, depth, make=_entry):
-    """`_ranked_orbit` run to the end: its forms, and its nodes in output
-    order as (level, entry ids, witness letters), each witness rebuilt
-    from the node's parent and letter."""
-    forms, levels = _ranked_orbit(spec, depth, make)
-    nodes, words = [], []
-    for _, level, group, _ in levels:
+    """`_ranked_orbit` run to the end: its groups' forms in turn, and its
+    nodes in output order as (level, entry ids, witness letters), each
+    witness rebuilt from the node's parent and letter.  Each group's forms
+    are the entries it names first: numbered on from those before, they
+    are the ids its nodes name and no group before did."""
+    forms, nodes, words = [], [], []
+    for _, level, new, group, up in _ranked_orbit(spec, depth, make):
+        named = {k for ids, _, _ in group for k in ids}
+        assert up is None and named - set(range(len(forms))) == set(
+            range(len(forms), len(forms) + len(new))), level
+        forms += new
         words = [(a,) + words[p] if p >= 0 else () for _, p, a in group]
         nodes += [(level, ids, w) for (ids, _, _), w in zip(group, words)]
     return forms, nodes

@@ -78,8 +78,8 @@ def cases():
 
 
 def record(argv):
-    """[exit code, stdout, stderr] of one `run`, stdout through the binary
-    buffer as from a terminal."""
+    """[exit code, stdout, stderr] of one `run`, stdout written to a text
+    wrapper over bytes, as in the bench."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     err = io.StringIO()
     code = run(argv, out, err)

@@ -25,7 +25,7 @@ from todamass.algebra import (AlgebraSpec, LinForm, MassVector, _entry,
 from todamass.action import Word, _columns
 from todamass.cli import run
 from todamass import orbit
-from todamass.errors import DomainError, EvaluationError, FormatError
+from todamass.errors import EvaluationError, FormatError
 from todamass.orbit import (OrbitNode, _children, _deltas, _json_keys,
                             _ranked_orbit, _stepped, _write_graph,
                             enumerate_orbit, export_graph)
@@ -45,11 +45,15 @@ def first_descent(deltas):
     return next((i for i, delta in enumerate(deltas) if delta < 0), -1)
 
 
-def cli_bytes(argv):
-    """stdout of one `run`, through the binary buffer as from a terminal."""
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+def cli_bytes(argv, out=None):
+    """stdout of one `run` as bytes, written to ``out``, by default a text
+    wrapper over bytes as in the bench."""
+    if out is None:
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     err = io.StringIO()
     assert run(argv, out, err) == 0, err.getvalue()
+    if isinstance(out, io.StringIO):
+        return out.getvalue().encode()
     out.flush()
     return out.buffer.getvalue()
 
@@ -69,32 +73,50 @@ def test_orbit_verb_equals_export_of_enumerated_nodes(flag, rank, depths):
                     == export_graph(nodes, fmt)), (depth, fmt)
         assert (cli_bytes(argv + ["--out", "csv", "--mu", mu_text])
                 == export_graph(nodes, "csv", mu)), depth
-        # the text path of `run`, for an out with no binary buffer
-        text = io.StringIO()
-        assert run(argv + ["--out", "dot"], text, io.StringIO()) == 0
-        assert text.getvalue().encode() == export_graph(nodes, "dot")
 
 
-class Writes(io.BytesIO):
-    """A binary buffer that keeps each write made to it."""
+@pytest.mark.parametrize("flag", sorted(FAMILIES))
+@pytest.mark.parametrize("rank,depth", ((2, 5), (3, 4), (10, 2)))
+def test_orbit_verb_bytes_are_the_same_through_any_text_out(flag, rank,
+                                                            depth):
+    """The verb writes text: through a `StringIO`, the bench's wrapper
+    over bytes and a wrapper with the default newline and encoding, its
+    bytes are those of `export_graph`."""
+    spec = AlgebraSpec(FAMILIES[flag], rank)
+    nodes = enumerate_orbit(spec, depth)
+    mu = [Fraction(k % 3 + 1, k % 4 + 1) for k in range(spec.size)]
+    argv = ["orbit", "--family", flag, "--rank", str(rank), "--depth",
+            str(depth), "--out"]
+    for fmt, extra, want in (
+            ("json", [], export_graph(nodes, "json")),
+            ("dot", [], export_graph(nodes, "dot")),
+            ("csv", [], export_graph(nodes, "csv")),
+            ("csv", ["--mu=" + ",".join(map(str, mu))],
+             export_graph(nodes, "csv", mu))):
+        for out in (io.StringIO(),
+                    io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                     newline=""),
+                    io.TextIOWrapper(io.BytesIO())):
+            assert cli_bytes(argv + [fmt] + extra, out) == want, (fmt, out)
+
+
+class Writes(io.StringIO):
+    """A text out that keeps each write made to it."""
 
     def __init__(self):
         super().__init__()
         self.writes = []
 
-    def write(self, data):
-        self.writes.append(data)
-        return super().write(data)
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
 
 
 def streamed(argv):
-    """(exit code, stdout bytes, stderr, writes to the buffer) of `run`."""
-    buffer = Writes()
-    out, err = io.TextIOWrapper(buffer, encoding="utf-8", newline=""), \
-        io.StringIO()
+    """(exit code, stdout bytes, stderr, writes to out) of `run`."""
+    out, err = Writes(), io.StringIO()
     rc = run(argv, out, err)
-    out.flush()
-    return rc, buffer.getvalue(), err.getvalue(), buffer.writes
+    return rc, out.getvalue().encode(), err.getvalue(), out.writes
 
 
 # (rank, depth): a few hundred nodes or fewer, over several levels
@@ -127,7 +149,7 @@ def test_orbit_verb_written_in_pieces_equals_export(flag, piece,
             assert (rc, err) == (0, "") and data == want, (rank, fmt)
             assert 2 * piece * len(writes) > len(nodes), (rank, fmt)
             if fmt == "json":
-                assert max(w.count(b'"level"') for w in writes) < 2 * piece
+                assert max(w.count('"level"') for w in writes) < 2 * piece
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,7 +164,7 @@ def test_orbit_verb_written_in_pieces_equals_export(flag, piece,
 @pytest.mark.parametrize("flag", sorted(FAMILIES))
 def test_orbit_errors_write_nothing(flag, argv):
     """Negative depth, --mu without csv, a bad --mu and a wrong --mu count
-    exit 1 with one usage line, and nothing reaches the buffer."""
+    exit 1 with one usage line, and nothing is written to out."""
     rc, data, err, writes = streamed(["orbit", "--family", flag, "--rank",
                                       "3", *argv])
     assert (rc, data, writes) == (1, b"", [])
@@ -150,16 +172,16 @@ def test_orbit_errors_write_nothing(flag, argv):
 
 
 def test_export_errors_write_nothing():
-    """The search refuses a negative depth when it is called, and the
-    writer an unknown format or a wrong weight count, before any write."""
+    """The search yields no group below depth 0 (`enumerate_orbit` and the
+    verb refuse such a depth), and the writer refuses an unknown format or
+    a wrong weight count before any write."""
     spec = AlgebraSpec("affine_a", 3)
-    with pytest.raises(DomainError, match="depth must be at least 0"):
-        _ranked_orbit(spec, -1)
+    assert list(_ranked_orbit(spec, -1)) == []
     for fmt, mu, error in (("xml", None, FormatError),
                            ("csv", [1, 2], EvaluationError)):
         pieces = []
         with pytest.raises(error):
-            _write_graph(*_ranked_orbit(spec, 3), fmt, mu, pieces.append)
+            _write_graph(_ranked_orbit(spec, 3), fmt, mu, pieces.append)
         assert pieces == []
 
 

@@ -4,14 +4,15 @@ it replaced.
 `MassVector.from_json` reads vector JSON straight into integer rows
 (`algebra._read_rows`): a vector whose entries all hold ASCII-integer
 strings and no s term is read in bulk (`algebra._bulk_row`), any other
-field by field, an integral ASCII coefficient string by int(), every
-other string through Fraction().  The oracle below is the reader as it
-was, which parsed every coefficient through Fraction() and built one
+field by field, every coefficient string through Fraction().  The oracle
+below is the reader as it was, which also parsed every coefficient
+through Fraction() and built one
 `LinForm` per entry.  On every text both must give the same vector, or
 raise the same exception type with the same message; on a valid text
 the rows must be those `_int_rows` reads from the vector.
 """
 
+import io
 import json
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from todamass.algebra import (FAMILIES, AlgebraSpec, LinForm, MassVector,
                               _bulk_row, _int_rows, _read_rows)
+from todamass.cli import run
 from todamass.errors import FormatError, TodamassError
 
 
@@ -296,7 +298,7 @@ def test_dense_vectors_take_both_reads():
     '{"family":"affine_a","n":2,"entries":[{"const":"x","mu":{"9":"1"}},'
     '{},{}]}',
     '{"family":"affine_a","n":2,"entries":[{"mu":{"x":"1/0"}},{},{}]}',
-    # the int() shortcut keeps the denominators of the other strings
+    # integral strings keep the denominators of the other strings
     '{"family":"affine_ct","n":2,"entries":[{"mu":{"1":"3/6"}},'
     '{"const":"-0","s":{"3":"4"}},{"mu":{"2":"10/4","3":"7"}}]}',
     # dense integral vectors, unchanged or with one change each
@@ -308,7 +310,7 @@ def test_reader_edge_cases(text):
 
 def test_underscore_digits_read_as_fraction_reads_them():
     # "1_0" is a valid Fraction string from Python 3.11 on and an error
-    # before; either way it never takes the int() shortcut
+    # before
     text = ('{"family":"affine_a","n":2,"entries":[{"mu":{"1":"1_0"}},'
             '{},{}]}')
     assert_same_reading(text)
@@ -317,3 +319,62 @@ def test_underscore_digits_read_as_fraction_reads_them():
     else:
         with pytest.raises(FormatError, match="bad rational '1_0'"):
             MassVector.from_json(text)
+
+
+def field_vector(*values):
+    """A rank-3 A vector read field by field: its last entry holds 1/2."""
+    return json.dumps({"family": "affine_a", "n": 3, "entries": [
+        {"mu": {"1": values[0]}},
+        {"const": "0", "mu": {"2": values[1], "3": values[2]}},
+        {"mu": {"3": values[3]}, "s": {}}, {"mu": {"4": "1/2", "1": "2"}}]})
+
+
+LONG = "1" * 4301  # a digit past int()'s string limit
+# (text, its rows or its error, member's and pohozaev's (exit code,
+# stdout, stderr)), as the reader gave them when it read integral strings
+# by int() and every other by Fraction()
+FIELD_READS = [
+    (field_vector("007", "-0", "+5", " 5 "),
+     ((2, (1, 2, 3, 4), ()),
+      [(0, 14, 0, 0, 0), (0, 0, 0, 10, 0), (0, 0, 0, 10, 0),
+       (0, 4, 0, 0, 1)],
+      [(0, 2, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2)]),
+     (2, "NotInGammaN: coefficient matrix is not nonnegative-integral\n", ""),
+     (2, "residual 25*mu_1*mu_1 + -45*mu_1*mu_3 + -11/2*mu_1*mu_4 + "
+      "-10*mu_2*mu_3 + 15*mu_3*mu_3 + -5/2*mu_3*mu_4 + -3/4*mu_4*mu_4\n",
+      "")),
+    (json.dumps({"family": "affine_a", "n": 3, "entries": [
+        {"mu": {"1": "002"}}, {"mu": {"2": "-0"}}, {"const": "+0"},
+        {"const": "0/3", "mu": {"4": " 0 "}}]}),
+     ((1, (1, 2, 3, 4), ()),
+      [(0, 2, 0, 0, 0), (0,) * 5, (0,) * 5, (0,) * 5],
+      [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]),
+     (0, "Member [1]\n", ""), (0, "residual 0\n", "")),
+    (field_vector("007", "--5", "+5", " 5 "), "bad rational '--5'",
+     (1, "", "FormatError: bad rational '--5'\n"),
+     (1, "", "FormatError: bad rational '--5'\n")),
+    (field_vector("007", "-0", LONG, " 5 "), "bad rational %r" % LONG,
+     (1, "", "FormatError: bad rational %r\n" % LONG),
+     (1, "", "FormatError: bad rational %r\n" % LONG)),
+]
+
+
+@pytest.mark.parametrize("text, read, member, pohozaev", FIELD_READS)
+def test_field_reads_give_the_same_rows_and_errors(text, read, member,
+                                                   pohozaev, tmp_path):
+    """Integral strings with leading zeros, a signed zero, a plus sign or
+    spaces beside a Fraction, read field by field, and two refused
+    strings: the rows, the verdicts and the error texts are unchanged."""
+    assert read_in_bulk(text) is False
+    if isinstance(read, str):
+        with pytest.raises(FormatError) as info:
+            _read_rows(text)
+        assert str(info.value) == read
+    else:
+        assert _read_rows(text)[1:] == read
+    path = tmp_path / "vector.json"
+    path.write_text(text)
+    for verb, want in (("member", member), ("pohozaev", pohozaev)):
+        out, err = io.StringIO(), io.StringIO()
+        rc = run([verb, "--input", str(path)], out, err)
+        assert (rc, out.getvalue(), err.getvalue()) == want, verb

@@ -1,6 +1,6 @@
 """The sixteen records are tuples: repr, hash, read-only fields, defaults,
-every check their constructors make, and a launch that imports none of
-dataclasses, inspect or typing."""
+every check their constructors make, also through `_make` and `_replace`,
+and a launch that imports none of dataclasses, inspect or typing."""
 
 import os
 import subprocess
@@ -82,6 +82,9 @@ def test_record_repr_hash_and_fields(record, fields, text):
     assert repr(record) == text
     assert hash(record) == hash(tuple(fields))
     assert tuple(record) == fields and record == fields
+    for made in (type(record)._make(fields), record._replace(),
+                 record._replace(**dict(zip(record._fields, fields)))):
+        assert type(made) is type(record) and made == record
     assert "%s" % (record,) == str(record)
     for name, value in zip(record._fields, fields):
         assert getattr(record, name) == value
@@ -133,8 +136,13 @@ REFUSED = [
 
 @pytest.mark.parametrize("make, args, error, text", REFUSED)
 def test_constructor_checks(make, args, error, text):
+    """Positional, by keyword, through `_make` and through `_replace` on a
+    valid record of the class."""
+    valid = next(r for r, _, _ in RECORDS if type(r) is make)
     for call in (lambda: make(*args),
-                 lambda: make(**dict(zip(make._fields, args)))):
+                 lambda: make(**dict(zip(make._fields, args))),
+                 lambda: make._make(args),
+                 lambda: valid._replace(**dict(zip(make._fields, args)))):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == text
@@ -145,9 +153,9 @@ def test_records_are_tuples():
     assert SPermC((1, 0)) == FinitePermutation((1, 0))
     spec, entries = ZERO_CT2
     assert (spec, entries) == (ZERO_CT2[0], ZERO_CT2[-1])
-    # _replace and _make build the tuple without the constructor's checks
-    assert ConsecutiveSet(1, 0)._replace(length=-1).length == -1
-    assert AlgebraSpec._make(("affine_b", 1)) == ("affine_b", 1)
+    # _replace and _make call the constructor, whatever a record's len
+    assert Word((5,))._replace(letters=(3, 4)) == Word((3, 4))
+    assert Word._make([(1, 2)]) == Word((1, 2))
 
 
 def test_launch_imports_no_dataclasses_inspect_or_typing():
