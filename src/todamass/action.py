@@ -16,6 +16,10 @@ decoded and written back once.  `_packing` is the one packer: its caller
 names the slot width by the fold rule (`_fold_width`) or the mass rule
 (`_width`).  Packing and decoding touch every slot, which costs more
 than a short word's letters at high rank.
+
+`_fold` takes checked 0-based letters in acting order.  `_letters` checks
+a word only where it enters (`apply_word`, `apply_generator` and
+`verify_relation`); the words the code builds go unchecked (`_acting`).
 """
 
 from __future__ import annotations
@@ -82,8 +86,12 @@ def _kernel_rows(v: MassVector, weights: Sequence[LinForm] | None = None
                  ) -> tuple[_Layout, _Rows, _Lifts]:
     """v's entry rows, and each weight's lift, for `_packing`."""
     layout, rows, w = _int_rows(v.entries, weights)
-    return layout, tuple(rows), tuple(
-        tuple((p, 2 * c) for p, c in enumerate(row) if c) for row in w)
+    return layout, tuple(rows), _lifts(w)
+
+
+def _lifts(w: Sequence[_Row]) -> _Lifts:
+    """Each weight row's lift: the nonzero (column, value) pairs of 2w."""
+    return tuple(tuple((p, 2 * c) for p, c in enumerate(r) if c) for r in w)
 
 
 def _letter(rows, i: int, nbrs: _Neighbours, lifts) -> int:
@@ -107,6 +115,11 @@ def _letters(w: Word, spec: AlgebraSpec) -> list[int]:
     for i in reversed(w.letters):
         if type(i) is not int or not 1 <= i <= size:  # nor a bool
             raise DomainError("generator index %r outside 1..%d" % (i, size))
+    return [i - 1 for i in reversed(w.letters)]
+
+
+def _acting(w: Word) -> list[int]:
+    """`_letters` of a word the code built itself, so left unchecked."""
     return [i - 1 for i in reversed(w.letters)]
 
 
@@ -173,14 +186,21 @@ def _width(e: int, m: int, l: int = 0, g: int = 0) -> int:
     return (m + e * e * (l + (g + 1) * m)).bit_length() + 1
 
 
-def _fold(w: Word, spec: AlgebraSpec, packing: tuple) -> list[int]:
-    """The packed rows of ``packing`` (at `_fold_width` for at least the
-    word's length) after the word's letters, applied right to left, where
-    a letter is a few big-int operations."""
+def _fold(letters: list[int], spec: AlgebraSpec, packing: tuple) -> list[int]:
+    """``packing``'s rows (at `_fold_width` for as many letters) after the
+    checked 0-based letters in acting order, each a few big-int ops."""
     nbrs, rows, lifts = _neighbours(spec), list(packing[0]), packing[1]
-    for i in _letters(w, spec):
+    for i in letters:
         rows[i] = _letter(rows, i, nbrs, lifts)
     return rows
+
+
+def _applied(letters, spec: AlgebraSpec, layout, rows, lifts) -> MassVector:
+    """Rows in layout after the checked letters: packed, folded, decoded."""
+    packing = _packing(rows, lifts,
+                       _fold_width(spec, len(letters), *_peaks(rows, lifts)))
+    return MassVector(spec, tuple(_form(row, layout) for row in _unpack(
+        _fold(letters, spec, packing), packing)))
 
 
 def apply_word(w: Word, v: MassVector,
@@ -193,10 +213,7 @@ def apply_word(w: Word, v: MassVector,
     layout, rows, lifts = _kernel_rows(v, weights)
     if weights is not None:  # refused before any letter, like a vector's
         MassVector(v.spec, tuple(weights[:v.spec.size]))
-    packing = _packing(rows, lifts,
-                       _fold_width(v.spec, len(w), *_peaks(rows, lifts)))
-    return MassVector(v.spec, tuple(_form(row, layout) for row in _unpack(
-        _fold(w, v.spec, packing), packing)))
+    return _applied(_letters(w, v.spec), v.spec, layout, rows, lifts)
 
 
 def presentation_relations(spec: AlgebraSpec) -> list[tuple[str, Word]]:
@@ -253,7 +270,7 @@ def _generic_packed(spec: AlgebraSpec, b: int) -> tuple:
 def verify_relation(w: Word, spec: AlgebraSpec) -> bool:
     """True iff w acts as the identity on the fully generic vector."""
     packing = _generic_packing(spec, len(w))
-    return tuple(_fold(w, spec, packing)) == packing[0]
+    return tuple(_fold(_letters(w, spec), spec, packing)) == packing[0]
 
 
 Monomial = tuple[int, ...]  # () constant, (i,) mu_i, (i, j) mu_i*mu_j, i<=j

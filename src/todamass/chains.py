@@ -22,7 +22,7 @@ from __future__ import annotations
 from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector, _record
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
-from .action import Word, apply_word
+from .action import Word, _acting, _applied, _kernel_rows
 from .perms import SPermC, _block_masses, _extension, sigma_f_ct
 
 
@@ -200,11 +200,14 @@ def blowup_step(v: MassVector, d: Decomposition) -> BlowupResult:
     order (boundary block first where the case has one); the resulting
     vector is its action on v.
     """
-    if v.spec != d.spec:
+    w = _blowup_word(v.spec, d)
+    return BlowupResult(_applied(_acting(w), v.spec, *_kernel_rows(v)), w)
+
+
+def _blowup_word(spec: AlgebraSpec, d: Decomposition) -> Word:
+    """`blowup_step`'s word, checked in order: specs, `validate`, chains."""
+    if spec != d.spec:
         raise DomainError("vector and decomposition specs differ")
     d.validate()
-    builder = chain_word_a if d.spec.family == AFFINE_A else chain_word_ct
-    word = Word()
-    for b in d.blocks:
-        word = word * builder(b, d.spec).word
-    return BlowupResult(apply_word(word, v), word)
+    return Word(tuple([i for b in d.blocks
+                       for i in _chain(b, spec)[0].word.letters]))

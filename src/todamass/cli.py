@@ -14,9 +14,10 @@ from functools import cache
 from .algebra import (AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector,
                       _read_rows)
 from .cartan import ConsecutiveSet
-from .action import (Word, _fold, _generic_packing, _residual,
-                     presentation_relations, verify_relation)
-from .chains import Decomposition, _chain, blowup_step
+from .action import (Word, _acting, _applied, _fold, _generic_packing,
+                     _lifts, _residual, presentation_relations,
+                     verify_relation)
+from .chains import Decomposition, _blowup_word, _chain
 from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
@@ -124,10 +125,10 @@ def _cmd_chain(args, out) -> int:
     if args.verify:
         # on the rows packed for the fold, proved wide enough (`chains`)
         packing = _generic_packing(spec, len(plan.word))
-        new, target = _block_rows(packing, spec, extension)
-        out.write("target %s\n" % _generic_text(spec, target))
+        new = _block_rows(packing, spec, extension)
+        out.write("target %s\n" % _generic_text(spec, new, packing))
         want = tuple(new.get(s, row) for s, row in enumerate(packing[0], 1))
-        equal = tuple(_fold(plan.word, spec, packing)) == want
+        equal = tuple(_fold(_acting(plan.word), spec, packing)) == want
         out.write("EQUAL\n" if equal else "UNEQUAL\n")
         return 0 if equal else 2
     return 0
@@ -189,7 +190,8 @@ def _cmd_sperm(args, out) -> int:
         for tok in args.word.split(","):
             f = f.compose(sc_simple(int(tok), args.l))
     out.write("values %s\n" % (" ".join(str(x) for x in f.values)))
-    if args.check:  # SPermC refuses a permutation that breaks it
+    if args.check:  # composition is closed: one check, on the result
+        SPermC._check(f.values)
         out.write("constraint PASS\n")
     return 0
 
@@ -200,11 +202,13 @@ def _cmd_blowup_step(args, out) -> int:
     null_set = frozenset(spec.indices).difference(
         *(b.indices(spec.n) for b in blocks))
     d = Decomposition(spec, args.case, tuple(blocks), null_set)
-    v = (MassVector.from_json(_read(args.input)) if args.input
-         else MassVector.zero(spec))
-    result = blowup_step(v, d)
-    _write_word(out, result.word)
-    out.write(result.vector.to_json(indent=2) + "\n")
+    # `blowup_step` on the rows the input is read into
+    text = _read(args.input) if args.input else MassVector.zero(spec).to_json()
+    spec, layout, rows, w = _read_rows(text)
+    word = _blowup_word(spec, d)
+    vector = _applied(_acting(word), spec, layout, rows, _lifts(w))
+    _write_word(out, word)
+    out.write(vector.to_json(indent=2) + "\n")
     return 0
 
 

@@ -274,22 +274,22 @@ def _descend(rows: _Rows, d: int, spec: AlgebraSpec,
     lifts = tuple(((i, 2 * d),) for i in spec.indices)
     deltas = _deltas(rows, d, spec)
     phi, peaks = sum(map(sum, rows)), _peaks(rows, lifts)
-    applied: list[int] = []
-    while phi or any(_fold(Word(tuple(applied[::-1])), spec, _packing(
+    applied: list[int] = []  # 0-based, as `_fold` takes them
+    while phi or any(_fold(applied, spec, _packing(
             rows, lifts, _fold_width(spec, len(applied), *peaks)))):
         if len(applied) >= max_steps:
-            return applied, "step budget exhausted"
+            return [i + 1 for i in applied], "step budget exhausted"
         for i, delta in enumerate(deltas):
             if delta < 0:
                 break
         else:
-            return applied, "no descending generator"
+            return [i + 1 for i in applied], "no descending generator"
         phi += delta
         deltas[i] = -delta
         for t, k in cols[i].items():
             deltas[t] -= k * delta
-        applied.append(i + 1)
-    return applied, ""
+        applied.append(i)
+    return [i + 1 for i in applied], ""
 
 
 def export_graph(nodes: Sequence[OrbitNode], fmt: str,

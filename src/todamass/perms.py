@@ -165,18 +165,16 @@ def finite_a_mass(f: FinitePermutation,
 
 
 def _block_rows(packing: tuple, spec: AlgebraSpec, extension: tuple,
-                f: FinitePermutation | None = None) -> tuple:
-    """({s: entry row s plus its gain} for s in J packed, the same
-    decoded): the partial-sum masses of f (by default the longest element)
-    over J's shifted weights in the order of ``extension``, J's
-    `_extension`, summed on ``packing`` (entry rows and lifts at slots
-    that hold `_width` of ext's length)."""
+                f: FinitePermutation | None = None) -> dict[int, int]:
+    """{s: entry row s plus its gain} for s in J, packed: the partial-sum
+    masses of f (by default the longest element) over J's shifted weights
+    in the order of ``extension``, J's `_extension`, summed on ``packing``
+    (entry rows and lifts at slots that hold `_width` of ext's length)."""
     order, ext = extension
     stars = dict(zip(order, _star_rows(packing, spec, order)))
     f = f.values if f else range(len(ext), -1, -1)
     gains = _half_masses(f, [stars[s] for s in ext], len(order))
-    new = {s: packing[0][s - 1] + g for s, g in zip(order, gains)}
-    return new, dict(zip(new, _unpack(new.values(), packing)))
+    return {s: packing[0][s - 1] + g for s, g in zip(order, gains)}
 
 
 def _block_masses(v: MassVector, extension: tuple,
@@ -185,7 +183,9 @@ def _block_masses(v: MassVector, extension: tuple,
     ``extension`` J's `_extension`."""
     layout, rows, lifts = _kernel_rows(v)
     b = _width(len(extension[1]), *_peaks(rows, lifts), _growth(v.spec))
-    new = _block_rows(_packing(rows, lifts, b), v.spec, extension, f)[1]
+    packing = _packing(rows, lifts, b)
+    new = _block_rows(packing, v.spec, extension, f)
+    new = dict(zip(new, _unpack(new.values(), packing)))
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
                                     for s, e in enumerate(v.entries, 1)))
 
@@ -198,17 +198,28 @@ def _formats(spec: AlgebraSpec) -> tuple[str, ...]:
         + tuple("%%d*s_%d" % i for i in s)
 
 
-def _generic_text(spec: AlgebraSpec, new: dict) -> str:
-    """str(MassVector.generic(spec)) with entry s the form of row new[s] in
-    the generic layout, written straight from the ints."""
-    formats = _formats(spec)
-    return "(%s)" % ", ".join([
-        " + ".join([f % c for f, c in zip(formats, new[s]) if c]) or "0"
-        if s in new else "1*s_%d" % s for s in spec.indices])
+def _generic_text(spec: AlgebraSpec, new: dict, packing: tuple) -> str:
+    """str(MassVector.generic(spec)) with entry s the form of packed row
+    new[s] in the generic layout, each slot decoded as it is written."""
+    b, width = packing[2:]
+    half, mask, formats = 1 << b - 1, (1 << b) - 1, _formats(spec)
+    lift = ((1 << b * width) - 1) // mask << b - 1
+
+    def text(x: int) -> str:
+        x, terms = x + lift, []
+        for f in formats:
+            c, x = (x & mask) - half, x >> b
+            if c:
+                terms.append(f % c)
+        return " + ".join(terms) or "0"
+    return "(%s)" % ", ".join([text(new[s]) if s in new else "1*s_%d" % s
+                               for s in spec.indices])
 
 
 class SPermC(FinitePermutation):
-    """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1."""
+    """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1.  These are
+    closed under composition, so `compose`, like `sc_simple`, builds its
+    result unchecked; the constructor, `_make` and `_replace` check."""
 
     __slots__ = ()
 
@@ -238,8 +249,8 @@ class SPermC(FinitePermutation):
         if self.l != other.l:
             raise DomainError("cannot compose permutations of 0..%d and 0..%d"
                               % (self.top, other.top))
-        values = self.values
-        return SPermC(tuple([values[j] for j in other.values]))
+        values = tuple([self.values[j] for j in other.values])
+        return tuple.__new__(SPermC, (values,))
 
 
 def sc_simple(i: int, l: int) -> SPermC:
@@ -250,7 +261,7 @@ def sc_simple(i: int, l: int) -> SPermC:
     vals = list(range(2 * l + 2))
     for j in (i, 2 * l - i):
         vals[j], vals[j + 1] = j + 1, j
-    return SPermC(tuple(vals))
+    return tuple.__new__(SPermC, (tuple(vals),))  # palindromic as built
 
 
 def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:

@@ -27,11 +27,11 @@ from test_algebra import replaced
 from test_export_fragments import ranked_nodes
 
 from todamass.algebra import AlgebraSpec, LinForm, MassVector, _int_rows
-from todamass.action import (Word, _fold as packed_fold, _fold_width,
-                             _form, _generic_packing, _generic_rows,
-                             _kernel_rows, _neighbours, _packing, _peaks,
-                             _reach, apply_generator, apply_word,
-                             verify_relation)
+from todamass.action import (Word, _acting, _fold as packed_fold,
+                             _fold_width, _form, _generic_packing,
+                             _generic_rows, _kernel_rows, _letters,
+                             _neighbours, _packing, _peaks, _reach, _unpack,
+                             apply_generator, apply_word, verify_relation)
 from todamass.cartan import ConsecutiveSet, build
 from todamass.chains import chain_word_a, chain_word_ct
 from todamass.errors import DomainError, NotMassForm, TodamassError
@@ -538,10 +538,12 @@ def moved(rows, j, p, dx, dy=0):
 def folds_to(word, rows, spec, lifts, want=None):
     """The packed verdict: the word's packed fold of rows and lifts, packed
     at `_fold_width` of the `_peaks` of rows and want and of lifts, equals
-    want (zero rows by default) packed at that width."""
+    want (zero rows by default) packed at that width.  The letters are
+    checked by `_letters`, as where a word enters."""
     m, l = _peaks(rows + (want or ()), lifts)
     packing = _packing(rows, lifts, _fold_width(spec, len(word), m, l))
-    return tuple(packed_fold(word, spec, packing)) == kronecker(
+    letters = _letters(word, spec)
+    return tuple(packed_fold(letters, spec, packing)) == kronecker(
         want or [()] * len(rows), packing[2])
 
 
@@ -829,8 +831,8 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
     one in a slot unequal.  The bound 1 + 6 E^2 on its coefficients lies
     below 2^(b-1), so every target fits the packing; one aliased at 2^b
     one slot up, the same int at width b, is told apart on wider slots.
-    The text equals the forms' own on targets with a constant or a zero
-    entry too."""
+    The text, decoded from the packed rows as it is written, equals the
+    forms' own on targets with a constant or a zero entry too."""
     rng = random.Random(19)
     builder = chain_word_a if family == "affine_a" else chain_word_ct
     for n in [*range(2, 13), 16, 20]:
@@ -847,7 +849,8 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
             # the proved slot width, M = 1 the generic rows, l = 2 the lift
             b = slot_bits(spec, len(word), 1, 2)
             assert packing[2:] == (b, width)
-            new, target = _block_rows(packing, spec, _extension(J, spec))
+            new = _block_rows(packing, spec, _extension(J, spec))
+            target = dict(zip(new, _unpack(new.values(), packing)))
             assert 1 + 6 * e * e < 1 << b - 1, (spec, J)
             s, p = rng.choice(sorted(new)), rng.randrange(width - 1)
             step = rng.choice([-1, 1])
@@ -868,14 +871,15 @@ def test_chain_verdict_on_the_generic_packing_matches_the_row_fold(family):
                     assert kronecker([off], b)[0] == new[s] + (step << b * p)
                     want = tuple(packed.get(t, r)
                                  for t, r in enumerate(packing[0], 1))
-                    assert (tuple(packed_fold(word, spec, packing)) == want) \
-                        is equal, (spec, J)
+                    assert (tuple(packed_fold(_acting(word), spec, packing))
+                            == want) is equal, (spec, J)
             constant = (rng.choice([-3, 1, 7]),) + row[1:]
             zero = (0,) * width
             for target in (target, with_row(target, s, off),
                            with_row(target, s, constant),
                            with_row(target, s, zero)):
-                assert _generic_text(spec, target) == str(MassVector(
+                packed = dict(zip(target, kronecker(target.values(), b)))
+                assert _generic_text(spec, packed, packing) == str(MassVector(
                     spec, tuple(_form(target[t], layout) if t in target
                                 else f for t, f in enumerate(
                                     generic.entries, 1)))), (spec, J)

@@ -3,7 +3,7 @@
 `perms._star_rows`, `_half_masses` and `_block_rows` sum on rows packed
 one int each (`action._packing`), at a slot width `action._width` fixes
 from a bound before anything is summed (chain --verify: the wider of that
-and `action._fold_width`), and `action._unpack` decodes them.
+and `action._fold_width`), and `action._unpack` decodes them (`decoded`).
 The list versions below are the kernels as they ran on dense rows, one
 list per row; they share no code with the packed ones but the Cartan
 table.  Every chain block at ranks 2-20, every palindromic permutation
@@ -80,6 +80,11 @@ def dense_block_rows(rows, lifts, spec, J, f=None):
     return {s: tuple(add(rows[s - 1], g)) for s, g in zip(order, gains)}
 
 
+def decoded(new, packing):
+    """`_block_rows`'s packed targets, decoded: {s: row}."""
+    return dict(zip(new, _unpack(new.values(), packing)))
+
+
 def written(v, layout, new):
     """v with each entry s in ``new`` the form of its row."""
     return MassVector(v.spec, tuple(_form(new[s], layout) if s in new else e
@@ -115,7 +120,8 @@ def test_chain_targets_match_the_dense_kernel_within_the_bound(family):
             e = len(extension(J, spec)[1])
             assert _extension(J, spec) == extension(J, spec)
             packing = _generic_packing(spec, length)
-            new, target = _block_rows(packing, spec, _extension(J, spec))
+            new = _block_rows(packing, spec, _extension(J, spec))
+            target = decoded(new, packing)
             want = dense_block_rows(rows, lifts, spec, J)
             assert target == want, (spec, J)
             bound = 1 + 6 * e * e
@@ -148,9 +154,9 @@ def test_the_chain_packing_is_the_fold_width_and_holds_the_target(family):
             assert _generic_packing(spec, length)[2] == b
             if n == 20:
                 want = dense_block_rows(rows, lifts, spec, J)
-                new, target = _block_rows(_packing(rows, lifts, own), spec,
-                                           _extension(J, spec))
-                assert target == want, J
+                packing = _packing(rows, lifts, own)
+                new = _block_rows(packing, spec, _extension(J, spec))
+                assert decoded(new, packing) == want, J
                 assert list(new.values()) == list(kronecker(want.values(),
                                                             own)), J
         _generic_packing.cache_clear()  # the packings of 40 ranks, uncached
@@ -273,10 +279,10 @@ def test_block_rows_match_the_dense_kernel_on_drawn_rows(family, n, data):
     e = len(extension(J, spec)[1])
     assert _peaks(rows, lifts) == (m, l)
     b = _width(e, m, l, growth(spec))
-    new, target = _block_rows(_packing(rows, lifts, b), spec,
-                              _extension(J, spec), f)
+    packing = _packing(rows, lifts, b)
+    new = _block_rows(packing, spec, _extension(J, spec), f)
     want = dense_block_rows(rows, lifts, spec, J, f)
-    assert target == want
+    assert decoded(new, packing) == want
     assert list(new.values()) == list(kronecker(want.values(), b))
     bound = m + e * e * (l + (growth(spec) + 1) * m)
     assert max(abs(c) for row in want.values() for c in row) <= bound

@@ -131,6 +131,11 @@ REFUSED = [
      "not a permutation of 0..2l+1: (0, 1, 2)"),
     (SPermC, ((1, 0, 2, 3),), DomainError,
      "palindromic constraint fails at j=0"),
+    # composition builds its result unchecked; these still check
+    (SPermC, ((0, 0, 1, 1),), DomainError,
+     "not a permutation of 0..2l+1: (0, 0, 1, 1)"),
+    (SPermC, ((0, 2, 1, 3, 4, 5),), DomainError,
+     "palindromic constraint fails at j=1"),
 ]
 
 
