@@ -94,6 +94,9 @@ class ConsecutiveSet(_record("ConsecutiveSet", "start length wrap")):
     __slots__ = ()
 
     def __new__(cls, start: int, length: int, wrap: bool = False):
+        if type(start) is not int or type(length) is not int:  # nor a bool
+            raise DomainError("start and length must be integers, got %r, %r"
+                              % (start, length))
         if length < 0:
             raise DomainError("length parameter must be >= 0")
         if start < 1:

@@ -23,7 +23,7 @@ from .algebra import AFFINE_A, AFFINE_CT, AlgebraSpec, MassVector, _record
 from .cartan import ConsecutiveSet
 from .errors import DecompositionError, DomainError
 from .action import Word, _acting, _applied, _kernel_rows
-from .perms import SPermC, _block_masses, _extension, sigma_f_ct
+from .perms import _block_masses, _extension
 
 
 class ChainPlan(_record("ChainPlan", "target_set word family")):
@@ -100,17 +100,16 @@ def closed_form_a(v: MassVector, J: ConsecutiveSet) -> MassVector:
 def closed_form_ct(v: MassVector, J: ConsecutiveSet) -> MassVector:
     """Chain target for boundary blocks of affine Ct.
 
-    Head blocks {1..l+1} and tail blocks {i..n+1} gain the permutation
-    masses of the reversal of {0..2l+1}, the longest element:
-    `sigma_f_ct(v, SPermC.reversal(l), J)`.  Interior blocks are
-    rejected (use closed_form_a).
+    Head blocks {1..l+1} and tail blocks {i..n+1} gain the masses
+    `sigma_f_ct(v, SPermC.reversal(l), J)` of the longest element, the
+    reversal of {0..2l+1}; interior blocks use closed_form_a.
     """
     spec = v.spec
     if spec.family != AFFINE_CT:
         raise DomainError("closed_form_ct needs an affine Ct spec")
     if J.is_interior(spec.n):
         raise DomainError("interior blocks use closed_form_a")
-    return sigma_f_ct(v, SPermC.reversal(J.length), J)
+    return _block_masses(v, _extension(J, spec))
 
 
 CASE_TAGS = ("A-I", "A-II", "Ct-I", "Ct-II", "Ct-III", "Ct-IV")

@@ -22,7 +22,7 @@ from .errors import NotMassForm, TodamassError
 from .orbit import (DESCENT_STALLED, MEMBER, _membership, _ranked_orbit,
                     _write_graph)
 from .perms import (CyclicRotation, SPermC, _block_rows, _generic_text,
-                    fold_ct_to_a, rotate_vector, sc_simple)
+                    _swap, fold_ct_to_a, rotate_vector)
 
 FAMILY_FLAGS = {"a": AFFINE_A, "ct": AFFINE_CT}
 WORD_SLICE = 4096  # letters per piece of a written word
@@ -185,13 +185,12 @@ def _cmd_rotate(args, out) -> int:
 
 def _cmd_sperm(args, out) -> int:
     _require("--l", args.l, 0)
-    f = SPermC.identity(args.l)
-    if args.word:
-        for tok in args.word.split(","):
-            f = f.compose(sc_simple(int(tok), args.l))
-    out.write("values %s\n" % (" ".join(str(x) for x in f.values)))
-    if args.check:  # composition is closed: one check, on the result
-        SPermC._check(f.values)
+    values = list(range(2 * args.l + 2))  # the identity, composed in place
+    for tok in args.word.split(",") if args.word else ():
+        _swap(values, int(tok), args.l)
+    out.write("values %s\n" % " ".join(map(str, values)))
+    if args.check:
+        SPermC(tuple(values))
         out.write("constraint PASS\n")
     return 0
 

@@ -81,8 +81,8 @@ def _rotation(rot: CyclicRotation, spec: AlgebraSpec) -> list[int]:
     if spec.family != AFFINE_A:
         raise DomainError("rotations are an affine A diagram symmetry")
     n = spec.n
-    if not 1 <= rot.r <= n + 1:
-        raise DomainError("rotation offset %d outside 1..%d" % (rot.r, n + 1))
+    if type(rot.r) is not int or not 1 <= rot.r <= n + 1:  # nor a bool
+        raise DomainError("rotation offset %r outside 1..%d" % (rot.r, n + 1))
     return [rot.apply(i, n) for i in spec.indices]
 
 
@@ -111,6 +111,12 @@ def rotated_weights(rot: CyclicRotation, spec: AlgebraSpec) -> list[LinForm]:
     return [LinForm.weight(j) for j in _rotation(rot, spec)]
 
 
+def _permutes(values) -> bool:
+    """Whether values are the ints 0..len(values)-1, no bool, in any order."""
+    return (all(type(x) is int for x in values)
+            and sorted(values) == list(range(len(values))))
+
+
 class FinitePermutation(_record("FinitePermutation", "values")):
     """A bijection of {0, 1, ..., m}, stored as its value tuple."""
 
@@ -122,9 +128,9 @@ class FinitePermutation(_record("FinitePermutation", "values")):
 
     @staticmethod
     def _check(values) -> None:
-        m = len(values) - 1
-        if sorted(values) != list(range(m + 1)):
-            raise DomainError("not a permutation of 0..%d: %r" % (m, values))
+        if not _permutes(values):
+            raise DomainError("not a permutation of 0..%d: %r"
+                              % (len(values) - 1, values))
 
     def __call__(self, j: int) -> int:
         return self.values[j]
@@ -217,16 +223,14 @@ def _generic_text(spec: AlgebraSpec, new: dict, packing: tuple) -> str:
 
 
 class SPermC(FinitePermutation):
-    """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1.  These are
-    closed under composition, so `compose`, like `sc_simple`, builds its
-    result unchecked; the constructor, `_make` and `_replace` check."""
+    """A permutation of {0..2l+1} with f(j) + f(2l+1-j) = 2l+1."""
 
     __slots__ = ()
 
     @staticmethod
     def _check(values) -> None:
         top = len(values) - 1
-        if len(values) % 2 or sorted(values) != list(range(top + 1)):
+        if len(values) % 2 or not _permutes(values):
             raise DomainError("not a permutation of 0..2l+1: %r" % (values,))
         for j in range(top + 1):
             if values[j] + values[top - j] != top:
@@ -249,19 +253,23 @@ class SPermC(FinitePermutation):
         if self.l != other.l:
             raise DomainError("cannot compose permutations of 0..%d and 0..%d"
                               % (self.top, other.top))
-        values = tuple([self.values[j] for j in other.values])
-        return tuple.__new__(SPermC, (values,))
+        return SPermC(tuple([self.values[j] for j in other.values]))
+
+
+def _swap(values: list, i: int, l: int) -> None:
+    """Compose a value list of {0..2l+1} with `sc_simple(i, l)` in place:
+    swap entries i, i+1 and 2l-i, 2l+1-i, the same pair at i = l."""
+    if not 0 <= i <= l:
+        raise DomainError("simple index %d outside 0..%d" % (i, l))
+    for j in {i, 2 * l - i}:
+        values[j], values[j + 1] = values[j + 1], values[j]
 
 
 def sc_simple(i: int, l: int) -> SPermC:
     """The i-th simple palindromic involution of {0..2l+1}, 0 <= i <= l."""
-    if not 0 <= i <= l:
-        raise DomainError("simple index %d outside 0..%d" % (i, l))
-    # swaps i, i+1 and their mirrors 2l-i, 2l+1-i, the same pair at i = l
-    vals = list(range(2 * l + 2))
-    for j in (i, 2 * l - i):
-        vals[j], vals[j + 1] = j + 1, j
-    return tuple.__new__(SPermC, (tuple(vals),))  # palindromic as built
+    values = list(range(2 * l + 2))
+    _swap(values, i, l)
+    return SPermC(tuple(values))
 
 
 def sigma_f_ct(v: MassVector, f: SPermC, J: ConsecutiveSet) -> MassVector:

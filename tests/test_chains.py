@@ -112,6 +112,35 @@ def test_closed_form_inverse_applies_to_every_accepted_block():
     assert kinds == {"a": 440, "wrap": 286, "ct": 286}
 
 
+def outcome(call):
+    """What a call gives: its value, or its error's type and text."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_closed_form_ct_is_sigma_f_ct_of_the_reversal():
+    """Every block that is not interior, valid or not, at ranks 2-11."""
+    compared = 0
+    for n in range(2, 12):
+        v = MassVector.generic(ct_spec(n))
+        for start in range(n + 4):
+            for length in range(n + 3):
+                for wrap in (False, True):
+                    try:
+                        J = ConsecutiveSet(start, length, wrap)
+                    except DomainError:
+                        continue
+                    if J.is_interior(n):
+                        continue
+                    f = SPermC.reversal(length)
+                    assert outcome(lambda: closed_form_ct(v, J)) \
+                        == outcome(lambda: sigma_f_ct(v, f, J))
+                    compared += 1
+    assert compared == 1750
+
+
 def test_each_chain_target_reads_its_block_once(monkeypatch):
     calls, block = [], perms._block
 

@@ -6,10 +6,10 @@ decodes its result once.
   make it, once per word; the words the code builds itself, the chains of
   `chain --verify` and `blowup-step` and the descent of `member`, go to
   `action._fold` unchecked.
-- Palindromic permutations are closed under composition, so `compose` and
-  `sc_simple` build theirs unchecked; `sperm --check` checks the result
-  once.  The constructor, `_make` and `_replace` still refuse a tuple that
-  is not one (`test_records.test_constructor_checks`).
+- Every `SPermC` is built by its checked constructor, so `compose` and
+  `sc_simple` check their result once.  `sperm` swaps one value list in
+  place and checks nothing but, with `--check`, the final values, once;
+  `closed_form_ct` builds no permutation at all.
 - `blowup-step` works on the rows its input is read into, and gives what
   `blowup_step` gives on `MassVector.from_json` of that input, errors in
   the same order.
@@ -29,7 +29,7 @@ from todamass.action import (Word, _kernel_rows, apply_generator, apply_word,
                              presentation_relations, verify_relation)
 from todamass.cartan import ConsecutiveSet
 from todamass.chains import (Decomposition, blowup_step, chain_word_a,
-                             chain_word_ct)
+                             chain_word_ct, closed_form_ct)
 from todamass.cli import _write_word, run
 from todamass.errors import DomainError
 from todamass.orbit import descend_to_zero, enumerate_orbit
@@ -50,6 +50,18 @@ def letter_checks(monkeypatch):
         seen.append(w)
         return check(w, spec)
     monkeypatch.setattr(action, "_letters", counted)
+    return seen
+
+
+@pytest.fixture
+def perm_checks(monkeypatch):
+    """The value tuples `SPermC._check` is called on, in order."""
+    seen, check = [], SPermC._check
+
+    def counted(values):
+        seen.append(values)
+        check(values)
+    monkeypatch.setattr(SPermC, "_check", staticmethod(counted))
     return seen
 
 
@@ -102,27 +114,41 @@ def test_entry_points_check_each_word_once(letter_checks):
         apply_word(Word.of(1, 6), v)
 
 
-def test_sperm_checks_the_identity_and_the_result(monkeypatch):
-    """sperm --l 16 with 48 letters makes two `_check` calls with --check,
-    one for the identity and one for the final values, and one without."""
-    seen, check = [], SPermC._check
-
-    def counted(values):
-        seen.append(values)
-        check(values)
-    monkeypatch.setattr(SPermC, "_check", staticmethod(counted))
+def test_sperm_checks_only_the_result(perm_checks):
+    """sperm --l 16 with 48 letters makes no `_check` call, and one with
+    --check, on the final values."""
     rng = random.Random(16)
     word = ",".join(str(rng.randint(0, 16)) for _ in range(48))
-    for extra, checks in (([], 1), (["--check"], 2)):
-        del seen[:]
+    for extra, checks in (([], 0), (["--check"], 1)):
+        del perm_checks[:]
         code, out, _ = invoke(["sperm", "--l", "16", "--word", word, *extra])
         assert code == 0
-        assert len(seen) == checks
-        assert seen[0] == tuple(range(34))
+        assert len(perm_checks) == checks
         values = [int(x) for x in out.split("\n")[0].split()[1:]]
         assert values == list(swapped(16, map(int, word.split(","))))
-    assert seen[1] == tuple(values)
+    assert perm_checks == [tuple(values)]
     assert out.endswith("\nconstraint PASS\n")
+
+
+def test_compose_and_sc_simple_check_their_result_once(perm_checks):
+    for l in range(4):
+        for i in range(l + 1):
+            del perm_checks[:]
+            g = sc_simple(i, l)
+            assert perm_checks == [g.values]
+            f = SPermC.reversal(l)
+            del perm_checks[:]
+            h = f.compose(g)
+            assert perm_checks == [h.values]
+
+
+def test_closed_form_ct_builds_no_permutation(perm_checks):
+    for n in (2, 5, 9):
+        v = MassVector.generic(AlgebraSpec("affine_ct", n))
+        for J in (ConsecutiveSet(1, 0), ConsecutiveSet(1, n - 1),
+                  ConsecutiveSet(n + 1, 0), ConsecutiveSet(3, n - 2)):
+            closed_form_ct(v, J)
+    assert perm_checks == []
 
 
 def swapped(l, letters):

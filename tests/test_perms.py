@@ -10,7 +10,7 @@ from todamass.cartan import ConsecutiveSet
 from todamass.chains import closed_form_ct
 from todamass.errors import DomainError, EvaluationError, SymmetryError
 from todamass.perms import (CyclicRotation, FinitePermutation, SPermC,
-                            finite_a_mass, fold_ct_to_a, rotate_vector,
+                            _swap, finite_a_mass, fold_ct_to_a, rotate_vector,
                             rotated_weights, rotation_covariance, sc_simple,
                             sigma_f_ct, unfold_a_to_ct)
 
@@ -80,8 +80,9 @@ def test_rotation_covariance_random():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("r", (-1, 0, 4, 9))
+@pytest.mark.parametrize("r", (-1, 0, 4, 9, 1.5, 2.0, True, "2", None))
 def test_rotation_functions_share_one_offset_check(r):
+    """An offset must be an int (not a bool) in 1..n+1."""
     spec, rot = a_spec(), CyclicRotation(r)
     calls = (lambda: rotate_vector(MassVector.zero(spec), rot),
              lambda: rotation_covariance(Word.of(1), rot, spec),
@@ -89,7 +90,7 @@ def test_rotation_functions_share_one_offset_check(r):
     for call in calls:
         with pytest.raises(DomainError) as exc:
             call()
-        assert str(exc.value) == "rotation offset %d outside 1..3" % r
+        assert str(exc.value) == "rotation offset %r outside 1..3" % (r,)
 
 
 @pytest.mark.parametrize("letter", (-1, 0, 4, 9))
@@ -165,6 +166,41 @@ def test_sc_simple_examples():
             assert f.compose(f).values == SPermC.identity(l).values
     with pytest.raises(DomainError):
         sc_simple(3, 2)
+
+
+def simple_from_constants(i, l):
+    """The values of the i-th simple involution, each written as a constant:
+    j+1 at j and j at j+1, for j = i and its mirror 2l-i."""
+    values = list(range(2 * l + 2))
+    for j in (i, 2 * l - i):
+        values[j], values[j + 1] = j + 1, j
+    return values
+
+
+def test_swap_on_the_identity_is_the_simple_involution():
+    rng = random.Random(30)
+    for l in range(25):
+        for i in range(l + 1):
+            values = list(range(2 * l + 2))
+            _swap(values, i, l)
+            assert values == simple_from_constants(i, l)
+            # on any permutation, composition with sc_simple on the right
+            f = SPermC.identity(l)
+            for k in rng.choices(range(l + 1), k=6):
+                f = f.compose(sc_simple(k, l))
+            values = list(f.values)
+            _swap(values, i, l)
+            assert tuple(values) == f.compose(sc_simple(i, l)).values
+
+
+@pytest.mark.parametrize("i, l", ((-1, 0), (1, 0), (3, 2), (-2, 5)))
+def test_swap_refuses_an_index_outside_0_to_l(i, l):
+    values = list(range(2 * l + 2))
+    for call in (lambda: _swap(values, i, l), lambda: sc_simple(i, l)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == "simple index %d outside 0..%d" % (i, l)
+    assert values == list(range(2 * l + 2))
 
 
 def test_sperm_closure_under_products():

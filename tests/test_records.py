@@ -125,17 +125,31 @@ REFUSED = [
      DomainError, "index True outside 1..3"),
     (ConsecutiveSet, (1, -1), DomainError, "length parameter must be >= 0"),
     (ConsecutiveSet, (0, 1, True), DomainError, "start index must be >= 1"),
+    # a set's bounds are ints, and not bools
+    (ConsecutiveSet, (1.5, 1), DomainError,
+     "start and length must be integers, got 1.5, 1"),
+    (ConsecutiveSet, (True, 1), DomainError,
+     "start and length must be integers, got True, 1"),
+    (ConsecutiveSet, (2, 1.0), DomainError,
+     "start and length must be integers, got 2, 1.0"),
     (FinitePermutation, ((0, 2),), DomainError,
      "not a permutation of 0..1: (0, 2)"),
     (SPermC, ((0, 1, 2),), DomainError,
      "not a permutation of 0..2l+1: (0, 1, 2)"),
     (SPermC, ((1, 0, 2, 3),), DomainError,
      "palindromic constraint fails at j=0"),
-    # composition builds its result unchecked; these still check
+    # a repeated value, and a permutation that is not palindromic
     (SPermC, ((0, 0, 1, 1),), DomainError,
      "not a permutation of 0..2l+1: (0, 0, 1, 1)"),
     (SPermC, ((0, 2, 1, 3, 4, 5),), DomainError,
      "palindromic constraint fails at j=1"),
+    # a permutation's values are ints, and not bools
+    (FinitePermutation, ((1.0, 0),), DomainError,
+     "not a permutation of 0..1: (1.0, 0)"),
+    (SPermC, ((0.0, 1),), DomainError,
+     "not a permutation of 0..2l+1: (0.0, 1)"),
+    (SPermC, ((True, False),), DomainError,
+     "not a permutation of 0..2l+1: (True, False)"),
 ]
 
 
